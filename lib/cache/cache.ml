@@ -2,11 +2,16 @@ type t = {
   n_sets : int;
   assoc : int;
   set_mask : int;
-  tags : int array; (* n_sets * assoc, -1 = invalid; stores full line id *)
-  lru : int array;  (* recency stamp per way; larger = more recent *)
+  tags : int array; (* n_sets * assoc, [no_line] = invalid; full line id *)
+  lru : int array;
+      (* recency stamp per way; larger = more recent. Invalid ways hold
+         0 and valid ways at least 1 (the clock is bumped before every
+         stamp), which is what lets [choose_victim] be a single argmin. *)
   mutable clock : int;
   mutable valid : int;
 }
+
+let no_line = -1
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
@@ -21,7 +26,7 @@ let create ~size_bytes ~assoc ~line_bytes =
     n_sets;
     assoc;
     set_mask = n_sets - 1;
-    tags = Array.make (n_sets * assoc) (-1);
+    tags = Array.make (n_sets * assoc) no_line;
     lru = Array.make (n_sets * assoc) 0;
     clock = 0;
     valid = 0;
@@ -35,23 +40,26 @@ let set_of t line = line land t.set_mask
    probes, installs, invalidations), so they use unsafe accesses behind
    indices that are in bounds by construction: [set_of] masks the line
    into [0, n_sets) and ways stay below [assoc], so [base + w] is
-   always within the [n_sets * assoc] backing arrays. *)
-let find_way t line =
-  let base = set_of t line * t.assoc in
-  let tags = t.tags in
-  let n = t.assoc in
-  let found = ref (-1) in
-  let w = ref 0 in
-  while !found < 0 && !w < n do
-    if Array.unsafe_get tags (base + !w) = line then found := base + !w;
-    incr w
-  done;
-  !found
+   always within the [n_sets * assoc] backing arrays. A negative line
+   is never present: without the guard, [no_line] would match every
+   invalid way. *)
+let slot t line =
+  if line < 0 then -1
+  else begin
+    let base = set_of t line * t.assoc in
+    let tags = t.tags in
+    let stop = base + t.assoc in
+    let w = ref base in
+    while !w < stop && Array.unsafe_get tags !w <> line do
+      incr w
+    done;
+    if !w < stop then !w else -1
+  end
 
-let probe t line = find_way t line >= 0
+let probe t line = slot t line >= 0
 
 let touch t line =
-  let i = find_way t line in
+  let i = slot t line in
   if i >= 0 then begin
     t.clock <- t.clock + 1;
     Array.unsafe_set t.lru i t.clock;
@@ -59,64 +67,55 @@ let touch t line =
   end
   else false
 
-let insert t line =
-  let i = find_way t line in
+(* The least recently used way of [line]'s set, ties to the lowest way.
+   Invalid ways have stamp 0 and valid ones at least 1, so the first
+   invalid way wins whenever there is one. *)
+let choose_victim t line =
+  let base = set_of t line * t.assoc in
+  let lru = t.lru in
+  let v = ref base in
+  let stamp = ref (Array.unsafe_get lru base) in
+  for w = base + 1 to base + t.assoc - 1 do
+    let s = Array.unsafe_get lru w in
+    if s < !stamp then begin
+      v := w;
+      stamp := s
+    end
+  done;
+  !v
+
+let insert_absent t line =
+  if line < 0 then invalid_arg "Cache.insert: negative line";
+  let victim = choose_victim t line in
+  let evicted = Array.unsafe_get t.tags victim in
+  if evicted = no_line then t.valid <- t.valid + 1;
   t.clock <- t.clock + 1;
+  Array.unsafe_set t.tags victim line;
+  Array.unsafe_set t.lru victim t.clock;
+  evicted
+
+let insert t line =
+  let i = slot t line in
   if i >= 0 then begin
+    t.clock <- t.clock + 1;
     Array.unsafe_set t.lru i t.clock;
-    None
+    no_line
   end
-  else begin
-    let base = set_of t line * t.assoc in
-    let tags = t.tags and lru = t.lru in
-    let n = t.assoc in
-    (* Pick the first invalid way, else the least recently used one
-       (ties go to the lowest way, as before). *)
-    let invalid = ref (-1) in
-    let w = ref 0 in
-    while !invalid < 0 && !w < n do
-      if Array.unsafe_get tags (base + !w) = -1 then invalid := base + !w;
-      incr w
-    done;
-    let victim =
-      if !invalid >= 0 then !invalid
-      else begin
-        let v = ref base in
-        let stamp = ref (Array.unsafe_get lru base) in
-        for j = 1 to n - 1 do
-          let s = Array.unsafe_get lru (base + j) in
-          if s < !stamp then begin
-            v := base + j;
-            stamp := s
-          end
-        done;
-        !v
-      end
-    in
-    let evicted =
-      if Array.unsafe_get tags victim = -1 then begin
-        t.valid <- t.valid + 1;
-        None
-      end
-      else Some (Array.unsafe_get tags victim)
-    in
-    Array.unsafe_set tags victim line;
-    Array.unsafe_set lru victim t.clock;
-    evicted
-  end
+  else insert_absent t line
 
 let invalidate t line =
-  let i = find_way t line in
+  let i = slot t line in
   if i >= 0 then begin
-    t.tags.(i) <- -1;
+    t.tags.(i) <- no_line;
     t.lru.(i) <- 0;
     t.valid <- t.valid - 1
   end
 
 let clear t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.tags 0 (Array.length t.tags) no_line;
   Array.fill t.lru 0 (Array.length t.lru) 0;
   t.clock <- 0;
   t.valid <- 0
 
 let occupancy t = t.valid
+let slots t = t.n_sets * t.assoc

@@ -41,12 +41,27 @@ let level_to_string = function
   | Llc -> "LLC"
   | Dram -> "DRAM"
 
-type access = {
-  latency : int;
-  served_from : level;
-  fill_buffer_hit : bool;
-  late_sw_prefetch : bool;
-}
+(* A demand load's result, packed into an immediate int so the
+   per-load path allocates nothing: latency in the high bits, then the
+   late-SW-prefetch flag (bit 3), the fill-buffer-hit flag (bit 2) and
+   the serving level (bits 0-1). *)
+type access = int
+
+let code_l1 = 0
+let code_l2 = 1
+let code_llc = 2
+let code_dram = 3
+let fill_buffer_bit = 4
+let late_sw_bit = 8
+
+let pack ~latency code = (latency lsl 4) lor code
+let latency (a : access) = a lsr 4
+
+let served_from (a : access) =
+  match a land 3 with 0 -> L1 | 1 -> L2 | 2 -> Llc | _ -> Dram
+
+let fill_buffer_hit (a : access) = a land fill_buffer_bit <> 0
+let late_sw_prefetch (a : access) = a land late_sw_bit <> 0
 
 (* Fields are mutable so the per-access hot path bumps them in place;
    a functional [{ c with ... }] update allocated a fresh 15-field
@@ -162,6 +177,9 @@ type t = {
       (* log2 of words per line when that is a power of two, else -1;
          lets [line_of] shift instead of running an integer division on
          every access *)
+  owner_tag : int;
+      (* 1 + this stream's index in [shared.streams]: its mark in
+         [sw_owner] *)
 }
 
 and shared = {
@@ -169,13 +187,17 @@ and shared = {
   llc : Cache.t;
   mutable next_dram_slot : int;
       (* earliest cycle the DRAM channel can start another fill *)
-  pending_sw : (int, t) Hashtbl.t;
-      (* lines installed by a SW-prefetch fill and not yet demand-used,
-         mapped to the issuing stream: an LLC eviction of one is a
-         too-early prefetch charged to that stream. The value is the
-         stream itself (not its counters record) so attribution
-         survives [reset_counters], which swaps the record out. *)
-  mutable attached : t list;
+  sw_owner : int array;
+      (* per LLC way ([Cache.slot]): the [owner_tag] of the stream whose
+         SW-prefetch fill installed the line there, while no demand
+         load has used it yet; 0 otherwise. An LLC eviction of a marked
+         line is a too-early prefetch charged to that stream. The mark
+         names the stream, not its counters record, so attribution
+         survives [reset_counters], which swaps the record out. A
+         marked line is always in the LLC: marks are set right after
+         the fill installs the line and cleared when it is evicted. *)
+  mutable n_pending : int;  (* marked ways; 0 skips every mark lookup *)
+  mutable streams : t array;
       (* in attach order; inclusion victims invalidate every stream's
          private levels *)
 }
@@ -187,13 +209,16 @@ let log2 n =
   go 0 n
 
 let create_shared cfg =
+  let llc =
+    Cache.create ~size_bytes:cfg.llc_size ~assoc:cfg.llc_assoc ~line_bytes:cfg.line_bytes
+  in
   {
     s_cfg = cfg;
-    llc =
-      Cache.create ~size_bytes:cfg.llc_size ~assoc:cfg.llc_assoc ~line_bytes:cfg.line_bytes;
+    llc;
     next_dram_slot = 0;
-    pending_sw = Hashtbl.create 64;
-    attached = [];
+    sw_owner = Array.make (Cache.slots llc) 0;
+    n_pending = 0;
+    streams = [||];
   }
 
 let attach shared ~stream =
@@ -214,9 +239,10 @@ let attach shared ~stream =
         (if cfg.line_bytes mod 8 = 0 && is_pow2 (cfg.line_bytes / 8) then
            log2 (cfg.line_bytes / 8)
          else -1);
+      owner_tag = Array.length shared.streams + 1;
     }
   in
-  shared.attached <- shared.attached @ [ t ];
+  shared.streams <- Array.append shared.streams [| t |];
   t
 
 let create cfg = attach (create_shared cfg) ~stream:0
@@ -228,56 +254,75 @@ let set_prefetch_limit t ~words =
   let lines = if words <= 0 then 0 else (words + wpl - 1) / wpl in
   Hwpf.set_line_limit t.hwpf ~lines
 
-(* Install a line everywhere (inclusive hierarchy). An LLC eviction
-   invalidates the inner levels — of every attached stream — to
-   preserve inclusion; line ids are per-stream disjoint, so at most one
-   stream's private levels actually hold the victim. *)
+(* [line] has just been installed in the LLC and evicted [victim] from
+   the same way. Inclusion: the victim leaves the inner levels of every
+   attached stream (line ids are per-stream disjoint, so at most one
+   stream's private levels actually hold it). A pending SW-prefetch
+   mark on the way was the victim's: charge its owner. *)
+let evicted t ~line victim =
+  if victim <> Cache.no_line then begin
+    let sh = t.shared in
+    let streams = sh.streams in
+    for i = 0 to Array.length streams - 1 do
+      Cache.invalidate streams.(i).l2 victim;
+      Cache.invalidate streams.(i).l1 victim
+    done;
+    if sh.n_pending > 0 then begin
+      let w = Cache.slot sh.llc line in
+      let owner = sh.sw_owner.(w) in
+      if owner > 0 then begin
+        sh.sw_owner.(w) <- 0;
+        sh.n_pending <- sh.n_pending - 1;
+        let o = streams.(owner - 1) in
+        o.c.sw_prefetch_early_evict <- o.c.sw_prefetch_early_evict + 1
+      end
+    end
+  end
+
+(* Install a line everywhere (inclusive hierarchy). *)
 let install_all t line =
-  (match Cache.insert t.shared.llc line with
-  | Some victim ->
-    (match t.shared.attached with
-    | [ only ] ->
-      (* Solo fast path: no list traversal on the per-fill hot path. *)
-      Cache.invalidate only.l2 victim;
-      Cache.invalidate only.l1 victim
-    | streams ->
-      List.iter
-        (fun s ->
-          Cache.invalidate s.l2 victim;
-          Cache.invalidate s.l1 victim)
-        streams);
-    (match Hashtbl.find_opt t.shared.pending_sw victim with
-    | Some owner ->
-      Hashtbl.remove t.shared.pending_sw victim;
-      owner.c.sw_prefetch_early_evict <- owner.c.sw_prefetch_early_evict + 1
-    | None -> ())
-  | None -> ());
+  evicted t ~line (Cache.insert t.shared.llc line);
   ignore (Cache.insert t.l2 line);
   ignore (Cache.insert t.l1 line)
 
-let drain_fills t ~cycle =
-  (* Pop first: the MSHR is empty on most accesses and the match keeps
-     the iteration closure from being allocated on that path. *)
-  match Mshr.pop_ready t.mshr ~now:cycle with
-  | [] -> ()
-  | ready ->
-    List.iter
-      (fun (e : Mshr.entry) ->
-        if e.origin = Mshr.Sw_prefetch then
-          Hashtbl.replace t.shared.pending_sw e.line t;
-        install_all t e.line)
-      ready
+(* [install_all] for a line that just missed at all three levels. *)
+let install_absent t line =
+  evicted t ~line (Cache.insert_absent t.shared.llc line);
+  ignore (Cache.insert_absent t.l2 line);
+  ignore (Cache.insert_absent t.l1 line)
 
-(* [addr * 8 / line_bytes], as a shift on the all-but-universal
-   power-of-two configs, plus the stream's line base. Negative
-   addresses (possible transiently: the hierarchy is consulted before
-   the memory bounds check raises) keep the truncating-division
-   rounding of the original expression. *)
+let mark_sw_fill t line =
+  let sh = t.shared in
+  let w = Cache.slot sh.llc line in
+  if sh.sw_owner.(w) = 0 then sh.n_pending <- sh.n_pending + 1;
+  sh.sw_owner.(w) <- t.owner_tag
+
+let clear_sw_mark sh line =
+  let w = Cache.slot sh.llc line in
+  if w >= 0 && sh.sw_owner.(w) <> 0 then begin
+    sh.sw_owner.(w) <- 0;
+    sh.n_pending <- sh.n_pending - 1
+  end
+
+(* Install every fill completed by [cycle], in [Mshr.next_ready]
+   order. *)
+let rec drain_fills t ~cycle =
+  let i = Mshr.next_ready t.mshr ~now:cycle in
+  if i >= 0 then begin
+    let line = Mshr.line t.mshr i in
+    let sw = Mshr.origin t.mshr i = Mshr.Sw_prefetch in
+    Mshr.remove_at t.mshr i;
+    install_all t line;
+    if sw then mark_sw_fill t line;
+    drain_fills t ~cycle
+  end
+
+(* [addr * 8 / line_bytes] for [addr >= 0], as a shift on the
+   all-but-universal power-of-two configs, plus the stream's line
+   base. *)
 let line_of t addr =
   t.line_base
-  +
-  if addr >= 0 && t.line_shift >= 0 then addr lsr t.line_shift
-  else addr * 8 / t.cfg.line_bytes
+  + if t.line_shift >= 0 then addr lsr t.line_shift else addr * 8 / t.cfg.line_bytes
 
 (* Claim a DRAM channel slot: with a bandwidth bound, back-to-back
    fills are spaced [dram_min_gap] cycles apart and queueing delay adds
@@ -291,100 +336,92 @@ let dram_start t ~cycle =
     start
   end
 
-(* Start a fill for [line] if it is not cached anywhere and not already
-   in flight. Returns true if a fill buffer was allocated. *)
-let start_fill t ~line ~cycle ~origin =
-  if Cache.probe t.l1 line || Cache.probe t.l2 line then false
-  else begin
-    let from_dram = not (Cache.probe t.shared.llc line) in
-    let ready_at =
-      if from_dram then dram_start t ~cycle + t.cfg.dram_latency
-      else cycle + t.cfg.llc_latency
-    in
-    let ok = Mshr.allocate t.mshr ~line ~ready_at ~origin in
-    if ok && from_dram then
-      t.c.offcore_all_data_rd <- t.c.offcore_all_data_rd + 1;
-    ok
-  end
+(* Start a fill for a line absent from L1 and L2 and not in flight,
+   from the LLC or DRAM. Returns true if a fill buffer was allocated. *)
+let fill_from_below t ~line ~cycle ~origin =
+  let from_dram = not (Cache.probe t.shared.llc line) in
+  let ready_at =
+    if from_dram then dram_start t ~cycle + t.cfg.dram_latency
+    else cycle + t.cfg.llc_latency
+  in
+  let ok = Mshr.allocate t.mshr ~line ~ready_at ~origin in
+  if ok && from_dram then
+    t.c.offcore_all_data_rd <- t.c.offcore_all_data_rd + 1;
+  ok
 
 (* The prefetcher trains on raw (un-offset) addresses and emits raw
    line indices, so its extent clamp composes with the stream offset;
    the base is added when the fill enters the hierarchy. *)
 let hw_prefetch_lines t ~pc ~addr ~miss ~cycle =
-  match Hwpf.on_demand_access t.hwpf ~pc ~addr ~miss with
-  | [] -> ()
-  | lines ->
-    List.iter
-      (fun line ->
-        if start_fill t ~line:(t.line_base + line) ~cycle ~origin:Mshr.Hw_prefetch
-        then t.c.hw_prefetch_issued <- t.c.hw_prefetch_issued + 1)
-      lines
+  let n = Hwpf.on_demand_access t.hwpf ~pc ~addr ~miss in
+  for i = 0 to n - 1 do
+    let line = t.line_base + Hwpf.target t.hwpf i in
+    if
+      (not (Cache.probe t.l1 line || Cache.probe t.l2 line))
+      && fill_from_below t ~line ~cycle ~origin:Mshr.Hw_prefetch
+    then t.c.hw_prefetch_issued <- t.c.hw_prefetch_issued + 1
+  done
+
+(* A negative address has no cache line: it is served from DRAM and
+   never cached, so it cannot alias a real line (or the caches' invalid
+   tag). The machine's memory bounds check rejects it right after. *)
+let uncached_load t =
+  t.c.demand_loads <- t.c.demand_loads + 1;
+  t.c.dram_fills_demand <- t.c.dram_fills_demand + 1;
+  t.c.offcore_all_data_rd <- t.c.offcore_all_data_rd + 1;
+  t.c.offcore_demand_data_rd <- t.c.offcore_demand_data_rd + 1;
+  t.c.stall_cycles_dram <-
+    t.c.stall_cycles_dram + t.cfg.dram_latency - t.cfg.l1_latency;
+  pack ~latency:t.cfg.dram_latency code_dram
 
 let demand_load t ~pc ~addr ~cycle =
   drain_fills t ~cycle;
-  let line = line_of t addr in
-  if Hashtbl.length t.shared.pending_sw <> 0 then
-    Hashtbl.remove t.shared.pending_sw line;
-  t.c.demand_loads <- t.c.demand_loads + 1;
-  match Mshr.find t.mshr line with
-  | Some entry ->
-    (* Fill in flight: wait out the remainder, then it behaves like an
-       L1 hit. The real counter treats this as a cache miss. *)
-    let wait = max 0 (entry.ready_at - cycle) in
-    let late_sw = entry.origin = Mshr.Sw_prefetch in
-    Mshr.remove t.mshr line;
-    install_all t line;
-    if late_sw then t.c.load_hit_pre_sw_pf <- t.c.load_hit_pre_sw_pf + 1;
-    t.c.offcore_all_data_rd <- t.c.offcore_all_data_rd + 1;
-    t.c.offcore_demand_data_rd <- t.c.offcore_demand_data_rd + 1;
-    t.c.stall_cycles_dram <- t.c.stall_cycles_dram + wait;
-    hw_prefetch_lines t ~pc ~addr ~miss:true ~cycle;
-    {
-      latency = wait + t.cfg.l1_latency;
-      served_from = Dram;
-      fill_buffer_hit = true;
-      late_sw_prefetch = late_sw;
-    }
-  | None ->
-    if Cache.touch t.l1 line then begin
+  if addr < 0 then uncached_load t
+  else begin
+    let line = line_of t addr in
+    if t.shared.n_pending <> 0 then clear_sw_mark t.shared line;
+    t.c.demand_loads <- t.c.demand_loads + 1;
+    let m = Mshr.find t.mshr line in
+    if m >= 0 then begin
+      (* Fill in flight: wait out the remainder, then it behaves like
+         an L1 hit. The real counter treats this as a cache miss. *)
+      let wait = max 0 (Mshr.ready_at t.mshr m - cycle) in
+      let late_sw = Mshr.origin t.mshr m = Mshr.Sw_prefetch in
+      Mshr.remove_at t.mshr m;
+      install_all t line;
+      if late_sw then t.c.load_hit_pre_sw_pf <- t.c.load_hit_pre_sw_pf + 1;
+      t.c.offcore_all_data_rd <- t.c.offcore_all_data_rd + 1;
+      t.c.offcore_demand_data_rd <- t.c.offcore_demand_data_rd + 1;
+      t.c.stall_cycles_dram <- t.c.stall_cycles_dram + wait;
+      hw_prefetch_lines t ~pc ~addr ~miss:true ~cycle;
+      pack
+        ~latency:(wait + t.cfg.l1_latency)
+        (code_dram lor fill_buffer_bit lor if late_sw then late_sw_bit else 0)
+    end
+    else if Cache.touch t.l1 line then begin
       t.c.hits_l1 <- t.c.hits_l1 + 1;
       hw_prefetch_lines t ~pc ~addr ~miss:false ~cycle;
-      {
-        latency = t.cfg.l1_latency;
-        served_from = L1;
-        fill_buffer_hit = false;
-        late_sw_prefetch = false;
-      }
+      pack ~latency:t.cfg.l1_latency code_l1
     end
     else if Cache.touch t.l2 line then begin
-      ignore (Cache.insert t.l1 line);
+      ignore (Cache.insert_absent t.l1 line);
       t.c.hits_l2 <- t.c.hits_l2 + 1;
       t.c.stall_cycles_l2 <-
         t.c.stall_cycles_l2 + t.cfg.l2_latency - t.cfg.l1_latency;
       hw_prefetch_lines t ~pc ~addr ~miss:true ~cycle;
-      {
-        latency = t.cfg.l2_latency;
-        served_from = L2;
-        fill_buffer_hit = false;
-        late_sw_prefetch = false;
-      }
+      pack ~latency:t.cfg.l2_latency code_l2
     end
     else if Cache.touch t.shared.llc line then begin
-      ignore (Cache.insert t.l2 line);
-      ignore (Cache.insert t.l1 line);
+      ignore (Cache.insert_absent t.l2 line);
+      ignore (Cache.insert_absent t.l1 line);
       t.c.hits_llc <- t.c.hits_llc + 1;
       t.c.stall_cycles_llc <-
         t.c.stall_cycles_llc + t.cfg.llc_latency - t.cfg.l1_latency;
       hw_prefetch_lines t ~pc ~addr ~miss:true ~cycle;
-      {
-        latency = t.cfg.llc_latency;
-        served_from = Llc;
-        fill_buffer_hit = false;
-        late_sw_prefetch = false;
-      }
+      pack ~latency:t.cfg.llc_latency code_llc
     end
     else begin
-      install_all t line;
+      install_absent t line;
       let start = dram_start t ~cycle in
       let latency = start - cycle + t.cfg.dram_latency in
       t.c.dram_fills_demand <- t.c.dram_fills_demand + 1;
@@ -393,25 +430,23 @@ let demand_load t ~pc ~addr ~cycle =
       t.c.stall_cycles_dram <-
         t.c.stall_cycles_dram + latency - t.cfg.l1_latency;
       hw_prefetch_lines t ~pc ~addr ~miss:true ~cycle;
-      {
-        latency;
-        served_from = Dram;
-        fill_buffer_hit = false;
-        late_sw_prefetch = false;
-      }
+      pack ~latency code_dram
     end
+  end
 
 let sw_prefetch t ~addr ~cycle =
-  drain_fills t ~cycle;
-  let line = line_of t addr in
-  if Cache.probe t.l1 line || Cache.probe t.l2 line then
-    t.c.sw_prefetch_useless <- t.c.sw_prefetch_useless + 1
-  else if Mshr.find t.mshr line <> None then
-    (* Coalesces with the in-flight fill. *)
-    t.c.sw_prefetch_useless <- t.c.sw_prefetch_useless + 1
-  else if start_fill t ~line ~cycle ~origin:Mshr.Sw_prefetch then
-    t.c.sw_prefetch_issued <- t.c.sw_prefetch_issued + 1
-  else t.c.sw_prefetch_dropped <- t.c.sw_prefetch_dropped + 1
+  if addr >= 0 then begin
+    drain_fills t ~cycle;
+    let line = line_of t addr in
+    if
+      Cache.probe t.l1 line || Cache.probe t.l2 line
+      (* in flight: coalesces with the fill *)
+      || Mshr.find t.mshr line >= 0
+    then t.c.sw_prefetch_useless <- t.c.sw_prefetch_useless + 1
+    else if fill_from_below t ~line ~cycle ~origin:Mshr.Sw_prefetch then
+      t.c.sw_prefetch_issued <- t.c.sw_prefetch_issued + 1
+    else t.c.sw_prefetch_dropped <- t.c.sw_prefetch_dropped + 1
+  end
 
 (* Snapshot copy: the live record keeps mutating after this call. *)
 let counters t = { t.c with demand_loads = t.c.demand_loads }
@@ -425,5 +460,6 @@ let flush t =
   Cache.clear t.shared.llc;
   Mshr.clear t.mshr;
   t.shared.next_dram_slot <- 0;
-  Hashtbl.reset t.shared.pending_sw;
+  Array.fill t.shared.sw_owner 0 (Array.length t.shared.sw_owner) 0;
+  t.shared.n_pending <- 0;
   reset_counters t

@@ -41,12 +41,22 @@ type level = L1 | L2 | Llc | Dram
 
 val level_to_string : level -> string
 
-type access = {
-  latency : int;         (** cycles the demand load blocks the core *)
-  served_from : level;
-  fill_buffer_hit : bool;
-  late_sw_prefetch : bool; (** fill-buffer hit on a SW-prefetch fill *)
-}
+type access = private int
+(** A demand load's result, packed into one immediate int so that a
+    simulated load allocates nothing. Read it with the accessors
+    below. *)
+
+val latency : access -> int
+(** Cycles the demand load blocks the core. *)
+
+val served_from : access -> level
+(** The level that served the load; a fill-buffer hit reports [Dram]. *)
+
+val fill_buffer_hit : access -> bool
+(** The line was in flight in the MSHR when the load issued. *)
+
+val late_sw_prefetch : access -> bool
+(** A fill-buffer hit on a SW-prefetch fill. *)
 
 type counters = {
   mutable demand_loads : int;
@@ -121,10 +131,21 @@ val set_prefetch_limit : t -> words:int -> unit
 val demand_load : t -> pc:int -> addr:int -> cycle:int -> access
 (** Perform a demand load of word address [addr] at time [cycle],
     returning its blocking latency and classification. Trains and
-    triggers the hardware prefetcher. *)
+    triggers the hardware prefetcher. First installs every fill that
+    completed by [cycle], in completion order; fills completing at the
+    same cycle install newest-allocated first.
+
+    A negative [addr] has no cache line: it is served from DRAM at the
+    full DRAM latency and leaves caches, fill buffers and prefetcher
+    untouched. Allocates nothing. *)
 
 val sw_prefetch : t -> addr:int -> cycle:int -> unit
-(** Issue a software prefetch for the line of [addr]; non-blocking. *)
+(** Issue a software prefetch for the line of [addr]; non-blocking.
+    A negative [addr] is ignored. A prefetch whose fill installs the
+    line marks it as owned by this stream until a demand load uses
+    it; an LLC eviction of a still-marked line counts as
+    [sw_prefetch_early_evict] of the owner, even across
+    {!reset_counters}. Allocates nothing. *)
 
 val counters : t -> counters
 (** Snapshot of all counters since creation (or [reset_counters]). *)

@@ -14,6 +14,11 @@ type t = {
          past the backing region models nothing and, under shared
          streams with small per-tenant footprints, lands in another
          tenant's address range *)
+  targets : int array;
+      (* the last access's targets, ascending and distinct, in
+         [0, n_targets): at most [degree] stride targets plus the
+         next line *)
+  mutable n_targets : int;
 }
 
 let create ?(stride_table_size = 256) ?(degree = 2) () =
@@ -24,6 +29,8 @@ let create ?(stride_table_size = 256) ?(degree = 2) () =
       Array.init stride_table_size (fun _ ->
           { tag = -1; last_addr = 0; stride = 0; confidence = 0 });
     line_limit = max_int;
+    targets = Array.make (max 0 degree + 1) 0;
+    n_targets = 0;
   }
 
 let disabled () = { (create ()) with enabled = false }
@@ -33,11 +40,26 @@ let set_line_limit t ~lines =
 
 let line_of addr = addr / Aptget_mem.Memory.words_per_line
 
+(* Insertion into the sorted, duplicate-free target buffer. *)
+let emit t line =
+  let a = t.targets in
+  let n = t.n_targets in
+  let i = ref 0 in
+  while !i < n && a.(!i) < line do
+    incr i
+  done;
+  if !i = n || a.(!i) <> line then begin
+    for j = n downto !i + 1 do
+      a.(j) <- a.(j - 1)
+    done;
+    a.(!i) <- line;
+    t.n_targets <- n + 1
+  end
+
 let on_demand_access t ~pc ~addr ~miss =
-  if not t.enabled then []
-  else begin
+  t.n_targets <- 0;
+  if t.enabled then begin
     let slot = t.table.(pc land (Array.length t.table - 1)) in
-    let targets = ref [] in
     if slot.tag = pc then begin
       let stride = addr - slot.last_addr in
       if stride = slot.stride && stride <> 0 then
@@ -54,7 +76,7 @@ let on_demand_access t ~pc ~addr ~miss =
             target >= 0
             && line_of target < t.line_limit
             && line_of target <> line_of addr
-          then targets := line_of target :: !targets
+          then emit t (line_of target)
         done
     end
     else begin
@@ -67,12 +89,11 @@ let on_demand_access t ~pc ~addr ~miss =
        last line of the footprint has no next line to fetch. *)
     if miss then begin
       let next = line_of addr + 1 in
-      if next < t.line_limit then targets := next :: !targets
-    end;
-    (* Same ascending dedupe as [List.sort_uniq compare], minus the
-       polymorphic compare: this runs on every demand access. *)
-    match !targets with
-    | [] -> []
-    | [ _ ] as l -> l
-    | l -> List.sort_uniq Int.compare l
-  end
+      if next < t.line_limit then emit t next
+    end
+  end;
+  t.n_targets
+
+let target t i =
+  if i < 0 || i >= t.n_targets then invalid_arg "Hwpf.target: no such target";
+  t.targets.(i)

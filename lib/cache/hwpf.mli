@@ -23,10 +23,15 @@ val set_line_limit : t -> lines:int -> unit
     targets and the next-line path fires unconditionally, so prefetches
     can land past the end of the region. *)
 
-val on_demand_access :
-  t -> pc:int -> addr:int -> miss:bool -> int list
+val on_demand_access : t -> pc:int -> addr:int -> miss:bool -> int
 (** [on_demand_access t ~pc ~addr ~miss] trains the prefetcher with a
     demand load of word address [addr] issued by instruction [pc] and
-    returns the list of cache lines to prefetch. Next-line fires on
-    misses; the stride prefetcher fires once a PC has shown the same
-    word-stride twice in a row. *)
+    returns how many cache lines to prefetch; {!target} reads them.
+    Next-line fires on misses; the stride prefetcher fires once a PC
+    has shown the same word-stride twice in a row. Allocates nothing:
+    the targets live in a buffer the next call overwrites. *)
+
+val target : t -> int -> int
+(** [target t i] is the [i]th line the last {!on_demand_access}
+    emitted, for [i] below its result. Targets are ascending and
+    distinct. *)

@@ -211,37 +211,37 @@ let stepper_blocking ~config ~hier ~sampler ~wtick ~superblocks ~mem ~regs
         regs.(d) <- Memory.get mem addr;
         st.loads <- st.loads + 1;
         st.instrs <- st.instrs + 1;
-        st.cycle <- st.cycle + 1 + max 0 (access.Hierarchy.latency - l1_lat);
+        st.cycle <- st.cycle + 1 + max 0 (Hierarchy.latency access - l1_lat);
         if st.instrs > fuse then raise (Fuse_blown st.instrs))
       else fun () ->
         let addr = regs.(x) in
         let access = Hierarchy.demand_load hier ~pc ~addr ~cycle:st.cycle in
         regs.(d) <- Memory.get mem addr;
         st.loads <- st.loads + 1;
-        charge 1 (1 + max 0 (access.Hierarchy.latency - l1_lat))
+        charge 1 (1 + max 0 (Hierarchy.latency access - l1_lat))
     | Ir.Reg x, Some s ->
       fun () ->
         let addr = regs.(x) in
         let access = Hierarchy.demand_load hier ~pc ~addr ~cycle:st.cycle in
         regs.(d) <- Memory.get mem addr;
         st.loads <- st.loads + 1;
-        if access.Hierarchy.served_from = Hierarchy.Dram then
+        if Hierarchy.served_from access = Hierarchy.Dram then
           Sampler.on_llc_miss s ~load_pc:pc ~cycle:st.cycle;
-        charge 1 (1 + max 0 (access.Hierarchy.latency - l1_lat))
+        charge 1 (1 + max 0 (Hierarchy.latency access - l1_lat))
     | Ir.Imm addr, None ->
       fun () ->
         let access = Hierarchy.demand_load hier ~pc ~addr ~cycle:st.cycle in
         regs.(d) <- Memory.get mem addr;
         st.loads <- st.loads + 1;
-        charge 1 (1 + max 0 (access.Hierarchy.latency - l1_lat))
+        charge 1 (1 + max 0 (Hierarchy.latency access - l1_lat))
     | Ir.Imm addr, Some s ->
       fun () ->
         let access = Hierarchy.demand_load hier ~pc ~addr ~cycle:st.cycle in
         regs.(d) <- Memory.get mem addr;
         st.loads <- st.loads + 1;
-        if access.Hierarchy.served_from = Hierarchy.Dram then
+        if Hierarchy.served_from access = Hierarchy.Dram then
           Sampler.on_llc_miss s ~load_pc:pc ~cycle:st.cycle;
-        charge 1 (1 + max 0 (access.Hierarchy.latency - l1_lat))
+        charge 1 (1 + max 0 (Hierarchy.latency access - l1_lat))
   in
   let store_step (a : Ir.operand) (v : Ir.operand) : unit -> unit =
     match (a, v) with
@@ -708,7 +708,7 @@ let stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
           regs.(d) <- Memory.get mem addr;
           st.loads <- st.loads + 1;
           let completion =
-            start + 1 + max 0 (access.Hierarchy.latency - l1_lat)
+            start + 1 + max 0 (Hierarchy.latency access - l1_lat)
           in
           ready.(d) <- completion;
           retire completion
@@ -720,10 +720,10 @@ let stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
           let access = Hierarchy.demand_load hier ~pc ~addr ~cycle:start in
           regs.(d) <- Memory.get mem addr;
           st.loads <- st.loads + 1;
-          if access.Hierarchy.served_from = Hierarchy.Dram then
+          if Hierarchy.served_from access = Hierarchy.Dram then
             Sampler.on_llc_miss s ~load_pc:pc ~cycle:start;
           let completion =
-            start + 1 + max 0 (access.Hierarchy.latency - l1_lat)
+            start + 1 + max 0 (Hierarchy.latency access - l1_lat)
           in
           ready.(d) <- completion;
           retire completion)

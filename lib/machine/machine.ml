@@ -236,12 +236,12 @@ let stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs
         regs.(i.Ir.dst) <- Memory.get mem addr;
         st.loads <- st.loads + 1;
         (match sampler with
-        | Some s when access.Hierarchy.served_from = Hierarchy.Dram ->
+        | Some s when Hierarchy.served_from access = Hierarchy.Dram ->
           Sampler.on_llc_miss s ~load_pc:pc ~cycle:st.cycle
         | _ -> ());
         (* L1 hits are pipelined: 1 cycle. Anything deeper stalls the
            in-order core for the extra latency. *)
-        charge 1 (1 + max 0 (access.Hierarchy.latency - l1_lat))
+        charge 1 (1 + max 0 (Hierarchy.latency access - l1_lat))
       | Ir.Store (a, v) ->
         Memory.set mem (eval a) (eval v);
         charge 1 1
@@ -407,10 +407,10 @@ let stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
         regs.(i.Ir.dst) <- Memory.get mem addr;
         st.loads <- st.loads + 1;
         (match sampler with
-        | Some s when access.Hierarchy.served_from = Hierarchy.Dram ->
+        | Some s when Hierarchy.served_from access = Hierarchy.Dram ->
           Sampler.on_llc_miss s ~load_pc:pc ~cycle:start
         | _ -> ());
-        let completion = start + 1 + max 0 (access.Hierarchy.latency - l1_lat) in
+        let completion = start + 1 + max 0 (Hierarchy.latency access - l1_lat) in
         ready.(i.Ir.dst) <- completion;
         retire completion
       | Ir.Store (a, v) ->

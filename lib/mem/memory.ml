@@ -15,9 +15,11 @@ type big = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
      simulator's load/store hot path.
 
    [Bigarray.Array1.create] does not zero its storage, so both the
-   initial buffer and every grown tail are zero-filled explicitly —
-   alignment gaps between regions are readable (addr < next) and must
-   read 0 under either backing. *)
+   initial buffer and every grown tail are zero-filled explicitly.
+   Every word at or past [next] is therefore still zero (writes are
+   bounds-checked against [next], and [ensure] copies only [0, next)),
+   which is why [alloc] hands out fresh regions, and the alignment gaps
+   between them, without filling them. *)
 type backing = Flat of int array | Big of big
 
 type t = {
@@ -76,17 +78,11 @@ let ensure t needed =
 
 let align_up v a = (v + a - 1) / a * a
 
-let fill t pos len v =
-  match t.data with
-  | Flat a -> Array.fill a pos len v
-  | Big b -> Bigarray.Array1.fill (Bigarray.Array1.sub b pos len) v
-
 let alloc t ~name ~words =
   if words < 0 then invalid_arg "Memory.alloc: negative size";
   let base = align_up t.next words_per_line in
   let words_alloc = max words 1 in
   ensure t (base + words_alloc);
-  fill t base words_alloc 0;
   t.next <- base + words_alloc;
   let r = { name; base; words = words_alloc } in
   t.regions <- r :: t.regions;
@@ -125,6 +121,19 @@ let blit_array t r a =
   | Big b ->
     for i = 0 to Array.length a - 1 do
       Bigarray.Array1.unsafe_set b (r.base + i) (Array.unsafe_get a i)
+    done
+
+let init_region t r f =
+  if r.base < 0 || r.base + r.words > t.next then
+    invalid_arg "Memory.init_region: region out of bounds";
+  match t.data with
+  | Flat d ->
+    for i = 0 to r.words - 1 do
+      Array.unsafe_set d (r.base + i) (f i)
+    done
+  | Big b ->
+    for i = 0 to r.words - 1 do
+      Bigarray.Array1.unsafe_set b (r.base + i) (f i)
     done
 
 let read_array t r =

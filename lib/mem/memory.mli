@@ -52,6 +52,12 @@ val set : t -> int -> int -> unit
 val blit_array : t -> region -> int array -> unit
 (** Copy an OCaml array into a region (must fit). *)
 
+val init_region : t -> region -> (int -> int) -> unit
+(** [init_region t r f] sets word [r.base + i] to [f i] for every [i]
+    in [[0, r.words)], in ascending [i]: a region is filled straight
+    from a generator, without a host array to blit from. Raises
+    [Invalid_argument] if [r] lies outside [t]'s allocations. *)
+
 val read_array : t -> region -> int array
 (** Copy a region out into a fresh array. *)
 

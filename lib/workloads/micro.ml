@@ -39,7 +39,7 @@ let build p =
   let t_region = Memory.alloc mem ~name:"T" ~words:p.table_words in
   Workload.alloc_guard mem;
   Memory.blit_array mem b_region (indices p);
-  Memory.blit_array mem t_region (Array.init p.table_words table_value);
+  Memory.init_region mem t_region table_value;
   (* params: b_base, t_base, outer, inner, complexity *)
   let bld = Builder.create ~name:"micro" ~nparams:5 in
   let b_base, t_base, outer_op, inner_op, complexity =

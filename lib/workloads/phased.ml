@@ -85,7 +85,7 @@ let build_view p ~offset ~count () =
   Workload.alloc_guard mem;
   let b = indices p in
   Memory.blit_array mem b_region b;
-  Memory.blit_array mem t_region (Array.init p.table_words table_value);
+  Memory.init_region mem t_region table_value;
   (* params: b_base, t_base, outer, inner, complexity *)
   let bld = Builder.create ~name:"phased" ~nparams:5 in
   let b_base, t_base, outer_op, inner_op, complexity =

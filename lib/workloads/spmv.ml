@@ -31,9 +31,7 @@ let build p =
   for r = 0 to p.rows - 1 do
     rowptr.(r + 1) <- rowptr.(r) + row_len.(r)
   done;
-  let cols = Array.init nnz (fun _ -> Rng.int rng p.x_words) in
-  let vals = Array.init nnz (fun _ -> 1 + Rng.int rng 15) in
-  let x = Array.init p.x_words (fun i -> (i * 2654435761) land 1023) in
+  let x_of i = (i * 2654435761) land 1023 in
   let capacity = p.rows + 1 + (2 * nnz) + p.x_words + p.rows + 65_536 in
   let mem = Memory.create ~capacity_words:capacity () in
   let rowptr_r = Memory.alloc mem ~name:"rowptr" ~words:(p.rows + 1) in
@@ -43,9 +41,9 @@ let build p =
   let y_r = Memory.alloc mem ~name:"y" ~words:p.rows in
   Workload.alloc_guard mem;
   Memory.blit_array mem rowptr_r rowptr;
-  Memory.blit_array mem cols_r cols;
-  Memory.blit_array mem vals_r vals;
-  Memory.blit_array mem x_r x;
+  Memory.init_region mem cols_r (fun _ -> Rng.int rng p.x_words);
+  Memory.init_region mem vals_r (fun _ -> 1 + Rng.int rng 15);
+  Memory.init_region mem x_r x_of;
   (* params: rowptr_base, cols_base, vals_base, x_base, y_base, rows *)
   let bld = Builder.create ~name:"spmv" ~nparams:6 in
   let rp_b, c_b, v_b, x_b, y_b, rows_op =
@@ -89,7 +87,8 @@ let build p =
   for r = 0 to p.rows - 1 do
     let sum = ref 0 in
     for e = rowptr.(r) to rowptr.(r + 1) - 1 do
-      sum := !sum + (vals.(e) * x.(cols.(e)))
+      let col = Memory.get mem (cols_r.Memory.base + e) in
+      sum := !sum + (Memory.get mem (vals_r.Memory.base + e) * x_of col)
     done;
     y_host.(r) <- !sum;
     total := !total + !sum

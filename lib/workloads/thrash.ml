@@ -24,8 +24,8 @@ let build p =
   let mem = Memory.create ~capacity_words:(p.words + 65_536) () in
   let arr_r = Memory.alloc mem ~name:"stream" ~words:p.words in
   Workload.alloc_guard mem;
-  let arr = Array.init p.words (fun i -> (i * 40_503) land 0xFFFF) in
-  Memory.blit_array mem arr_r arr;
+  let value i = (i * 40_503) land 0xFFFF in
+  Memory.init_region mem arr_r value;
   let stride = Memory.words_per_line in
   (* params: arr_base, words, passes *)
   let bld = Builder.create ~name:"thrash" ~nparams:3 in
@@ -56,7 +56,7 @@ let build p =
   let per_pass = ref 0 in
   let i = ref 0 in
   while !i < p.words do
-    per_pass := !per_pass + arr.(!i);
+    per_pass := !per_pass + value !i;
     i := !i + stride
   done;
   {

@@ -22,9 +22,7 @@ let test_cache_lru_eviction () =
   ignore (Cache.insert c 8);
   ignore (Cache.touch c 0);
   (* 8 is now LRU; inserting 16 must evict it. *)
-  (match Cache.insert c 16 with
-  | Some v -> Alcotest.(check int) "evicts LRU" 8 v
-  | None -> Alcotest.fail "expected an eviction");
+  Alcotest.(check int) "evicts LRU" 8 (Cache.insert c 16);
   Alcotest.(check bool) "0 survives" true (Cache.probe c 0);
   Alcotest.(check bool) "8 gone" false (Cache.probe c 8)
 
@@ -34,9 +32,7 @@ let test_cache_insert_refreshes () =
   ignore (Cache.insert c 8);
   ignore (Cache.insert c 0);
   (* re-insert refreshes 0 *)
-  (match Cache.insert c 16 with
-  | Some v -> Alcotest.(check int) "evicts 8" 8 v
-  | None -> Alcotest.fail "expected an eviction")
+  Alcotest.(check int) "evicts 8" 8 (Cache.insert c 16)
 
 let test_cache_sets_isolated () =
   let c = small_cache () in
@@ -54,6 +50,21 @@ let test_cache_invalidate_clear () =
   ignore (Cache.insert c 4);
   Cache.clear c;
   Alcotest.(check int) "cleared" 0 (Cache.occupancy c)
+
+(* [no_line] (-1) is also the invalid-way tag: a negative line must
+   never match an invalid way. *)
+let test_cache_negative_line () =
+  let c = small_cache () in
+  Cache.invalidate c (-1);
+  Alcotest.(check int) "invalidate keeps occupancy" 0 (Cache.occupancy c);
+  Alcotest.(check bool) "never present" false (Cache.probe c (-1));
+  Alcotest.(check bool) "touch misses" false (Cache.touch c (-1));
+  Alcotest.(check bool) "insert rejected" true
+    (try
+       ignore (Cache.insert c (-1));
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "still empty" 0 (Cache.occupancy c)
 
 let test_cache_bad_geometry () =
   Alcotest.(check bool) "non-pow2 sets rejected" true
@@ -80,13 +91,27 @@ let prop_inserted_line_present_or_evicted =
 
 (* ---------------- MSHR ---------------- *)
 
+(* Lines of every fill completed by [now], in the order the hierarchy
+   installs them. *)
+let drain m ~now =
+  let rec go acc =
+    let i = Mshr.next_ready m ~now in
+    if i < 0 then List.rev acc
+    else begin
+      let line = Mshr.line m i in
+      Mshr.remove_at m i;
+      go (line :: acc)
+    end
+  in
+  go []
+
 let test_mshr_allocate_find () =
   let m = Mshr.create ~capacity:2 in
   Alcotest.(check bool) "alloc" true
     (Mshr.allocate m ~line:1 ~ready_at:10 ~origin:Mshr.Sw_prefetch);
-  (match Mshr.find m 1 with
-  | Some e -> Alcotest.(check int) "ready_at" 10 e.Mshr.ready_at
-  | None -> Alcotest.fail "not found");
+  let i = Mshr.find m 1 in
+  Alcotest.(check bool) "found" true (i >= 0);
+  Alcotest.(check int) "ready_at" 10 (Mshr.ready_at m i);
   Alcotest.(check bool) "coalesce rejected" false
     (Mshr.allocate m ~line:1 ~ready_at:20 ~origin:Mshr.Demand)
 
@@ -103,18 +128,30 @@ let test_mshr_pop_ready () =
   ignore (Mshr.allocate m ~line:1 ~ready_at:30 ~origin:Mshr.Demand);
   ignore (Mshr.allocate m ~line:2 ~ready_at:10 ~origin:Mshr.Demand);
   ignore (Mshr.allocate m ~line:3 ~ready_at:50 ~origin:Mshr.Demand);
-  let ready = Mshr.pop_ready m ~now:30 in
-  Alcotest.(check (list int)) "completion order" [ 2; 1 ]
-    (List.map (fun (e : Mshr.entry) -> e.Mshr.line) ready);
+  Alcotest.(check (list int)) "completion order" [ 2; 1 ] (drain m ~now:30);
   Alcotest.(check int) "one left" 1 (Mshr.in_flight m)
+
+(* Fills due at the same cycle come out newest-allocated first, after
+   any earlier-due fill. *)
+let test_mshr_same_cycle_order () =
+  let m = Mshr.create ~capacity:4 in
+  ignore (Mshr.allocate m ~line:1 ~ready_at:10 ~origin:Mshr.Demand);
+  ignore (Mshr.allocate m ~line:2 ~ready_at:10 ~origin:Mshr.Demand);
+  ignore (Mshr.allocate m ~line:3 ~ready_at:5 ~origin:Mshr.Demand);
+  ignore (Mshr.allocate m ~line:4 ~ready_at:10 ~origin:Mshr.Demand);
+  Alcotest.(check (list int)) "ready_at, then newest first" [ 3; 4; 2; 1 ]
+    (drain m ~now:10)
 
 let test_mshr_remove () =
   let m = Mshr.create ~capacity:4 in
   ignore (Mshr.allocate m ~line:7 ~ready_at:5 ~origin:Mshr.Demand);
-  Mshr.remove m 7;
-  Alcotest.(check bool) "removed" true (Mshr.find m 7 = None)
+  Mshr.remove_at m (Mshr.find m 7);
+  Alcotest.(check int) "removed" (-1) (Mshr.find m 7)
 
 (* ---------------- Hwpf ---------------- *)
+
+let targets h ~pc ~addr ~miss =
+  List.init (Hwpf.on_demand_access h ~pc ~addr ~miss) (Hwpf.target h)
 
 let test_hwpf_stride_detection () =
   let h = Hwpf.create ~degree:2 () in
@@ -122,13 +159,13 @@ let test_hwpf_stride_detection () =
   ignore (Hwpf.on_demand_access h ~pc ~addr:0 ~miss:false);
   ignore (Hwpf.on_demand_access h ~pc ~addr:16 ~miss:false);
   (* second identical stride -> confident *)
-  let t = Hwpf.on_demand_access h ~pc ~addr:32 ~miss:false in
+  let t = targets h ~pc ~addr:32 ~miss:false in
   Alcotest.(check bool) "prefetches ahead" true (List.mem 6 t)
   (* addr 48 -> line 6, addr 64 -> line 8 *)
 
 let test_hwpf_next_line_on_miss () =
   let h = Hwpf.create () in
-  let t = Hwpf.on_demand_access h ~pc:1 ~addr:64 ~miss:true in
+  let t = targets h ~pc:1 ~addr:64 ~miss:true in
   Alcotest.(check bool) "next line" true (List.mem 9 t)
 
 let test_hwpf_irregular_silent () =
@@ -136,13 +173,30 @@ let test_hwpf_irregular_silent () =
   let pc = 9 in
   ignore (Hwpf.on_demand_access h ~pc ~addr:100 ~miss:false);
   ignore (Hwpf.on_demand_access h ~pc ~addr:7 ~miss:false);
-  let t = Hwpf.on_demand_access h ~pc ~addr:5000 ~miss:false in
+  let t = targets h ~pc ~addr:5000 ~miss:false in
   Alcotest.(check (list int)) "no stride prefetch" [] t
+
+(* Targets come out ascending and without duplicates, whatever order
+   the stride and next-line prefetchers produce them in. *)
+let test_hwpf_targets_sorted_distinct () =
+  let h = Hwpf.create ~degree:2 () in
+  (* Descending one-line stride: stride targets below the access, the
+     next line above it. *)
+  ignore (targets h ~pc:5 ~addr:100 ~miss:false);
+  ignore (targets h ~pc:5 ~addr:92 ~miss:false);
+  Alcotest.(check (list int)) "ascending" [ 8; 9; 11 ]
+    (targets h ~pc:5 ~addr:84 ~miss:true);
+  (* Ascending one-line stride: the next line is the first stride
+     target too. *)
+  ignore (targets h ~pc:6 ~addr:0 ~miss:false);
+  ignore (targets h ~pc:6 ~addr:8 ~miss:false);
+  Alcotest.(check (list int)) "de-duplicated" [ 3; 4 ]
+    (targets h ~pc:6 ~addr:16 ~miss:true)
 
 let test_hwpf_disabled () =
   let h = Hwpf.disabled () in
   Alcotest.(check (list int)) "silent" []
-    (Hwpf.on_demand_access h ~pc:1 ~addr:0 ~miss:true)
+    (targets h ~pc:1 ~addr:0 ~miss:true)
 
 (* ---------------- Hierarchy ---------------- *)
 
@@ -154,9 +208,9 @@ let test_hier_levels () =
   let h = hier () in
   let cfg = Hierarchy.config h in
   let a1 = Hierarchy.demand_load h ~pc:1 ~addr:0 ~cycle:0 in
-  Alcotest.(check int) "cold = DRAM" cfg.Hierarchy.dram_latency a1.Hierarchy.latency;
+  Alcotest.(check int) "cold = DRAM" cfg.Hierarchy.dram_latency (Hierarchy.latency a1);
   let a2 = Hierarchy.demand_load h ~pc:1 ~addr:0 ~cycle:1000 in
-  Alcotest.(check int) "warm = L1" cfg.Hierarchy.l1_latency a2.Hierarchy.latency;
+  Alcotest.(check int) "warm = L1" cfg.Hierarchy.l1_latency (Hierarchy.latency a2);
   let c = Hierarchy.counters h in
   Alcotest.(check int) "one l1 hit" 1 c.Hierarchy.hits_l1;
   Alcotest.(check int) "one dram fill" 1 c.Hierarchy.dram_fills_demand
@@ -165,9 +219,9 @@ let test_hier_same_line_sharing () =
   let h = hier () in
   ignore (Hierarchy.demand_load h ~pc:1 ~addr:0 ~cycle:0);
   let a = Hierarchy.demand_load h ~pc:1 ~addr:7 ~cycle:500 in
-  Alcotest.(check bool) "same line hits" true (a.Hierarchy.served_from = Hierarchy.L1);
+  Alcotest.(check bool) "same line hits" true (Hierarchy.served_from a = Hierarchy.L1);
   let b = Hierarchy.demand_load h ~pc:1 ~addr:8 ~cycle:1000 in
-  Alcotest.(check bool) "next line misses" true (b.Hierarchy.served_from = Hierarchy.Dram)
+  Alcotest.(check bool) "next line misses" true (Hierarchy.served_from b = Hierarchy.Dram)
 
 let test_hier_timely_prefetch () =
   let h = hier () in
@@ -177,7 +231,7 @@ let test_hier_timely_prefetch () =
   let a =
     Hierarchy.demand_load h ~pc:1 ~addr:64 ~cycle:(cfg.Hierarchy.dram_latency + 1)
   in
-  Alcotest.(check int) "timely = L1 hit" cfg.Hierarchy.l1_latency a.Hierarchy.latency;
+  Alcotest.(check int) "timely = L1 hit" cfg.Hierarchy.l1_latency (Hierarchy.latency a);
   Alcotest.(check int) "issued" 1 (Hierarchy.counters h).Hierarchy.sw_prefetch_issued
 
 let test_hier_late_prefetch () =
@@ -186,11 +240,11 @@ let test_hier_late_prefetch () =
   Hierarchy.sw_prefetch h ~addr:64 ~cycle:0;
   let wait_cycle = 100 in
   let a = Hierarchy.demand_load h ~pc:1 ~addr:64 ~cycle:wait_cycle in
-  Alcotest.(check bool) "fill buffer hit" true a.Hierarchy.fill_buffer_hit;
-  Alcotest.(check bool) "flagged late" true a.Hierarchy.late_sw_prefetch;
+  Alcotest.(check bool) "fill buffer hit" true (Hierarchy.fill_buffer_hit a);
+  Alcotest.(check bool) "flagged late" true (Hierarchy.late_sw_prefetch a);
   Alcotest.(check int) "partial stall"
     (cfg.Hierarchy.dram_latency - wait_cycle + cfg.Hierarchy.l1_latency)
-    a.Hierarchy.latency;
+    (Hierarchy.latency a);
   Alcotest.(check int) "LOAD_HIT_PRE.SW_PF" 1
     (Hierarchy.counters h).Hierarchy.load_hit_pre_sw_pf
 
@@ -222,7 +276,7 @@ let test_hier_reset_keeps_contents () =
   ignore (Hierarchy.demand_load h ~pc:1 ~addr:0 ~cycle:0);
   Hierarchy.reset_counters h;
   let a = Hierarchy.demand_load h ~pc:1 ~addr:0 ~cycle:1000 in
-  Alcotest.(check bool) "still cached" true (a.Hierarchy.served_from = Hierarchy.L1);
+  Alcotest.(check bool) "still cached" true (Hierarchy.served_from a = Hierarchy.L1);
   Alcotest.(check int) "counters zeroed" 1 (Hierarchy.counters h).Hierarchy.demand_loads
 
 let test_hier_flush () =
@@ -230,7 +284,7 @@ let test_hier_flush () =
   ignore (Hierarchy.demand_load h ~pc:1 ~addr:0 ~cycle:0);
   Hierarchy.flush h;
   let a = Hierarchy.demand_load h ~pc:1 ~addr:0 ~cycle:1000 in
-  Alcotest.(check bool) "cold again" true (a.Hierarchy.served_from = Hierarchy.Dram)
+  Alcotest.(check bool) "cold again" true (Hierarchy.served_from a = Hierarchy.Dram)
 
 let test_hier_hw_prefetch_covers_stream () =
   let h = hier ~hw_prefetch:true () in
@@ -239,7 +293,7 @@ let test_hier_hw_prefetch_covers_stream () =
   let misses = ref 0 in
   for i = 0 to 63 do
     let a = Hierarchy.demand_load h ~pc:7 ~addr:(i * 8) ~cycle:(i * 400) in
-    if a.Hierarchy.served_from = Hierarchy.Dram && not a.Hierarchy.fill_buffer_hit
+    if Hierarchy.served_from a = Hierarchy.Dram && not (Hierarchy.fill_buffer_hit a)
     then incr misses
   done;
   Alcotest.(check bool)
@@ -253,15 +307,183 @@ let test_hier_bandwidth_gap () =
   let a = Hierarchy.demand_load h ~pc:1 ~addr:0 ~cycle:0 in
   let b = Hierarchy.demand_load h ~pc:1 ~addr:512 ~cycle:0 in
   Alcotest.(check int) "first at full latency" cfg.Hierarchy.dram_latency
-    a.Hierarchy.latency;
+    (Hierarchy.latency a);
   Alcotest.(check int) "second queues behind the channel"
-    (cfg.Hierarchy.dram_latency + 100) b.Hierarchy.latency
+    (cfg.Hierarchy.dram_latency + 100) (Hierarchy.latency b)
 
 let test_hier_bandwidth_gap_zero_is_free () =
   let h = hier () in
   let a = Hierarchy.demand_load h ~pc:1 ~addr:0 ~cycle:0 in
   let b = Hierarchy.demand_load h ~pc:1 ~addr:512 ~cycle:0 in
-  Alcotest.(check int) "no queueing by default" a.Hierarchy.latency b.Hierarchy.latency
+  Alcotest.(check int) "no queueing by default" (Hierarchy.latency a) (Hierarchy.latency b)
+
+(* A negative address used to map to line -1, the invalid-way tag, so
+   an empty hierarchy reported an L1 hit; and -1..-7 mapped to line 0
+   and cached it. Negative addresses are served from DRAM uncached. *)
+let test_hier_negative_addr () =
+  let h = hier () in
+  let cfg = Hierarchy.config h in
+  List.iter
+    (fun addr ->
+      let a = Hierarchy.demand_load h ~pc:1 ~addr ~cycle:0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "addr %d served from DRAM" addr)
+        true
+        (Hierarchy.served_from a = Hierarchy.Dram);
+      Alcotest.(check int) "full DRAM latency" cfg.Hierarchy.dram_latency
+        (Hierarchy.latency a))
+    [ -8; -15; -1; -8 ];
+  Hierarchy.sw_prefetch h ~addr:(-1) ~cycle:0;
+  let a = Hierarchy.demand_load h ~pc:1 ~addr:0 ~cycle:1000 in
+  Alcotest.(check bool) "line 0 never cached" true
+    (Hierarchy.served_from a = Hierarchy.Dram)
+
+(* Two SW-prefetch fills completing at the same cycle install newest
+   first: with a direct-mapped L1, the older line is the one left in
+   L1 and the newer one is only in L2. *)
+let test_hier_same_cycle_fill_order () =
+  let h =
+    Hierarchy.create
+      {
+        Hierarchy.default_config with
+        Hierarchy.hw_prefetch = false;
+        l1_size = 4096;
+        l1_assoc = 1;
+      }
+  in
+  (* 64 L1 sets: lines 0 and 64 share set 0. *)
+  Hierarchy.sw_prefetch h ~addr:0 ~cycle:0;
+  Hierarchy.sw_prefetch h ~addr:(64 * 8) ~cycle:0;
+  let older = Hierarchy.demand_load h ~pc:1 ~addr:0 ~cycle:1000 in
+  Alcotest.(check bool) "older fill installed last" true
+    (Hierarchy.served_from older = Hierarchy.L1);
+  let newer = Hierarchy.demand_load h ~pc:1 ~addr:(64 * 8) ~cycle:1001 in
+  Alcotest.(check bool) "newer fill displaced" true
+    (Hierarchy.served_from newer = Hierarchy.L2)
+
+(* A 16-set, 4-way LLC (with smaller private levels), so a handful of
+   loads evicts a chosen line. *)
+let tiny =
+  {
+    Hierarchy.default_config with
+    Hierarchy.l1_size = 1024;
+    l1_assoc = 2;
+    l2_size = 2048;
+    l2_assoc = 2;
+    llc_size = 4096;
+    llc_assoc = 4;
+    mshr_capacity = 4;
+    hw_prefetch = false;
+  }
+
+(* Demand misses to four lines of LLC set 0 (lines 16, 32, 48, 64 of
+   stream [h]), from [cycle] on: enough to evict any older line of the
+   set. *)
+let evict_llc_set0 h ~cycle =
+  List.iteri
+    (fun i k ->
+      ignore
+        (Hierarchy.demand_load h ~pc:1 ~addr:(k * 16 * 8) ~cycle:(cycle + (1000 * i))))
+    [ 1; 2; 3; 4 ]
+
+let early_evicts h = (Hierarchy.counters h).Hierarchy.sw_prefetch_early_evict
+
+let test_hier_early_evict_solo () =
+  let h = Hierarchy.create tiny in
+  Hierarchy.sw_prefetch h ~addr:0 ~cycle:0;
+  evict_llc_set0 h ~cycle:1000;
+  Alcotest.(check int) "unused prefetched line evicted" 1 (early_evicts h)
+
+let test_hier_demand_use_clears_mark () =
+  let h = Hierarchy.create tiny in
+  Hierarchy.sw_prefetch h ~addr:0 ~cycle:0;
+  ignore (Hierarchy.demand_load h ~pc:1 ~addr:0 ~cycle:500);
+  evict_llc_set0 h ~cycle:1000;
+  Alcotest.(check int) "used line's eviction not charged" 0 (early_evicts h);
+  Alcotest.(check bool) "it was evicted" true
+    (Hierarchy.served_from (Hierarchy.demand_load h ~pc:1 ~addr:0 ~cycle:9000)
+    = Hierarchy.Dram)
+
+(* Under co-run the owner is charged, even when another stream's loads
+   do the evicting and the owner's counters were reset in between. *)
+let test_hier_early_evict_corun_owner () =
+  let shared = Hierarchy.create_shared tiny in
+  let a = Hierarchy.attach shared ~stream:0 in
+  let b = Hierarchy.attach shared ~stream:1 in
+  Hierarchy.sw_prefetch a ~addr:0 ~cycle:0;
+  (* a's next access installs the fill; line 1 sits in LLC set 1 *)
+  ignore (Hierarchy.demand_load a ~pc:1 ~addr:8 ~cycle:1000);
+  Hierarchy.reset_counters a;
+  ignore (Hierarchy.demand_load b ~pc:1 ~addr:0 ~cycle:2000);
+  evict_llc_set0 b ~cycle:3000;
+  Alcotest.(check int) "owner charged" 1 (early_evicts a);
+  Alcotest.(check int) "evicting stream not charged" 0 (early_evicts b)
+
+(* ROADMAP's zero-allocation target as an exact check: after warm-up,
+   demand loads served at each level and software prefetches allocate
+   no minor-heap words at all. *)
+let minor_words_over ~calls f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
+let calls = 10_000
+
+let test_hier_allocation_free () =
+  let rng = Aptget_util.Rng.create 7 in
+  let replay addrs =
+    let mask = Array.length addrs - 1 and k = ref 0 in
+    fun () ->
+      incr k;
+      addrs.(!k land mask)
+  in
+  let check_level name ~lines ~span served_by =
+    let h = Hierarchy.create Hierarchy.default_config in
+    let next =
+      replay
+        (if lines = span then
+           (* a fixed shuffle: in order, the prefetchers would serve it *)
+           Array.map (fun l -> l * 8) (Aptget_util.Rng.permutation rng lines)
+         else Array.init lines (fun _ -> Aptget_util.Rng.int rng span * 8))
+    in
+    let cycle = ref 0 in
+    let op () =
+      cycle := !cycle + 512;
+      ignore (Hierarchy.demand_load h ~pc:0 ~addr:(next ()) ~cycle:!cycle)
+    in
+    for _ = 1 to lines do
+      op ()
+    done;
+    Hierarchy.reset_counters h;
+    let words = minor_words_over ~calls op in
+    let c = Hierarchy.counters h in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s serves most loads" name)
+      true
+      (served_by c * 4 >= 3 * calls);
+    Alcotest.(check (float 0.)) (name ^ ": zero minor words") 0. words
+  in
+  check_level "L1" ~lines:64 ~span:64 (fun c -> c.Hierarchy.hits_l1);
+  check_level "L2" ~lines:2048 ~span:2048 (fun c -> c.Hierarchy.hits_l2);
+  check_level "LLC" ~lines:16_384 ~span:16_384 (fun c -> c.Hierarchy.hits_llc);
+  check_level "DRAM" ~lines:(1 lsl 16) ~span:(1 lsl 22) (fun c ->
+      c.Hierarchy.dram_fills_demand);
+  let h = Hierarchy.create Hierarchy.default_config in
+  let next = replay (Array.init (1 lsl 16) (fun _ -> Aptget_util.Rng.int rng (1 lsl 22) * 8)) in
+  let cycle = ref 0 in
+  let op () =
+    cycle := !cycle + 512;
+    Hierarchy.sw_prefetch h ~addr:(next ()) ~cycle:!cycle
+  in
+  for _ = 1 to calls do
+    op ()
+  done;
+  Alcotest.(check (float 0.)) "sw_prefetch: zero minor words" 0.
+    (minor_words_over ~calls op);
+  Alcotest.(check bool) "prefetches were issued" true
+    ((Hierarchy.counters h).Hierarchy.sw_prefetch_issued > calls)
 
 let prop_inclusive =
   QCheck.Test.make ~name:"demand loads keep returning consistent levels" ~count:20
@@ -274,7 +496,7 @@ let prop_inclusive =
       (* re-touching the most recent address is always an L1 hit *)
       match List.rev addrs with
       | last :: _ ->
-        (Hierarchy.demand_load h ~pc:1 ~addr:last ~cycle:1_000_000).Hierarchy.served_from
+        Hierarchy.served_from (Hierarchy.demand_load h ~pc:1 ~addr:last ~cycle:1_000_000)
         = Hierarchy.L1
       | [] -> true)
 
@@ -293,6 +515,7 @@ let () =
           Alcotest.test_case "sets isolated" `Quick test_cache_sets_isolated;
           Alcotest.test_case "invalidate/clear" `Quick test_cache_invalidate_clear;
           Alcotest.test_case "bad geometry" `Quick test_cache_bad_geometry;
+          Alcotest.test_case "negative line" `Quick test_cache_negative_line;
         ] );
       ( "mshr",
         [
@@ -300,6 +523,7 @@ let () =
           Alcotest.test_case "capacity" `Quick test_mshr_capacity;
           Alcotest.test_case "pop ready" `Quick test_mshr_pop_ready;
           Alcotest.test_case "remove" `Quick test_mshr_remove;
+          Alcotest.test_case "same-cycle order" `Quick test_mshr_same_cycle_order;
         ] );
       ( "hwpf",
         [
@@ -307,6 +531,8 @@ let () =
           Alcotest.test_case "next line" `Quick test_hwpf_next_line_on_miss;
           Alcotest.test_case "irregular silent" `Quick test_hwpf_irregular_silent;
           Alcotest.test_case "disabled" `Quick test_hwpf_disabled;
+          Alcotest.test_case "targets sorted, distinct" `Quick
+            test_hwpf_targets_sorted_distinct;
         ] );
       ( "hierarchy",
         [
@@ -323,6 +549,15 @@ let () =
           Alcotest.test_case "bandwidth gap" `Quick test_hier_bandwidth_gap;
           Alcotest.test_case "bandwidth default free" `Quick
             test_hier_bandwidth_gap_zero_is_free;
+          Alcotest.test_case "negative address" `Quick test_hier_negative_addr;
+          Alcotest.test_case "same-cycle fill order" `Quick
+            test_hier_same_cycle_fill_order;
+          Alcotest.test_case "early evict solo" `Quick test_hier_early_evict_solo;
+          Alcotest.test_case "demand use clears mark" `Quick
+            test_hier_demand_use_clears_mark;
+          Alcotest.test_case "early evict co-run owner" `Quick
+            test_hier_early_evict_corun_owner;
+          Alcotest.test_case "allocation free" `Quick test_hier_allocation_free;
         ] );
       ("properties", qsuite);
     ]

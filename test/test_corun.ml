@@ -311,19 +311,22 @@ let test_hwpf_line_limit_unit () =
   let module Hwpf = Aptget_cache.Hwpf in
   let line = Memory.words_per_line in
   let h = Hwpf.create () in
+  let access ~addr =
+    List.init (Hwpf.on_demand_access h ~pc:3 ~addr ~miss:true) (Hwpf.target h)
+  in
   Hwpf.set_line_limit h ~lines:8;
   Alcotest.(check (list int))
     "next-line inside the bound"
     [ 7 ]
-    (Hwpf.on_demand_access h ~pc:3 ~addr:(6 * line) ~miss:true);
+    (access ~addr:(6 * line));
   Alcotest.(check (list int))
     "no next-line past the bound" []
-    (Hwpf.on_demand_access h ~pc:3 ~addr:(7 * line) ~miss:true);
+    (access ~addr:(7 * line));
   Hwpf.set_line_limit h ~lines:0;
   Alcotest.(check (list int))
     "limit removed"
     [ 8 ]
-    (Hwpf.on_demand_access h ~pc:3 ~addr:(7 * line) ~miss:true)
+    (access ~addr:(7 * line))
 
 (* ---------------- pin: order-independent peak extremes ------------ *)
 

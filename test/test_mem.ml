@@ -139,6 +139,45 @@ let test_region_edges () =
          with Invalid_argument _ -> true))
     [ `Array; `Bigarray ]
 
+(* [alloc] no longer zero-fills: words past the allocation frontier are
+   zero because nothing writes there and growth copies only what is
+   allocated. A region allocated by a growing [alloc], right after a
+   region written all over, must still read 0 in every word (and so
+   must the alignment gap between them), under either backing. *)
+let test_alloc_after_growth_zero () =
+  List.iter
+    (fun backing ->
+      let m = Memory.create ~capacity_words:16 ~backing () in
+      let a = Memory.alloc m ~name:"a" ~words:13 in
+      Memory.init_region m a (fun i -> -1 - i);
+      let b = Memory.alloc m ~name:"b" ~words:1000 in
+      Alcotest.(check bool) "grew" true (b.Memory.base + b.Memory.words > 16);
+      for addr = a.Memory.base + a.Memory.words to b.Memory.base + b.Memory.words - 1 do
+        if Memory.get m addr <> 0 then
+          Alcotest.failf "word %d reads %d after growth" addr (Memory.get m addr)
+      done;
+      Alcotest.(check int) "old data kept" (-13) (Memory.get m (a.Memory.base + 12)))
+    [ `Array; `Bigarray ]
+
+let test_init_region () =
+  List.iter
+    (fun backing ->
+      let m = Memory.create ~capacity_words:16 ~backing () in
+      let _ = Memory.alloc m ~name:"pad" ~words:3 in
+      let r = Memory.alloc m ~name:"r" ~words:5 in
+      let order = ref [] in
+      Memory.init_region m r (fun i ->
+          order := i :: !order;
+          10 * i);
+      Alcotest.(check (list int)) "ascending calls" [ 0; 1; 2; 3; 4 ] (List.rev !order);
+      Alcotest.(check (array int)) "values" [| 0; 10; 20; 30; 40 |]
+        (Memory.read_array m r);
+      let other = { r with Memory.base = r.Memory.base + 8 } in
+      Alcotest.check_raises "outside the allocations"
+        (Invalid_argument "Memory.init_region: region out of bounds") (fun () ->
+          Memory.init_region m other (fun _ -> 1)))
+    [ `Array; `Bigarray ]
+
 (* The two backings must be observably identical on the same
    operation sequence. *)
 let prop_backends_agree =
@@ -190,6 +229,9 @@ let () =
           Alcotest.test_case "regions" `Quick test_regions;
           Alcotest.test_case "line of addr" `Quick test_line_of_addr;
           Alcotest.test_case "region edges" `Quick test_region_edges;
+          Alcotest.test_case "alloc after growth reads zero" `Quick
+            test_alloc_after_growth_zero;
+          Alcotest.test_case "init region" `Quick test_init_region;
         ] );
       ( "properties",
         [

@@ -13,6 +13,7 @@ module Suite = Aptget_workloads.Suite
 module Generate = Aptget_graph.Generate
 module Csr = Aptget_graph.Csr
 module Aj = Aptget_passes.Aj
+module Memory = Aptget_mem.Memory
 
 let run_and_verify (inst : Workload.instance) =
   Verify.check_exn inst.Workload.func;
@@ -90,6 +91,28 @@ let test_cg () =
 let test_randacc () =
   let p = { Randacc.table_words = 1 lsl 14; updates = 8192; seed = 3 } in
   ignore (run_and_verify (Randacc.build p))
+
+(* The oracle checks every [table_words / 997]th entry of T only, so it
+   is built from the updates to those entries alone; it must still
+   catch a wrong value there. *)
+let test_randacc_verify_catches_corruption () =
+  let p = { Randacc.table_words = 1 lsl 14; updates = 8192; seed = 3 } in
+  let inst = Randacc.build p in
+  let out = run_and_verify inst in
+  let mem = inst.Workload.mem in
+  let t =
+    List.find (fun r -> r.Memory.name = "T") (Memory.regions mem)
+  in
+  let stride = p.Randacc.table_words / 997 in
+  let verdict () = inst.Workload.verify mem out.Machine.ret in
+  let flip i =
+    let a = t.Memory.base + i in
+    Memory.set mem a (Memory.get mem a lxor 1)
+  in
+  flip ((5 * stride) + 1);
+  Alcotest.(check bool) "unchecked entry not read" true (verdict () = Ok ());
+  flip (5 * stride);
+  Alcotest.(check bool) "checked entry caught" true (Result.is_error (verdict ()))
 
 let test_randacc_requires_pow2 () =
   Alcotest.(check bool) "rejected" true
@@ -180,6 +203,8 @@ let () =
           Alcotest.test_case "cg" `Quick test_cg;
           Alcotest.test_case "randacc" `Quick test_randacc;
           Alcotest.test_case "randacc pow2" `Quick test_randacc_requires_pow2;
+          Alcotest.test_case "randacc verify catches corruption" `Quick
+            test_randacc_verify_catches_corruption;
           Alcotest.test_case "hashjoin" `Quick test_hashjoin_both_variants;
           Alcotest.test_case "IS classes" `Quick test_is_classes_distinct;
         ] );
