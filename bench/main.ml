@@ -8,18 +8,15 @@
      dune exec bench/main.exe -- --jobs 4     -- fan simulations over 4 domains
                                                  (default: APTGET_JOBS, then
                                                  the machine's domain count)
-     dune exec bench/main.exe -- --bechamel   -- Bechamel micro-timings
-                                                 (one Test.make per table)
      dune exec bench/main.exe -- --trace t.ndjson --metrics m.json
                                               -- observability sidecars
                                                  (BENCH JSON is unchanged)
      dune exec bench/main.exe -- --engine interp
                                               -- pick the simulator engine
-                                                 (compiled | interp |
-                                                 compiled-nosb); BENCH JSON
-                                                 is byte-identical across
-                                                 engines modulo wall/
-                                                 throughput fields
+                                                 (compiled | interp); BENCH
+                                                 JSON is byte-identical
+                                                 across engines modulo
+                                                 wall/throughput fields
      dune exec bench/main.exe -- --engine-bench
                                               -- per-engine simulated
                                                  Mcycles/sec comparison
@@ -30,48 +27,6 @@ module Experiments = Aptget_experiments
 module Lab = Experiments.Lab
 module Registry = Experiments.Registry
 module Machine = Aptget_machine.Machine
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel mode: one Test.make per experiment, each running that
-   experiment's simulation pipeline on miniature inputs so the
-   statistics are about harness overhead, not multi-minute sims.       *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let mini () = Lab.create ~quick:true () in
-  let make_exp (e : Registry.experiment) =
-    Test.make ~name:e.Registry.id
-      (Staged.stage (fun () -> ignore (e.Registry.run (mini ()))))
-  in
-  Test.make_grouped ~name:"experiments" ~fmt:"%s/%s"
-    (List.map make_exp Registry.all)
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  let instance = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:4 ~quota:(Time.second 20.0) ~kde:None ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg [ instance ] (bechamel_tests ()) in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  Printf.printf "%-28s %16s\n" "experiment" "wall per run";
-  Printf.printf "%s\n" (String.make 46 '-');
-  let rows = ref [] in
-  Hashtbl.iter (fun name r -> rows := (name, r) :: !rows) results;
-  List.iter
-    (fun (name, r) ->
-      let est =
-        match Analyze.OLS.estimates r with
-        | Some [ e ] -> Printf.sprintf "%12.1f ms" (e /. 1e6)
-        | _ -> "n/a"
-      in
-      Printf.printf "%-28s %16s\n" name est)
-    (List.sort compare !rows)
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable results: one BENCH_<id>.json per experiment, with
@@ -144,21 +99,15 @@ let with_throughput f =
    table as an artifact.                                               *)
 
 let run_engine_bench ids =
-  let engines =
-    [
-      Machine.Interp;
-      Machine.Compiled { superblocks = false };
-      Machine.Compiled { superblocks = true };
-    ]
-  in
+  let engines = [ Machine.Interp; Machine.Compiled ] in
   let experiments =
     match ids with
     | [] -> Registry.all
     | ids -> List.filter_map Registry.find ids
   in
-  Printf.printf "%-16s %14s %14s %14s %9s\n" "experiment" "interp Mc/s"
-    "compiled Mc/s" "+traces Mc/s" "speedup";
-  Printf.printf "%s\n" (String.make 72 '-');
+  Printf.printf "%-16s %14s %14s %9s\n" "experiment" "interp Mc/s"
+    "compiled Mc/s" "speedup";
+  Printf.printf "%s\n" (String.make 57 '-');
   List.iter
     (fun (e : Registry.experiment) ->
       let rates =
@@ -171,10 +120,10 @@ let run_engine_bench ids =
           engines
       in
       match rates with
-      | [ interp; compiled; traces ] ->
-        Printf.printf "%-16s %14.1f %14.1f %14.1f %8.2fx\n%!" e.Registry.id
-          interp compiled traces
-          (if interp > 0. then traces /. interp else 0.)
+      | [ interp; compiled ] ->
+        Printf.printf "%-16s %14.1f %14.1f %8.2fx\n%!" e.Registry.id interp
+          compiled
+          (if interp > 0. then compiled /. interp else 0.)
       | _ -> ())
     experiments
 
@@ -206,18 +155,16 @@ let () =
       | Some e -> Machine.set_default_engine e
       | None ->
         Printf.eprintf
-          "unknown engine %s; known: interp, compiled, compiled-nosb\n" e;
+          "unknown engine %s; known: interp, compiled\n" e;
         exit 2)
     engine;
   Aptget_obs.Obs.install ?trace ?metrics ();
   let quick =
     List.mem "--quick" args || Sys.getenv_opt "APTGET_BENCH_QUICK" <> None
   in
-  let bechamel = List.mem "--bechamel" args in
   let engine_bench = List.mem "--engine-bench" args in
   let ids = List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args in
-  if bechamel then run_bechamel ()
-  else if engine_bench then run_engine_bench ids
+  if engine_bench then run_engine_bench ids
   else begin
     let lab = Lab.create ~quick () in
     let experiments =

@@ -114,11 +114,10 @@ let engine_term =
       & opt (some string) None
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Simulator engine: $(b,compiled) (closure-compiled blocks \
-             plus superblock traces; the default), $(b,compiled-nosb) \
-             (compiled blocks, no traces) or $(b,interp) (the reference \
-             interpreter). Engines are byte-identical in every simulated \
-             number; they differ only in wall-clock speed. Overrides the \
+            "Simulator engine: $(b,compiled) (closure-compiled blocks; \
+             the default) or $(b,interp) (the reference interpreter). \
+             Engines are byte-identical in every simulated number; they \
+             differ only in wall-clock speed. Overrides the \
              $(b,APTGET_ENGINE) environment variable.")
   in
   let apply = function
@@ -126,9 +125,7 @@ let engine_term =
     | Some s -> (
       match Machine.engine_of_string s with
       | Some e -> Machine.set_default_engine e
-      | None ->
-        die "bad --engine value: %s (known: compiled, compiled-nosb, interp)"
-          s)
+      | None -> die "bad --engine value: %s (known: compiled, interp)" s)
   in
   Term.(const apply $ flag)
 

@@ -22,8 +22,8 @@
 
    All co-run simulations are serial and the scheduler interleave is
    deterministic, so every table and BENCH row is byte-identical
-   across --jobs and across engines (Corun already forces the
-   superblock-free compiled engine for multi-stream runs). *)
+   across --jobs and across engines (every engine steps one block at
+   a time). *)
 
 module Table = Aptget_util.Table
 module Clock = Aptget_util.Clock

@@ -88,67 +88,3 @@ let missing_phi_edge (f : Ir.func) ~cur ~prev =
   invalid_arg
     (Printf.sprintf "Machine: phi %%%d in b%d has no edge from b%d"
        p.Ir.phi_dst cur prev)
-
-(* ------------------------------------------------------------------ *)
-(* Superblock traces from LBR-shaped branch samples.                   *)
-(* ------------------------------------------------------------------ *)
-
-type trace = { tr_blocks : int array }
-
-let edge_counts_of_branches ~nblocks pairs =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (branch_pc, target_pc) ->
-      let src = Layout.block_of_pc branch_pc in
-      let dst = Layout.block_of_pc target_pc in
-      if
-        src >= 0 && src < nblocks && dst >= 0 && dst < nblocks
-        && Layout.slot_of_pc branch_pc = `Term
-        && Layout.slot_of_pc target_pc = `Instr 0
-      then
-        Hashtbl.replace tbl (src, dst)
-          (1 + Option.value ~default:0 (Hashtbl.find_opt tbl (src, dst))))
-    pairs;
-  Hashtbl.fold (fun e n acc -> (e, n) :: acc) tbl []
-  |> List.sort (fun ((e1 : int * int), n1) (e2, n2) ->
-         if n1 <> n2 then compare n2 n1 else compare e1 e2)
-
-let superblocks ?(max_len = 16) ?(min_count = 4) ~nblocks edges =
-  (* Hottest successor per block; ties go to the smaller target label
-     because [edges] is sorted that way and only the first sighting of
-     each source wins. *)
-  let hottest = Array.make (max 1 nblocks) (-1) in
-  let heat = Array.make (max 1 nblocks) 0 in
-  List.iter
-    (fun ((src, dst), n) ->
-      if src >= 0 && src < nblocks && hottest.(src) < 0 && n >= min_count
-      then begin
-        hottest.(src) <- dst;
-        heat.(src) <- n
-      end)
-    edges;
-  let traces = ref [] in
-  for head = nblocks - 1 downto 0 do
-    if hottest.(head) >= 0 then begin
-      let seen = Hashtbl.create 8 in
-      Hashtbl.replace seen head ();
-      let rev = ref [ head ] in
-      let len = ref 1 in
-      let cur = ref head in
-      let stop = ref false in
-      while not !stop do
-        let next = hottest.(!cur) in
-        if next < 0 || Hashtbl.mem seen next || !len >= max_len then
-          stop := true
-        else begin
-          Hashtbl.replace seen next ();
-          rev := next :: !rev;
-          incr len;
-          cur := next
-        end
-      done;
-      if !len >= 2 then
-        traces := { tr_blocks = Array.of_list (List.rev !rev) } :: !traces
-    end
-  done;
-  !traces

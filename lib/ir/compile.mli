@@ -8,15 +8,7 @@
     arrays and terminators are laid out for straight dispatch. The
     compiled engine additionally lowers each block of a plan into an
     array of OCaml closures; the interpreter walks the same plan
-    structurally.
-
-    The superblock tier stitches {e traces} — straight-line block
-    sequences along hot control-flow edges — from branch samples
-    recorded in the LBR ring (the same ring the profiler reads:
-    the simulator dogfoods its own profile). A trace never changes
-    semantics; it only lets an engine pre-select each block's phi row
-    for the predecessor it expects, falling back to ordinary dispatch
-    through a side exit when a guard fails. *)
+    structurally. *)
 
 type phi_moves = {
   pm_dsts : int array;  (** one destination register per phi *)
@@ -49,28 +41,3 @@ val phi_row : phi_moves -> int -> int
 val missing_phi_edge : Ir.func -> cur:int -> prev:int -> 'a
 (** Cold path: raise [Invalid_argument] naming the first phi (in
     program order) of block [cur] with no edge from [prev]. *)
-
-type trace = { tr_blocks : int array }
-(** A superblock: [tr_blocks.(0)] is the head; each later element is
-    the expected successor of the one before it. Always >= 2 blocks. *)
-
-val edge_counts_of_branches :
-  nblocks:int -> (int * int) list -> ((int * int) * int) list
-(** Map [(branch_pc, target_pc)] samples — e.g. the entries of an LBR
-    ring snapshot — to block-edge occurrence counts via {!Layout}.
-    Samples whose PCs do not decode to a terminator-to-block-entry
-    edge inside [nblocks] blocks are dropped. Sorted by descending
-    count, then ascending edge, so the result is deterministic. *)
-
-val superblocks :
-  ?max_len:int ->
-  ?min_count:int ->
-  nblocks:int ->
-  ((int * int) * int) list ->
-  trace list
-(** Greedy trace stitching: from every block whose hottest outgoing
-    edge reaches [min_count] (default 4) samples, follow hottest
-    successors until the heat runs out, a block repeats, or [max_len]
-    (default 16) blocks are strung. Ties break toward the smaller
-    block label; only traces of >= 2 blocks are returned, at most one
-    per head block, heads ascending. *)

@@ -27,19 +27,11 @@
      interpreter, so sampler cycle stamps, window boundaries and
      [Deadline_blown] payloads match byte-for-byte.
 
-   The blocking core additionally has a superblock tier: the dispatch
-   loop records (terminator PC, target PC) pairs into a private LBR
-   ring during a deterministic warmup, then stitches hot edges into
-   straight-line traces ({!Compile.superblocks}) whose interior blocks
-   enter through a phi row pre-selected for the expected predecessor.
-   A guard compares the actual successor on every hop; a mismatch side
-   exits into ordinary dispatch. Traces never change semantics — only
-   which closure performs the phi moves. *)
+   Like the interpreter, each step dispatches exactly one block. *)
 
 module Memory = Aptget_mem.Memory
 module Hierarchy = Aptget_cache.Hierarchy
 module Sampler = Aptget_pmu.Sampler
-module Lbr = Aptget_pmu.Lbr
 open Exec
 
 type cblock = {
@@ -48,33 +40,39 @@ type cblock = {
   cb_term : unit -> int;  (* next block id; -1 after Ret *)
 }
 
-(* One hop of a superblock trace: the expected block and its
-   enter-from-known-predecessor specialization. Steps and terminator
-   closures are shared with the block's ordinary [cblock]. *)
-type tstep = {
-  ts_block : int;
-  ts_enter : unit -> unit;
-  ts_steps : (unit -> unit) array;
-  ts_term : unit -> int;
-}
-
-(* Dispatches recorded before the superblock tier is built. *)
-let warmup_dispatches = 4096
-
-(* Private ring for warmup edge recording; bigger than the PMU's
-   32-entry default so short warmups still expose every hot edge. *)
-let warmup_ring_size = 256
+(* One block dispatch: phi moves, the block's steps, the terminator.
+   Shared by both cores. *)
+let make_step ~(plan : Compile.t) (blocks : cblock array) =
+  let cur = ref plan.Compile.cp_entry in
+  let prev = ref (-1) in
+  let running = ref true in
+  fun () ->
+    !running
+    && begin
+         let cb = Array.unsafe_get blocks !cur in
+         cb.cb_enter !prev;
+         let steps = cb.cb_steps in
+         for j = 0 to Array.length steps - 1 do
+           (Array.unsafe_get steps j) ()
+         done;
+         let next = cb.cb_term () in
+         if next < 0 then running := false
+         else begin
+           prev := !cur;
+           cur := next
+         end;
+         !running
+       end
 
 (* ------------------------------------------------------------------ *)
 (* Blocking core                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let stepper_blocking ~config ~hier ~sampler ~wtick ~superblocks ~mem ~regs
+let stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs
     ~(plan : Compile.t) (f : Ir.func) =
   let st = { cycle = 0; instrs = 0; loads = 0; prefetches = 0 } in
   let l1_lat = (Hierarchy.config hier).Hierarchy.l1_latency in
   let fuse = config.max_instructions in
-  let nblocks = Array.length plan.Compile.cp_blocks in
   let scratch = Array.make (max 1 plan.Compile.cp_max_phis) 0 in
   let ret : int option ref = ref None in
   let fetch = function Ir.Reg r -> regs.(r) | Ir.Imm i -> i in
@@ -445,154 +443,7 @@ let stepper_blocking ~config ~hier ~sampler ~wtick ~superblocks ~mem ~regs
     }
   in
   let blocks = Array.mapi compile_block plan.Compile.cp_blocks in
-  (* Enter-from-known-predecessor specialization for trace interiors:
-     the phi row is picked at stitch time, so entering is just the
-     moves (with scratch-free forms for 1- and 2-phi blocks). Returns
-     None when [prev] has no row — such an edge can never be part of a
-     trace (taking it raises in ordinary dispatch anyway). *)
-  let enter_known cur prev : (unit -> unit) option =
-    let pm = plan.Compile.cp_blocks.(cur).Compile.bp_phis in
-    let dsts = pm.Compile.pm_dsts in
-    let nphi = Array.length dsts in
-    if nphi = 0 then Some (fun () -> ())
-    else
-      let row = Compile.phi_row pm prev in
-      if row < 0 then None
-      else
-        let ops = pm.Compile.pm_rows.(row) in
-        if nphi = 1 then
-          let d = dsts.(0) in
-          match ops.(0) with
-          | Ir.Reg s -> Some (fun () -> regs.(d) <- regs.(s))
-          | Ir.Imm v -> Some (fun () -> regs.(d) <- v)
-        else if nphi = 2 then
-          let d0 = dsts.(0) and d1 = dsts.(1) in
-          let o0 = ops.(0) and o1 = ops.(1) in
-          Some
-            (fun () ->
-              (* Parallel semantics: both reads before either write. *)
-              let v0 = fetch o0 and v1 = fetch o1 in
-              regs.(d0) <- v0;
-              regs.(d1) <- v1)
-        else
-          Some
-            (fun () ->
-              for k = 0 to nphi - 1 do
-                scratch.(k) <- fetch ops.(k)
-              done;
-              for k = 0 to nphi - 1 do
-                regs.(dsts.(k)) <- scratch.(k)
-              done)
-  in
-  let traces : tstep array option array = Array.make (max 1 nblocks) None in
-  let tiered = ref (not superblocks) in
-  let ring = Lbr.create ~size:warmup_ring_size () in
-  let dispatches = ref 0 in
-  let tier_up () =
-    tiered := true;
-    let pairs =
-      Array.to_list
-        (Array.map
-           (fun (e : Lbr.entry) -> (e.Lbr.branch_pc, e.Lbr.target_pc))
-           (Lbr.snapshot ring))
-    in
-    let edges = Compile.edge_counts_of_branches ~nblocks pairs in
-    let exception Bail in
-    List.iter
-      (fun (tr : Compile.trace) ->
-        let bl = tr.Compile.tr_blocks in
-        match
-          Array.mapi
-            (fun idx b ->
-              let enter =
-                if idx = 0 then fun () -> ()
-                else
-                  match enter_known b bl.(idx - 1) with
-                  | Some e -> e
-                  | None -> raise Bail
-              in
-              {
-                ts_block = b;
-                ts_enter = enter;
-                ts_steps = blocks.(b).cb_steps;
-                ts_term = blocks.(b).cb_term;
-              })
-            bl
-        with
-        | tsteps -> traces.(bl.(0)) <- Some tsteps
-        | exception Bail -> ())
-      (Compile.superblocks ~nblocks edges)
-  in
-  let run_steps (steps : (unit -> unit) array) =
-    for j = 0 to Array.length steps - 1 do
-      (Array.unsafe_get steps j) ()
-    done
-  in
-  let cur = ref plan.Compile.cp_entry in
-  let prev = ref (-1) in
-  let running = ref true in
-  (* One step = one dispatch: a single block, or — once tiered up — a
-     whole trace run. With [superblocks:false] every step is exactly
-     one block, matching the interpreter's dispatch granularity (the
-     co-run scheduler relies on this for engine parity). *)
-  let step () =
-    !running
-    && begin
-         (match traces.(!cur) with
-         | Some tr ->
-           (* Trace head enters generically (any predecessor can
-              arrive), then interior hops use their pre-selected phi
-              rows as long as the guard holds. *)
-           let head = Array.unsafe_get tr 0 in
-           blocks.(head.ts_block).cb_enter !prev;
-           run_steps head.ts_steps;
-           let next = ref (head.ts_term ()) in
-           prev := head.ts_block;
-           if !next < 0 then running := false
-           else begin
-             let len = Array.length tr in
-             let i = ref 1 in
-             let go = ref true in
-             while !go && !i < len do
-               let ts = Array.unsafe_get tr !i in
-               if !next = ts.ts_block then begin
-                 ts.ts_enter ();
-                 run_steps ts.ts_steps;
-                 let n2 = ts.ts_term () in
-                 prev := ts.ts_block;
-                 if n2 < 0 then begin
-                   running := false;
-                   go := false
-                 end
-                 else next := n2;
-                 incr i
-               end
-               else go := false (* side exit *)
-             done;
-             if !running then cur := !next
-           end
-         | None ->
-           let cb = Array.unsafe_get blocks !cur in
-           cb.cb_enter !prev;
-           run_steps cb.cb_steps;
-           let next = cb.cb_term () in
-           if next < 0 then running := false
-           else begin
-             if not !tiered then begin
-               Lbr.record ring
-                 ~branch_pc:(Layout.pc_of_term !cur)
-                 ~target_pc:(Layout.pc_of_instr next 0)
-                 ~cycle:st.cycle;
-               incr dispatches;
-               if !dispatches >= warmup_dispatches then tier_up ()
-             end;
-             prev := !cur;
-             cur := next
-           end);
-         !running
-       end
-  in
-  (st, ret, step)
+  (st, ret, make_step ~plan blocks)
 
 (* ------------------------------------------------------------------ *)
 (* Stall-on-use core                                                   *)
@@ -834,25 +685,4 @@ let stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
     }
   in
   let blocks = Array.mapi compile_block plan.Compile.cp_blocks in
-  let cur = ref plan.Compile.cp_entry in
-  let prev = ref (-1) in
-  let running = ref true in
-  let step () =
-    !running
-    && begin
-         let cb = Array.unsafe_get blocks !cur in
-         cb.cb_enter !prev;
-         let steps = cb.cb_steps in
-         for j = 0 to Array.length steps - 1 do
-           (Array.unsafe_get steps j) ()
-         done;
-         let next = cb.cb_term () in
-         if next < 0 then running := false
-         else begin
-           prev := !cur;
-           cur := next
-         end;
-         !running
-       end
-  in
-  (st, ret, step)
+  (st, ret, make_step ~plan blocks)

@@ -48,22 +48,12 @@ let stream ?(args = []) ?sampler ?window_cycles ?on_window ~name ~mem func =
 
 type stream_outcome = { so_name : string; so_outcome : Machine.outcome }
 
-(* Engine normalization: with 2+ streams every engine must dispatch
-   exactly one block per step, or the interleaving — and through it
-   every shared-LLC eviction — would depend on the engine's trace
-   tier. Solo schedules keep the caller's engine untouched. *)
-let normalize_engine ~n_streams = function
-  | Machine.Compiled _ when n_streams > 1 ->
-    Machine.Compiled { superblocks = false }
-  | e -> e
-
 let run ?(config = Machine.default_config) ?engine ?(policy = Round_robin)
     streams =
   if streams = [] then invalid_arg "Corun.run: no streams";
   let engine =
     match engine with Some e -> e | None -> Machine.default_engine ()
   in
-  let engine = normalize_engine ~n_streams:(List.length streams) engine in
   let shared = Hierarchy.create_shared config.Machine.hierarchy in
   let sps =
     Array.of_list

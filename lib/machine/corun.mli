@@ -9,11 +9,11 @@
     that issued the prefetch, and inclusion victims are invalidated in
     every tenant's private levels.
 
-    Scheduling is per block dispatch and fully deterministic: with a
-    compiled engine the superblock tier is disabled for multi-stream
-    schedules, so the compiled and interpreted engines produce the
-    same interleaving — and byte-identical per-stream outcomes (the
-    differential oracle for the co-run subsystem). *)
+    Scheduling is per block dispatch and fully deterministic: every
+    engine steps exactly one block at a time, so the compiled and
+    interpreted engines produce the same interleaving — and
+    byte-identical per-stream outcomes (the differential oracle for
+    the co-run subsystem). *)
 
 type policy =
   | Round_robin  (** one block dispatch per live stream, in turn *)
@@ -59,10 +59,8 @@ val run :
 (** Run every stream to completion over one shared LLC/DRAM,
     interleaving per [policy] (default {!Round_robin}), and return
     per-stream outcomes in input order. The engine defaults to the
-    process default; for multi-stream schedules a compiled engine has
-    its superblock tier disabled so the interleaving is
-    engine-independent. Each stream's hardware prefetcher is clamped
-    to its own memory extent.
+    process default; the interleaving is engine-independent. Each
+    stream's hardware prefetcher is clamped to its own memory extent.
 
     Exceptions from a stream ({!Machine.Fuse_blown},
     {!Machine.Deadline_blown}, memory bounds) propagate; fuses apply

@@ -93,24 +93,20 @@ type window_report = Exec.window_report = {
 (* Engine selection                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type engine = Interp | Compiled of { superblocks : bool }
+type engine = Interp | Compiled
 
 let engine_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "interp" | "interpreter" -> Some Interp
-  | "compiled" -> Some (Compiled { superblocks = true })
-  | "compiled-nosb" | "compiled-flat" -> Some (Compiled { superblocks = false })
+  | "compiled" -> Some Compiled
   | _ -> None
 
-let engine_to_string = function
-  | Interp -> "interp"
-  | Compiled { superblocks = true } -> "compiled"
-  | Compiled { superblocks = false } -> "compiled-nosb"
+let engine_to_string = function Interp -> "interp" | Compiled -> "compiled"
 
 let initial_engine =
   match Option.bind (Sys.getenv_opt "APTGET_ENGINE") engine_of_string with
   | Some e -> e
-  | None -> Compiled { superblocks = true }
+  | None -> Compiled
 
 (* Atomic so a CLI override made before worker domains spawn is seen by
    all of them. *)
@@ -503,10 +499,10 @@ let make_stepper ?(config = default_config) ?engine ?hierarchy ?sampler
     | Interp, Stall_on_use { window } ->
       stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
         ~plan f
-    | Compiled { superblocks }, Blocking ->
-      Compiled.stepper_blocking ~config ~hier ~sampler ~wtick ~superblocks
-        ~mem ~regs ~plan f
-    | Compiled _, Stall_on_use { window } ->
+    | Compiled, Blocking ->
+      Compiled.stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs ~plan
+        f
+    | Compiled, Stall_on_use { window } ->
       Compiled.stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs
         ~window ~plan f
   in

@@ -8,16 +8,15 @@
     - {!Compiled} (the default): a one-time pass lowers each basic
       block into an array of OCaml closures with operand shapes, layout
       PCs and sampler hooks pre-resolved; unsampled runs additionally
-      batch pure ALU runs and stitch hot edges into superblock traces
-      discovered from the engine's own LBR ring. 3-10x faster than the
-      interpreter on the quick bench.
+      batch pure ALU runs. About 3-4x faster than the interpreter on
+      ALU-bound code and 1.2-1.6x on load-bound code.
     - {!Interp}: the original match-dispatch interpreter, kept as the
       differential oracle ([--engine interp] in the CLI and bench; the
       [test_engine] suite cross-checks the two on random programs).
 
     The engine is picked per call ([?engine]), falling back to the
     process default ({!set_default_engine}, or the [APTGET_ENGINE]
-    environment variable: [compiled] | [interp] | [compiled-nosb]).
+    environment variable: [compiled] | [interp]).
 
     Executes a kernel over a {!Aptget_mem.Memory}, charging cycles
     against a {!Aptget_cache.Hierarchy} and feeding the simulated PMU
@@ -116,19 +115,16 @@ val useless_prefetch_ratio : Aptget_cache.Hierarchy.counters -> float
 
 type engine =
   | Interp  (** match-dispatch interpreter (differential oracle) *)
-  | Compiled of { superblocks : bool }
-      (** closure-compiled plans; [superblocks] additionally stitches
-          hot-edge traces after a warmup (on by default). Semantics are
-          identical either way. *)
+  | Compiled  (** closure-compiled plans (the default) *)
 
 val engine_of_string : string -> engine option
-(** ["interp"], ["compiled"], ["compiled-nosb"] (case-insensitive). *)
+(** ["interp"] or ["compiled"] (case-insensitive). *)
 
 val engine_to_string : engine -> string
 
 val set_default_engine : engine -> unit
 (** Process default used when {!execute} gets no [?engine]. Initialised
-    from [APTGET_ENGINE] when set, else [Compiled {superblocks=true}]. *)
+    from [APTGET_ENGINE] when set, else [Compiled]. *)
 
 val default_engine : unit -> engine
 
@@ -208,12 +204,8 @@ type stepper = {
     then each [sp_step] advances the program by exactly one block
     dispatch. [execute f] is equivalent to stepping a fresh stepper to
     completion. The co-run scheduler ({!Corun}) interleaves steppers
-    of several streams over one shared LLC.
-
-    With [Compiled {superblocks = true}] a step may execute a whole
-    hot trace after the warmup; pass [superblocks = false] (or
-    [Interp]) when dispatch granularity must match the interpreter's
-    one-block-per-step, as the co-run scheduler does. *)
+    of several streams over one shared LLC; because both engines step
+    one block at a time, its interleaving is engine-independent. *)
 
 val make_stepper :
   ?config:config ->

@@ -1,18 +1,9 @@
 type region = { name : string; base : int; words : int }
 
-type backend = [ `Array | `Bigarray ]
-
-type big = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-(* Two interchangeable backings with identical observable behaviour:
-
-   - [Flat]: a plain OCaml [int array]. Every word is a scanned field
-     of a major-heap block, so multi-megaword memories add real work to
-     each major GC mark pass.
-   - [Big]: a [Bigarray.Array1] of native ints. The payload lives
-     outside the OCaml heap (the GC never scans it) and elements are
-     untagged machine words, which is why it is the default for the
-     simulator's load/store hot path.
+(* Words live in a [Bigarray.Array1] of native ints: the payload sits
+   outside the OCaml heap (the GC never scans it) and elements are
+   untagged machine words, which keeps the simulator's load/store hot
+   path cheap.
 
    [Bigarray.Array1.create] does not zero its storage, so both the
    initial buffer and every grown tail are zero-filled explicitly.
@@ -20,60 +11,30 @@ type big = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
    bounds-checked against [next], and [ensure] copies only [0, next)),
    which is why [alloc] hands out fresh regions, and the alignment gaps
    between them, without filling them. *)
-type backing = Flat of int array | Big of big
-
 type t = {
-  mutable data : backing;
+  mutable data : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
   mutable next : int;
   mutable regions : region list; (* reversed *)
 }
 
 let words_per_line = 8
 
-let default_backend () : backend =
-  match Sys.getenv_opt "APTGET_MEM_BACKEND" with
-  | Some ("array" | "flat") -> `Array
-  | _ -> `Bigarray
-
-let make_big cap : big =
+let make_data cap =
   let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout cap in
   Bigarray.Array1.fill b 0;
   b
 
-let create ?(capacity_words = 1 lsl 20) ?backing () =
-  let backing =
-    match backing with Some b -> b | None -> default_backend ()
-  in
-  let data =
-    match backing with
-    | `Array -> Flat (Array.make capacity_words 0)
-    | `Bigarray -> Big (make_big capacity_words)
-  in
-  { data; next = 0; regions = [] }
-
-let backend t : backend =
-  match t.data with Flat _ -> `Array | Big _ -> `Bigarray
-
-let capacity t =
-  match t.data with
-  | Flat a -> Array.length a
-  | Big b -> Bigarray.Array1.dim b
+let create ?(capacity_words = 1 lsl 20) () =
+  { data = make_data capacity_words; next = 0; regions = [] }
 
 let ensure t needed =
-  let cap = capacity t in
+  let cap = Bigarray.Array1.dim t.data in
   if needed > cap then begin
-    let new_cap = max needed (cap * 2) in
-    match t.data with
-    | Flat a ->
-      let fresh = Array.make new_cap 0 in
-      Array.blit a 0 fresh 0 t.next;
-      t.data <- Flat fresh
-    | Big b ->
-      let fresh = make_big new_cap in
-      Bigarray.Array1.blit
-        (Bigarray.Array1.sub b 0 t.next)
-        (Bigarray.Array1.sub fresh 0 t.next);
-      t.data <- Big fresh
+    let fresh = make_data (max needed (cap * 2)) in
+    Bigarray.Array1.blit
+      (Bigarray.Array1.sub t.data 0 t.next)
+      (Bigarray.Array1.sub fresh 0 t.next);
+    t.data <- fresh
   end
 
 let align_up v a = (v + a - 1) / a * a
@@ -104,42 +65,35 @@ let[@inline never] oob_set addr =
    can skip the second, redundant bounds check. *)
 let[@inline] get t addr =
   if addr < 0 || addr >= t.next then oob_get addr;
-  match t.data with
-  | Flat a -> Array.unsafe_get a addr
-  | Big b -> Bigarray.Array1.unsafe_get b addr
+  Bigarray.Array1.unsafe_get t.data addr
 
 let[@inline] set t addr v =
   if addr < 0 || addr >= t.next then oob_set addr;
-  match t.data with
-  | Flat a -> Array.unsafe_set a addr v
-  | Big b -> Bigarray.Array1.unsafe_set b addr v
+  Bigarray.Array1.unsafe_set t.data addr v
+
+(* [region] is a public record, so a caller can hand in one that lies
+   outside the allocations; the unsafe accesses below rely on this
+   check. *)
+let check_region fn t r =
+  if r.base < 0 || r.base + r.words > t.next then
+    invalid_arg ("Memory." ^ fn ^ ": region out of bounds")
 
 let blit_array t r a =
   if Array.length a > r.words then invalid_arg "Memory.blit_array: too large";
-  match t.data with
-  | Flat d -> Array.blit a 0 d r.base (Array.length a)
-  | Big b ->
-    for i = 0 to Array.length a - 1 do
-      Bigarray.Array1.unsafe_set b (r.base + i) (Array.unsafe_get a i)
-    done
+  check_region "blit_array" t r;
+  for i = 0 to Array.length a - 1 do
+    Bigarray.Array1.unsafe_set t.data (r.base + i) (Array.unsafe_get a i)
+  done
 
 let init_region t r f =
-  if r.base < 0 || r.base + r.words > t.next then
-    invalid_arg "Memory.init_region: region out of bounds";
-  match t.data with
-  | Flat d ->
-    for i = 0 to r.words - 1 do
-      Array.unsafe_set d (r.base + i) (f i)
-    done
-  | Big b ->
-    for i = 0 to r.words - 1 do
-      Bigarray.Array1.unsafe_set b (r.base + i) (f i)
-    done
+  check_region "init_region" t r;
+  for i = 0 to r.words - 1 do
+    Bigarray.Array1.unsafe_set t.data (r.base + i) (f i)
+  done
 
 let read_array t r =
-  match t.data with
-  | Flat d -> Array.sub d r.base r.words
-  | Big b -> Array.init r.words (fun i -> Bigarray.Array1.unsafe_get b (r.base + i))
+  check_region "read_array" t r;
+  Array.init r.words (fun i -> Bigarray.Array1.unsafe_get t.data (r.base + i))
 
 let line_of_addr addr = addr / words_per_line
 let regions t = List.rev t.regions

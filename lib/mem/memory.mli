@@ -15,27 +15,13 @@ type region = {
 (** A named allocation, used by workloads to pass base addresses into IR
     kernels and by diagnostics to attribute cache traffic. *)
 
-type backend = [ `Array | `Bigarray ]
-(** Storage backing. [`Bigarray] (the default) keeps the words in a
-    [Bigarray.Array1] of native ints outside the OCaml heap: the GC
-    never scans the payload and the load/store hot path pays no
-    boxing/tag overhead. [`Array] is the original [int array] backing,
-    kept as a differential oracle. Both behave identically, including
-    zero-initialisation of alignment gaps between regions. *)
-
 val words_per_line : int
 (** 8: cache line size (64 B) divided by word size (8 B). *)
 
-val default_backend : unit -> backend
-(** [`Bigarray], unless the [APTGET_MEM_BACKEND] environment variable
-    is set to [array] (or [flat]). *)
-
-val create : ?capacity_words:int -> ?backing:backend -> unit -> t
+val create : ?capacity_words:int -> unit -> t
 (** Fresh memory; capacity defaults to 1 Mi words (8 MiB) and grows on
-    demand in [alloc]. [backing] defaults to {!default_backend}. *)
-
-val backend : t -> backend
-(** The backing this memory was created with. *)
+    demand in [alloc]. Words are stored in a [Bigarray.Array1] of
+    native ints outside the OCaml heap, so the GC never scans them. *)
 
 val alloc : t -> name:string -> words:int -> region
 (** Bump-allocate [words] words, line-aligned, zero-initialised. *)
@@ -50,7 +36,8 @@ val set : t -> int -> int -> unit
 (** [set t addr v] writes [v] at [addr]. Bounds-checked. *)
 
 val blit_array : t -> region -> int array -> unit
-(** Copy an OCaml array into a region (must fit). *)
+(** Copy an OCaml array into a region (must fit). Raises
+    [Invalid_argument] if [r] lies outside [t]'s allocations. *)
 
 val init_region : t -> region -> (int -> int) -> unit
 (** [init_region t r f] sets word [r.base + i] to [f i] for every [i]
@@ -59,7 +46,8 @@ val init_region : t -> region -> (int -> int) -> unit
     [Invalid_argument] if [r] lies outside [t]'s allocations. *)
 
 val read_array : t -> region -> int array
-(** Copy a region out into a fresh array. *)
+(** Copy a region out into a fresh array. Raises [Invalid_argument] if
+    [r] lies outside [t]'s allocations. *)
 
 val line_of_addr : int -> int
 (** Cache line index of a word address. *)

@@ -4,7 +4,7 @@
    Corun.run is the multi-tenant face of the machine: a solo schedule
    must reproduce Machine.execute byte-for-byte, and a multi-stream
    schedule must produce identical per-stream outcomes under every
-   engine (the superblock tier is normalized away) and every policy.
+   engine and every policy.
    The pins lock three fixed bugs: the hardware prefetcher walking
    past the memory extent, Model.top_peak assuming a sorted peak
    list, and positional List.nth in builder specs failing without a
@@ -17,65 +17,9 @@ module Hierarchy = Aptget_cache.Hierarchy
 module Model = Aptget_profile.Model
 module Rng = Aptget_util.Rng
 
-let engines =
-  [
-    Machine.Interp;
-    Machine.Compiled { superblocks = false };
-    Machine.Compiled { superblocks = true };
-  ]
+let engines = [ Machine.Interp; Machine.Compiled ]
 
 let ename = Machine.engine_to_string
-
-(* Same shape as test_engine's generator: a branchy gather loop with
-   data-dependent control flow, optional prefetches and stores. *)
-let branchy_kernel ~name ~n ~stride ~with_prefetch ~with_store () =
-  let b = Builder.create ~name ~nparams:2 in
-  let base, seed =
-    match Builder.params b with [ x; y ] -> (x, y) | _ -> assert false
-  in
-  let final =
-    Builder.for_loop_acc b ~from:(Ir.Imm 0) ~bound:(`Op (Ir.Imm n))
-      ~init:[ Ir.Imm 0; Ir.Imm 1 ]
-      (fun b i accs ->
-        let acc, salt =
-          match accs with [ a; s ] -> (a, s) | _ -> assert false
-        in
-        let x = Builder.mul b i (Ir.Imm stride) in
-        let x = Builder.add b x seed in
-        let idx = Builder.binop b Ir.And x (Ir.Imm 1023) in
-        let addr = Builder.add b base idx in
-        if with_prefetch then
-          Builder.prefetch b (Builder.add b addr (Ir.Imm 64));
-        let v = Builder.load b addr in
-        let acc' = Builder.add b acc v in
-        if with_store then
-          Builder.store b ~addr ~value:(Builder.binop b Ir.Xor acc' i);
-        let c = Builder.binop b Ir.And v (Ir.Imm 1) in
-        let odd = Builder.new_block b in
-        let even = Builder.new_block b in
-        let join = Builder.new_block b in
-        Builder.br b c odd even;
-        Builder.switch_to b odd;
-        let s_odd = Builder.add b salt (Ir.Imm 3) in
-        Builder.jmp b join;
-        Builder.switch_to b even;
-        let s_even = Builder.binop b Ir.Xor salt (Ir.Imm 5) in
-        Builder.jmp b join;
-        Builder.switch_to b join;
-        let s' = Builder.phi b [ (odd, s_odd); (even, s_even) ] in
-        [ Builder.add b acc' s'; s' ])
-  in
-  Builder.ret b (Some (List.hd final));
-  let f = Builder.finish b in
-  Verify.check_exn f;
-  f
-
-let fresh_mem ~seed () =
-  let mem = Memory.create () in
-  let r = Memory.alloc mem ~name:"data" ~words:2048 in
-  let rng = Rng.create seed in
-  Memory.blit_array mem r (Array.init 2048 (fun _ -> Rng.int rng 1000));
-  (mem, r.Memory.base)
 
 (* Everything comparable in an outcome. [counters] is a plain record
    of ints, so polymorphic equality over the whole tuple is sound. *)
@@ -89,17 +33,17 @@ let obs (o : Machine.outcome) =
 
 (* Two fixed tenants used by the pinned multi-stream tests. *)
 let tenant_a () =
-  let f = branchy_kernel ~name:"a" ~n:1500 ~stride:17 ~with_prefetch:true
+  let f = Branchy.kernel ~name:"a" ~n:1500 ~stride:17 ~with_prefetch:true
       ~with_store:true ()
   in
-  let mem, base = fresh_mem ~seed:97 () in
+  let mem, base = Branchy.fresh_mem ~seed:97 () in
   (f, mem, base)
 
 let tenant_b () =
-  let f = branchy_kernel ~name:"b" ~n:900 ~stride:29 ~with_prefetch:false
+  let f = Branchy.kernel ~name:"b" ~n:900 ~stride:29 ~with_prefetch:false
       ~with_store:false ()
   in
-  let mem, base = fresh_mem ~seed:41 () in
+  let mem, base = Branchy.fresh_mem ~seed:41 () in
   (f, mem, base)
 
 let corun_obs ~engine ~policy () =
@@ -116,7 +60,7 @@ let corun_obs ~engine ~policy () =
 
 (* A single-stream schedule is just the machine: same cycles, same
    counters, same return value as Machine.execute, under every
-   engine (solo schedules keep the superblock tier). *)
+   engine. *)
 let test_solo_matches_execute () =
   List.iter
     (fun engine ->
@@ -160,7 +104,7 @@ let test_corun_engine_parity () =
     [ Corun.Round_robin; Corun.Cycle_ratio [ 2; 1 ] ]
 
 let test_corun_determinism () =
-  let engine = Machine.Compiled { superblocks = true } in
+  let engine = Machine.Compiled in
   List.iter
     (fun policy ->
       let r1 = corun_obs ~engine ~policy () in
@@ -219,14 +163,14 @@ let test_policy_of_string () =
 (* ---------------- property: mutated tenant pairs ---------------- *)
 
 (* Random pairs of mutate-derived kernels interleaved under a random
-   policy: per-stream outcomes must agree across all three engines. *)
+   policy: per-stream outcomes must agree across both engines. *)
 let prop_corun_mutated =
   QCheck.Test.make ~name:"engines agree on co-run mutated programs" ~count:20
     QCheck.(
       quad (int_range 1 300) (int_range 1 300) (int_range 0 3) small_int)
     (fun (na, nb, mutations, salt) ->
       let build name n stride pf st =
-        let f = branchy_kernel ~name ~n ~stride ~with_prefetch:pf
+        let f = Branchy.kernel ~name ~n ~stride ~with_prefetch:pf
             ~with_store:st ()
         in
         let f = if mutations land 1 <> 0 then Mutate.pad_entry f else f in
@@ -244,8 +188,8 @@ let prop_corun_mutated =
         else Corun.Cycle_ratio [ 1 + (salt land 3); 1 ]
       in
       let run engine =
-        let mema, basea = fresh_mem ~seed:(salt + 1) () in
-        let memb, baseb = fresh_mem ~seed:(salt + 2) () in
+        let mema, basea = Branchy.fresh_mem ~seed:(salt + 1) () in
+        let memb, baseb = Branchy.fresh_mem ~seed:(salt + 2) () in
         Corun.run ~engine ~policy
           [
             Corun.stream ~args:[ basea; 7 ] ~name:"a" ~mem:mema fa;
@@ -263,8 +207,7 @@ let prop_corun_mutated =
    extent. A sequential walk that ends on the last allocated word must
    not issue the next-line prefetch past the region: on a memory one
    line larger the identical walk issues strictly more hardware
-   prefetches. Runs against the live Memory backend, so CI exercises
-   it under both APTGET_MEM_BACKEND values. *)
+   prefetches. *)
 let walk_kernel ~words () =
   let b = Builder.create ~name:"walk" ~nparams:1 in
   let base = List.hd (Builder.params b) in

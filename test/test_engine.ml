@@ -1,82 +1,19 @@
 (* Differential testing of the execution engines.
 
-   The compiled engine (with and without the superblock tier) must be
-   byte-identical to the reference interpreter: same cycles, instrs,
-   loads, prefetches and return value; same sampler LBR/PEBS tallies;
-   and the same exception payloads ([Fuse_blown], [Deadline_blown],
-   watchdog timeouts) raised at the same instruction/cycle. *)
+   The compiled engine must be byte-identical to the reference
+   interpreter: same cycles, instrs, loads, prefetches and return
+   value; same sampler LBR/PEBS tallies; and the same exception
+   payloads ([Fuse_blown], [Deadline_blown], watchdog timeouts) raised
+   at the same instruction/cycle. *)
 
 module Machine = Aptget_machine.Machine
-module Memory = Aptget_mem.Memory
 module Sampler = Aptget_pmu.Sampler
 module Lbr = Aptget_pmu.Lbr
 module Watchdog = Aptget_core.Watchdog
 
-let engines =
-  [
-    Machine.Interp;
-    Machine.Compiled { superblocks = false };
-    Machine.Compiled { superblocks = true };
-  ]
+let engines = [ Machine.Interp; Machine.Compiled ]
 
 let ename = Machine.engine_to_string
-
-(* ---------------- program generators ---------------- *)
-
-(* A branchy gather loop: every iteration loads from a seed-scrambled
-   index, then takes a data-dependent branch whose arms merge through a
-   phi. Exercises phi moves, ALU batching, loads, prefetches, stores
-   and (run long enough) the superblock tier's traces and side exits. *)
-let branchy_kernel ~n ~stride ~with_prefetch ~with_store () =
-  let b = Builder.create ~name:"diff" ~nparams:2 in
-  let base, seed =
-    match Builder.params b with [ x; y ] -> (x, y) | _ -> assert false
-  in
-  let final =
-    Builder.for_loop_acc b ~from:(Ir.Imm 0) ~bound:(`Op (Ir.Imm n))
-      ~init:[ Ir.Imm 0; Ir.Imm 1 ]
-      (fun b i accs ->
-        let acc, salt =
-          match accs with [ a; s ] -> (a, s) | _ -> assert false
-        in
-        let x = Builder.mul b i (Ir.Imm stride) in
-        let x = Builder.add b x seed in
-        let idx = Builder.binop b Ir.And x (Ir.Imm 1023) in
-        let addr = Builder.add b base idx in
-        if with_prefetch then
-          Builder.prefetch b (Builder.add b addr (Ir.Imm 64));
-        let v = Builder.load b addr in
-        let acc' = Builder.add b acc v in
-        if with_store then
-          Builder.store b ~addr ~value:(Builder.binop b Ir.Xor acc' i);
-        (* Data-dependent diamond merged by the loop phis. *)
-        let c = Builder.binop b Ir.And v (Ir.Imm 1) in
-        let odd = Builder.new_block b in
-        let even = Builder.new_block b in
-        let join = Builder.new_block b in
-        Builder.br b c odd even;
-        Builder.switch_to b odd;
-        let s_odd = Builder.add b salt (Ir.Imm 3) in
-        Builder.jmp b join;
-        Builder.switch_to b even;
-        let s_even = Builder.binop b Ir.Xor salt (Ir.Imm 5) in
-        Builder.jmp b join;
-        Builder.switch_to b join;
-        let s' = Builder.phi b [ (odd, s_odd); (even, s_even) ] in
-        [ Builder.add b acc' s'; s' ])
-  in
-  Builder.ret b (Some (List.hd final));
-  let f = Builder.finish b in
-  Verify.check_exn f;
-  f
-
-let fresh_mem () =
-  let mem = Memory.create () in
-  let r = Memory.alloc mem ~name:"data" ~words:2048 in
-  let rng = Aptget_util.Rng.create 97 in
-  Memory.blit_array mem r
-    (Array.init 2048 (fun _ -> Aptget_util.Rng.int rng 1000));
-  (mem, r.Memory.base)
 
 (* Everything an engine run can observe, exceptions included. *)
 type run = {
@@ -88,7 +25,7 @@ type run = {
 }
 
 let run_with ~engine ?config ?(sample = false) f =
-  let mem, base = fresh_mem () in
+  let mem, base = Branchy.fresh_mem () in
   let sampler =
     if sample then
       Some (Sampler.create ~lbr_period:500 ~pebs_period:2 ())
@@ -146,25 +83,45 @@ let all_engines ?config ?sample f =
 
 (* ---------------- pinned parity tests ---------------- *)
 
-(* Long enough for the superblock tier to build traces (warmup is 4096
-   dispatches) and then side-exit on the data-dependent diamond. *)
-let test_superblock_parity () =
-  let f = branchy_kernel ~n:4000 ~stride:17 ~with_prefetch:true ~with_store:true () in
-  check_identical "superblock" (all_engines f)
+(* Thousands of dispatches through the data-dependent diamond. *)
+let test_long_run_parity () =
+  let f = Branchy.kernel ~n:4000 ~stride:17 ~with_prefetch:true ~with_store:true () in
+  check_identical "long-run" (all_engines f)
+
+(* Every engine dispatches exactly one block per step, for the whole
+   run: the co-run scheduler interleaves streams per step, so its
+   schedule is engine-independent only if this holds. *)
+let test_one_block_per_step () =
+  let f = Branchy.kernel ~n:4000 ~stride:17 ~with_prefetch:true ~with_store:true () in
+  let stepper engine =
+    let mem, base = Branchy.fresh_mem () in
+    Machine.make_stepper ~engine ~args:[ base; 7 ] ~mem f
+  in
+  let i = stepper Machine.Interp and c = stepper Machine.Compiled in
+  let rec run steps =
+    let more = i.Machine.sp_step () in
+    if more <> c.Machine.sp_step () then
+      Alcotest.failf "step %d: one engine finished first" steps;
+    if i.Machine.sp_cycle () <> c.Machine.sp_cycle () then
+      Alcotest.failf "step %d: interp cycle %d, compiled cycle %d" steps
+        (i.Machine.sp_cycle ()) (c.Machine.sp_cycle ());
+    if more then run (steps + 1) else steps
+  in
+  Alcotest.(check bool) "ran past 4096 dispatches" true (run 1 > 4096)
 
 let test_sampler_parity () =
-  let f = branchy_kernel ~n:1500 ~stride:29 ~with_prefetch:false ~with_store:false () in
+  let f = Branchy.kernel ~n:1500 ~stride:29 ~with_prefetch:false ~with_store:false () in
   check_identical "sampler" (all_engines ~sample:true f)
 
 let test_stall_on_use_parity () =
-  let f = branchy_kernel ~n:1200 ~stride:13 ~with_prefetch:true ~with_store:true () in
+  let f = Branchy.kernel ~n:1200 ~stride:13 ~with_prefetch:true ~with_store:true () in
   check_identical "stall-on-use"
     (all_engines ~config:(Machine.stall_on_use_config ()) f);
   check_identical "stall-on-use sampled"
     (all_engines ~config:(Machine.stall_on_use_config ()) ~sample:true f)
 
 let test_fuse_parity () =
-  let f = branchy_kernel ~n:100_000 ~stride:7 ~with_prefetch:false ~with_store:false () in
+  let f = Branchy.kernel ~n:100_000 ~stride:7 ~with_prefetch:false ~with_store:false () in
   let config =
     { Machine.default_config with Machine.max_instructions = 10_000 }
   in
@@ -181,7 +138,7 @@ let test_fuse_parity () =
     runs
 
 let test_deadline_parity () =
-  let f = branchy_kernel ~n:100_000 ~stride:3 ~with_prefetch:true ~with_store:false () in
+  let f = Branchy.kernel ~n:100_000 ~stride:3 ~with_prefetch:true ~with_store:false () in
   List.iter
     (fun core ->
       let config =
@@ -205,7 +162,7 @@ let test_deadline_parity () =
 (* The watchdog's cycle budget is enforced through the same machine
    fuse; its [t_spent] must name the same cycle under every engine. *)
 let test_watchdog_parity () =
-  let f = branchy_kernel ~n:100_000 ~stride:11 ~with_prefetch:false ~with_store:false () in
+  let f = Branchy.kernel ~n:100_000 ~stride:11 ~with_prefetch:false ~with_store:false () in
   let wd_config =
     {
       Watchdog.unlimited with
@@ -215,7 +172,7 @@ let test_watchdog_parity () =
   let spent =
     List.map
       (fun engine ->
-        let mem, base = fresh_mem () in
+        let mem, base = Branchy.fresh_mem () in
         match
           Watchdog.run ~config:wd_config ~machine:Machine.default_config
             Watchdog.Measure
@@ -235,7 +192,7 @@ let test_watchdog_parity () =
   | a :: rest ->
     List.iter (fun b -> Alcotest.(check int) "watchdog t_spent" a b) rest
   | [] -> ());
-  Machine.set_default_engine (Machine.Compiled { superblocks = true })
+  Machine.set_default_engine Machine.Compiled
 
 (* ---------------- property: mutate-derived programs ---------------- *)
 
@@ -248,7 +205,7 @@ let prop_mutated_programs =
       quad (int_range 1 400) (int_range 1 64) (int_range 0 3) small_int)
     (fun (n, stride, mutations, salt) ->
       let f =
-        branchy_kernel ~n ~stride
+        Branchy.kernel ~n ~stride
           ~with_prefetch:(salt land 1 = 0)
           ~with_store:(salt land 2 = 0)
           ()
@@ -268,7 +225,9 @@ let () =
     [
       ( "differential",
         [
-          Alcotest.test_case "superblock parity" `Quick test_superblock_parity;
+          Alcotest.test_case "long-run parity" `Quick test_long_run_parity;
+          Alcotest.test_case "one block per step" `Quick
+            test_one_block_per_step;
           Alcotest.test_case "sampler parity" `Quick test_sampler_parity;
           Alcotest.test_case "stall-on-use parity" `Quick
             test_stall_on_use_parity;

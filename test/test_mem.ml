@@ -70,129 +70,161 @@ let test_line_of_addr () =
   Alcotest.(check int) "line 0" 0 (Memory.line_of_addr 7);
   Alcotest.(check int) "line 1" 1 (Memory.line_of_addr 8)
 
-(* Region-edge accesses for both backings: the last allocated word is
-   the edge of the bounds check ([next]), so get/set must work at
-   [base + words - 1] and raise one word past it — under the default
-   Bigarray backing and the plain-array one alike. The unsafe accessors
-   behind the explicit check make this the test that matters. *)
+(* Region-edge accesses: the last allocated word is the edge of the
+   bounds check ([next]), so get/set must work at [base + words - 1]
+   and raise one word past it. The unsafe accessors behind the
+   explicit check make this the test that matters. *)
 let test_region_edges () =
-  List.iter
-    (fun backing ->
-      let name =
-        match backing with `Array -> "array" | `Bigarray -> "bigarray"
-      in
-      let m = Memory.create ~capacity_words:64 ~backing () in
-      let r = Memory.alloc m ~name:"edge" ~words:24 in
-      let last = r.Memory.base + r.Memory.words - 1 in
-      Memory.set m r.Memory.base 11;
-      Memory.set m last 22;
-      Alcotest.(check int) (name ^ " first word") 11 (Memory.get m r.Memory.base);
-      Alcotest.(check int) (name ^ " last word") 22 (Memory.get m last);
-      Alcotest.(check bool) (name ^ " get past end raises") true
-        (try
-           ignore (Memory.get m (last + 1));
-           false
-         with Invalid_argument _ -> true);
-      Alcotest.(check bool) (name ^ " set past end raises") true
-        (try
-           Memory.set m (last + 1) 1;
-           false
-         with Invalid_argument _ -> true);
-      Alcotest.(check bool) (name ^ " negative set raises") true
-        (try
-           Memory.set m (-1) 1;
-           false
-         with Invalid_argument _ -> true);
-      (* blit_array: exactly full is fine (and lands on the edge), one
-         element more must raise before touching memory. *)
-      let full = Array.init r.Memory.words (fun i -> 100 + i) in
-      Memory.blit_array m r full;
-      Alcotest.(check int)
-        (name ^ " blit reaches last word")
-        (100 + r.Memory.words - 1)
-        (Memory.get m last);
-      Alcotest.(check (array int)) (name ^ " blit roundtrip") full
-        (Memory.read_array m r);
-      Alcotest.check_raises
-        (name ^ " blit overflow")
-        (Invalid_argument "Memory.blit_array: too large")
-        (fun () ->
-          Memory.blit_array m r (Array.make (r.Memory.words + 1) 0));
-      Alcotest.(check int)
-        (name ^ " overflow left memory untouched")
-        (100 + r.Memory.words - 1)
-        (Memory.get m last);
-      (* A grown memory keeps the same backing and the same edge
-         behaviour. *)
-      let big = Memory.alloc m ~name:"grown" ~words:4096 in
-      Alcotest.(check bool)
-        (name ^ " backing preserved across growth")
-        true
-        (Memory.backend m = backing);
-      let glast = big.Memory.base + big.Memory.words - 1 in
-      Memory.set m glast 33;
-      Alcotest.(check int) (name ^ " grown last word") 33 (Memory.get m glast);
-      Alcotest.(check bool) (name ^ " grown get past end raises") true
-        (try
-           ignore (Memory.get m (glast + 1));
-           false
-         with Invalid_argument _ -> true))
-    [ `Array; `Bigarray ]
+  let m = Memory.create ~capacity_words:64 () in
+  let r = Memory.alloc m ~name:"edge" ~words:24 in
+  let last = r.Memory.base + r.Memory.words - 1 in
+  Memory.set m r.Memory.base 11;
+  Memory.set m last 22;
+  Alcotest.(check int) "first word" 11 (Memory.get m r.Memory.base);
+  Alcotest.(check int) "last word" 22 (Memory.get m last);
+  Alcotest.(check bool) "get past end raises" true
+    (try
+       ignore (Memory.get m (last + 1));
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "set past end raises" true
+    (try
+       Memory.set m (last + 1) 1;
+       false
+     with Invalid_argument _ -> true);
+  Alcotest.(check bool) "negative set raises" true
+    (try
+       Memory.set m (-1) 1;
+       false
+     with Invalid_argument _ -> true);
+  (* blit_array: exactly full is fine (and lands on the edge), one
+     element more must raise before touching memory. *)
+  let full = Array.init r.Memory.words (fun i -> 100 + i) in
+  Memory.blit_array m r full;
+  Alcotest.(check int) "blit reaches last word"
+    (100 + r.Memory.words - 1)
+    (Memory.get m last);
+  Alcotest.(check (array int)) "blit roundtrip" full (Memory.read_array m r);
+  Alcotest.check_raises "blit overflow"
+    (Invalid_argument "Memory.blit_array: too large") (fun () ->
+      Memory.blit_array m r (Array.make (r.Memory.words + 1) 0));
+  Alcotest.(check int) "overflow left memory untouched"
+    (100 + r.Memory.words - 1)
+    (Memory.get m last);
+  (* A grown memory keeps the same edge behaviour. *)
+  let big = Memory.alloc m ~name:"grown" ~words:4096 in
+  let glast = big.Memory.base + big.Memory.words - 1 in
+  Memory.set m glast 33;
+  Alcotest.(check int) "grown last word" 33 (Memory.get m glast);
+  Alcotest.(check bool) "grown get past end raises" true
+    (try
+       ignore (Memory.get m (glast + 1));
+       false
+     with Invalid_argument _ -> true)
 
-(* [alloc] no longer zero-fills: words past the allocation frontier are
+(* [alloc] does not zero-fill: words past the allocation frontier are
    zero because nothing writes there and growth copies only what is
    allocated. A region allocated by a growing [alloc], right after a
    region written all over, must still read 0 in every word (and so
-   must the alignment gap between them), under either backing. *)
+   must the alignment gap between them). *)
 let test_alloc_after_growth_zero () =
-  List.iter
-    (fun backing ->
-      let m = Memory.create ~capacity_words:16 ~backing () in
-      let a = Memory.alloc m ~name:"a" ~words:13 in
-      Memory.init_region m a (fun i -> -1 - i);
-      let b = Memory.alloc m ~name:"b" ~words:1000 in
-      Alcotest.(check bool) "grew" true (b.Memory.base + b.Memory.words > 16);
-      for addr = a.Memory.base + a.Memory.words to b.Memory.base + b.Memory.words - 1 do
-        if Memory.get m addr <> 0 then
-          Alcotest.failf "word %d reads %d after growth" addr (Memory.get m addr)
-      done;
-      Alcotest.(check int) "old data kept" (-13) (Memory.get m (a.Memory.base + 12)))
-    [ `Array; `Bigarray ]
+  let m = Memory.create ~capacity_words:16 () in
+  let a = Memory.alloc m ~name:"a" ~words:13 in
+  Memory.init_region m a (fun i -> -1 - i);
+  let b = Memory.alloc m ~name:"b" ~words:1000 in
+  Alcotest.(check bool) "grew" true (b.Memory.base + b.Memory.words > 16);
+  for addr = a.Memory.base + a.Memory.words to b.Memory.base + b.Memory.words - 1 do
+    if Memory.get m addr <> 0 then
+      Alcotest.failf "word %d reads %d after growth" addr (Memory.get m addr)
+  done;
+  Alcotest.(check int) "old data kept" (-13) (Memory.get m (a.Memory.base + 12))
 
+(* Regions are public records, so a caller can forge one that lies
+   outside the allocations: every region-wide operation must reject it
+   before touching storage. Nothing allocated changes, and the words
+   past the frontier stay zero for the next [alloc]. *)
 let test_init_region () =
+  let m = Memory.create ~capacity_words:64 () in
+  let _ = Memory.alloc m ~name:"pad" ~words:3 in
+  let r = Memory.alloc m ~name:"r" ~words:5 in
+  let order = ref [] in
+  Memory.init_region m r (fun i ->
+      order := i :: !order;
+      10 * i);
+  Alcotest.(check (list int)) "ascending calls" [ 0; 1; 2; 3; 4 ] (List.rev !order);
+  Alcotest.(check (array int)) "values" [| 0; 10; 20; 30; 40 |]
+    (Memory.read_array m r);
+  let snapshot () = List.init (Memory.size_words m) (Memory.get m) in
+  let before = snapshot () in
   List.iter
-    (fun backing ->
-      let m = Memory.create ~capacity_words:16 ~backing () in
-      let _ = Memory.alloc m ~name:"pad" ~words:3 in
-      let r = Memory.alloc m ~name:"r" ~words:5 in
-      let order = ref [] in
-      Memory.init_region m r (fun i ->
-          order := i :: !order;
-          10 * i);
-      Alcotest.(check (list int)) "ascending calls" [ 0; 1; 2; 3; 4 ] (List.rev !order);
-      Alcotest.(check (array int)) "values" [| 0; 10; 20; 30; 40 |]
-        (Memory.read_array m r);
-      let other = { r with Memory.base = r.Memory.base + 8 } in
-      Alcotest.check_raises "outside the allocations"
-        (Invalid_argument "Memory.init_region: region out of bounds") (fun () ->
-          Memory.init_region m other (fun _ -> 1)))
-    [ `Array; `Bigarray ]
-
-(* The two backings must be observably identical on the same
-   operation sequence. *)
-let prop_backends_agree =
-  QCheck.Test.make ~name:"array and bigarray backings agree" ~count:50
-    QCheck.(list_of_size Gen.(1 -- 40) (pair (int_range 0 63) small_int))
-    (fun ops ->
-      let run backing =
-        let m = Memory.create ~capacity_words:16 ~backing () in
-        let r = Memory.alloc m ~name:"r" ~words:64 in
-        List.iter
-          (fun (off, v) -> Memory.set m (r.Memory.base + off) v)
-          ops;
-        Array.to_list (Memory.read_array m r)
+    (fun (what, bad) ->
+      let rejects fn f =
+        Alcotest.check_raises (what ^ " " ^ fn)
+          (Invalid_argument ("Memory." ^ fn ^ ": region out of bounds")) f
       in
-      run `Array = run `Bigarray)
+      rejects "init_region" (fun () -> Memory.init_region m bad (fun _ -> 1));
+      rejects "blit_array" (fun () -> Memory.blit_array m bad [| 1; 2; 3 |]);
+      rejects "read_array" (fun () -> ignore (Memory.read_array m bad)))
+    [
+      ("outside the allocations", { r with Memory.base = r.Memory.base + 8 });
+      ("negative base", { r with Memory.base = -8 });
+    ];
+  Alcotest.(check (list int)) "allocated words unchanged" before (snapshot ());
+  let fresh = Memory.alloc m ~name:"fresh" ~words:32 in
+  Alcotest.(check (array int)) "next region still zero" (Array.make 32 0)
+    (Memory.read_array m fresh)
+
+(* Reference model: a plain [int array] holding every allocated word.
+   Random sequences of allocations (growing past [capacity_words]),
+   writes and reads must leave [Memory] and the model agreeing on every
+   read, and every word never written must read 0. Opcodes:
+   0 alloc, 1 set, 2 get, 3 blit_array, 4 init_region, 5 read_array. *)
+let prop_matches_model =
+  QCheck.Test.make ~name:"memory agrees with an int array model" ~count:200
+    QCheck.(
+      list_of_size Gen.(1 -- 40)
+        (quad (int_range 0 5) small_nat small_nat small_signed_int))
+    (fun ops ->
+      let m = Memory.create ~capacity_words:16 () in
+      let model = ref [||] in
+      let regions = ref [||] in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let alloc words =
+        let r = Memory.alloc m ~name:"r" ~words in
+        let base = (Array.length !model + 7) / 8 * 8 in
+        expect (r.Memory.base = base && r.Memory.words = max words 1);
+        let gap = base + max words 1 - Array.length !model in
+        model := Array.append !model (Array.make gap 0);
+        regions := Array.append !regions [| r |]
+      in
+      alloc 4;
+      List.iter
+        (fun (op, a, b, c) ->
+          let r = !regions.(a mod Array.length !regions) in
+          let base = r.Memory.base and words = r.Memory.words in
+          let addr = base + (b mod words) in
+          match op with
+          | 0 -> alloc (a mod 80)
+          | 1 ->
+            Memory.set m addr c;
+            !model.(addr) <- c
+          | 2 -> expect (Memory.get m addr = !model.(addr))
+          | 3 ->
+            let data = Array.init (b mod (words + 1)) (fun i -> c + i) in
+            Memory.blit_array m r data;
+            Array.blit data 0 !model base (Array.length data)
+          | 4 ->
+            Memory.init_region m r (fun i -> (c * i) + a);
+            for i = 0 to words - 1 do
+              !model.(base + i) <- (c * i) + a
+            done
+          | _ ->
+            expect (Memory.read_array m r = Array.sub !model base words))
+        ops;
+      expect (Memory.size_words m = Array.length !model);
+      Array.iteri (fun addr v -> expect (Memory.get m addr = v)) !model;
+      !ok)
 
 let prop_alloc_disjoint =
   QCheck.Test.make ~name:"allocations never overlap" ~count:50
@@ -236,6 +268,6 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_alloc_disjoint;
-          QCheck_alcotest.to_alcotest prop_backends_agree;
+          QCheck_alcotest.to_alcotest prop_matches_model;
         ] );
     ]
