@@ -150,10 +150,10 @@ let retune cfg ?quarantine ?crash ~plan ~refit w =
         Hashtbl.replace cache variant m;
         m
   in
-  let guarded doc =
+  let guarded ~program doc =
     Pipeline.run_guarded ~config:cfg.machine ~guard:cfg.guard ?quarantine
       ~remap:Remap.default_config ~watchdog:cfg.watchdog ?crash ~measure_cache
-      ~doc w
+      ~program ~doc w
   in
   let last_doc =
     match plan with Hinted (d, _) | Pinned (d, _) -> Some d | Aj_static -> None
@@ -187,8 +187,12 @@ let retune cfg ?quarantine ?crash ~plan ~refit w =
     match attempts with
     | [] -> (plan, No_candidate, !cycles, None)
     | first :: rest ->
+        (* Both attempts guard the same build recipe: one fingerprint. *)
+        let program =
+          Fingerprint.fingerprint (w.Workload.build ()).Workload.func
+        in
         let rec go (kind, doc) rest =
-          let g = guarded doc in
+          let g = guarded ~program doc in
           match g.Pipeline.g_outcome with
           | Pipeline.Admitted ->
               let act =

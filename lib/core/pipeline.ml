@@ -378,13 +378,16 @@ let no_measure_cache ~variant f =
   f ()
 
 let run_guarded ?config ?(guard = default_guard) ?quarantine ?remap ?watchdog
-    ?crash ?(measure_cache = no_measure_cache) ~(doc : Hints_file.doc)
+    ?crash ?(measure_cache = no_measure_cache) ?program ~(doc : Hints_file.doc)
     (w : Workload.t) =
   Trace.with_span ~name:"pipeline.run-guarded"
     ~attrs:[ ("workload", w.Workload.name) ]
   @@ fun () ->
   let current =
-    Aptget_ir.Fingerprint.fingerprint (w.Workload.build ()).Workload.func
+    match program with
+    | Some fp -> fp
+    | None ->
+      Aptget_ir.Fingerprint.fingerprint (w.Workload.build ()).Workload.func
   in
   let remap_result =
     Option.map (fun rc -> Remap.run ~config:rc ~current doc) remap

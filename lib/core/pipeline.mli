@@ -187,6 +187,7 @@ val run_guarded :
   ?watchdog:Watchdog.config ->
   ?crash:Aptget_store.Crash.t ->
   ?measure_cache:(variant:string -> (unit -> measurement) -> measurement) ->
+  ?program:Aptget_ir.Fingerprint.t ->
   doc:Aptget_profile.Hints_file.doc ->
   Aptget_workloads.Workload.t ->
   guarded
@@ -211,7 +212,13 @@ val run_guarded :
     module dependency runs that way, Meas_cache on Pipeline, hence the
     callback). Exceptions from the thunk must propagate. The pinned
     baseline fallback is never routed through it, because its skip
-    records embed the run-specific veto reason. *)
+    records embed the run-specific veto reason.
+
+    [program] is [w]'s fingerprint, for a caller that already has it
+    (the serve daemon keys its measurement cache on the same value);
+    it stands for a fresh build's, so the remapper, the quarantine key
+    and [g_program] all see it. Omitted, [w] is built once to take
+    it. *)
 
 (** {2 Adaptive epoch}
 

@@ -52,8 +52,11 @@ let alloc t ~name ~words =
 let size_words t = t.next
 
 (* Cold out-of-bounds paths are split out so the bounds-checked
-   accessors below stay small enough for cross-module inlining — [get]
-   and [set] sit on the simulator's per-load/store hot path. *)
+   accessors below stay small — [get] and [set] sit on the simulator's
+   per-load/store hot path. [@inline] only inlines them within this
+   module: dune's dev profile compiles with [-opaque], so callers in
+   other libraries (the machine, the workloads) make an out-of-line
+   call; only a release build inlines across modules. *)
 let[@inline never] oob_get addr =
   invalid_arg (Printf.sprintf "Memory.get: address %d out of bounds" addr)
 

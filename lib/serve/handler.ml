@@ -35,23 +35,52 @@ let failed reason = { h_status = Wire.Failed; h_reason = reason; h_body = "" }
 
 let timed_out reason = { h_status = Wire.Timed_out; h_reason = reason; h_body = "" }
 
-(* A client-shipped program re-parses on every build: injection passes
+(* Program fingerprints of resolved workloads, one entry per name.
+   An entry answers only while [resolve] hands back the very record it
+   was taken from: the fingerprint is then that of a fresh build, as
+   build is deterministic (the measurement cache relies on the same).
+   Handlers run on pool domains, so every access holds the lock; two
+   domains missing together both build, and store the same value. *)
+let fingerprints : (string, Workload.t * Fingerprint.t) Hashtbl.t =
+  Hashtbl.create 16
+
+let fingerprints_lock = Mutex.create ()
+
+let fingerprint_of (w : Workload.t) =
+  let memo =
+    Mutex.protect fingerprints_lock (fun () ->
+        match Hashtbl.find_opt fingerprints w.Workload.name with
+        | Some (w', fp) when w' == w -> Some fp
+        | _ -> None)
+  in
+  match memo with
+  | Some fp -> fp
+  | None ->
+    let fp = Fingerprint.fingerprint (w.Workload.build ()).Workload.func in
+    Mutex.protect fingerprints_lock (fun () ->
+        Hashtbl.replace fingerprints w.Workload.name (w, fp));
+    fp
+
+(* The workload to run and a thunk for its program fingerprint. A
+   client-shipped program re-parses on every build: injection passes
    mutate the IR in place, so handing out one shared [Ir.func] would
-   leak one run's prefetches into the next. *)
+   leak one run's prefetches into the next. Its fingerprint comes from
+   its own text, never from the memo, which keys suite records. *)
 let prepare w = function
-  | None -> Ok w
+  | None -> Ok (w, fun () -> fingerprint_of w)
   | Some ir_text -> (
     match Parser.func ir_text with
     | Error e -> Error e
-    | Ok _ ->
+    | Ok func ->
       Ok
-        {
-          w with
-          Workload.build =
-            (fun () ->
-              let inst = w.Workload.build () in
-              { inst with Workload.func = Parser.func_exn ir_text });
-        })
+        ( {
+            w with
+            Workload.build =
+              (fun () ->
+                let inst = w.Workload.build () in
+                { inst with Workload.func = Parser.func_exn ir_text });
+          },
+          fun () -> Fingerprint.fingerprint func ))
 
 (* The request deadline caps the simulated stages' cycle budgets (a
    tighter base budget still wins). *)
@@ -117,7 +146,7 @@ let execute ?crash config ~(tenant : Tenant.t) (req : Wire.request) =
   | Some w -> (
     match prepare w req.Wire.program with
     | Error e -> rejected ("program: " ^ e)
-    | Ok w -> (
+    | Ok (w, fingerprint) -> (
       let watchdog = tighten config.watchdog req.Wire.deadline_cycles in
       let guard =
         match req.Wire.guard_floor with
@@ -141,11 +170,11 @@ let execute ?crash config ~(tenant : Tenant.t) (req : Wire.request) =
             in
             Profiler.to_doc ~options prof
         in
+        let program = fingerprint () in
         let measure_cache =
           match tenant.Tenant.cache with
           | None -> None
           | Some scope ->
-            let program = (Fingerprint.fingerprint (w.Workload.build ()).Workload.func).Fingerprint.program in
             (* The effective watchdog budgets — the daemon's base config
                with the request deadline folded in — are part of the
                key: a measurement taken under loose budgets must not
@@ -168,13 +197,14 @@ let execute ?crash config ~(tenant : Tenant.t) (req : Wire.request) =
             Some
               (fun ~variant f ->
                 Meas_cache.cached scope ~variant ~workload:w.Workload.name
-                  ~program ~config:config.machine ~options f)
+                  ~program:program.Fingerprint.program ~config:config.machine
+                  ~options f)
         in
         let g =
           Pipeline.run_guarded ~config:config.machine ~guard
             ~quarantine:tenant.Tenant.quarantine
             ?remap:(if req.Wire.remap then Some Remap.default_config else None)
-            ~watchdog ?crash ?measure_cache ~doc w
+            ~watchdog ?crash ?measure_cache ~program ~doc w
         in
         match g.Pipeline.g_final.Pipeline.verified with
         | Error e ->

@@ -34,7 +34,11 @@ type config = {
   guard : Aptget_core.Pipeline.guard_config;
   resolve : string -> Aptget_workloads.Workload.t option;
       (** workload lookup, {!Aptget_workloads.Suite.find} by default
-          (tests inject synthetic workloads here) *)
+          (tests inject synthetic workloads here). The program
+          fingerprint of a resolved workload is taken from one build
+          and reused for as long as [resolve] returns the same record
+          ([==]) for its name: a warm request builds nothing to
+          fingerprint it. *)
 }
 
 val default_config : config

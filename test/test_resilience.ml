@@ -406,6 +406,36 @@ let test_guard_baseline_fallback_when_aj_disabled () =
   Alcotest.(check bool) "the vetoed hints are on record" true
     (g.Pipeline.g_final.Pipeline.skipped <> [])
 
+(* A caller-supplied fingerprint of a fresh build stands in for the one
+   [run_guarded] would take itself: same record, wall time aside. *)
+let test_guard_program_argument_is_transparent () =
+  let w = micro_w () in
+  let doc, _ = profile_doc w in
+  let strip (g : Pipeline.guarded) =
+    let m (x : Pipeline.measurement) = { x with Pipeline.wall_seconds = 0. } in
+    {
+      g with
+      Pipeline.g_baseline = m g.Pipeline.g_baseline;
+      g_candidate = Option.map m g.Pipeline.g_candidate;
+      g_final = m g.Pipeline.g_final;
+    }
+  in
+  List.iter
+    (fun (tag, w) ->
+      let run ?program () =
+        strip
+          (Pipeline.run_guarded ~remap:Remap.default_config
+             ~quarantine:(Quarantine.create ()) ?program ~doc w)
+      in
+      let program =
+        Fingerprint.fingerprint (w.Workload.build ()).Workload.func
+      in
+      Alcotest.(check bool)
+        (tag ^ ": same guarded record with ~program")
+        true
+        (run () = run ~program ()))
+    [ ("fresh", w); ("collide", mutated w ~tag:"collide" collide) ]
+
 let test_guard_with_remap_recovers_mutations () =
   (* Acceptance: across the layout mutations, remapping recovers at
      least half of each mutated program's hints, and the guarded
@@ -482,5 +512,7 @@ let () =
           Alcotest.test_case "quarantines and remembers" `Quick test_guard_quarantines_and_remembers;
           Alcotest.test_case "baseline fallback" `Quick test_guard_baseline_fallback_when_aj_disabled;
           Alcotest.test_case "remap recovers mutations" `Quick test_guard_with_remap_recovers_mutations;
+          Alcotest.test_case "program argument is transparent" `Quick
+            test_guard_program_argument_is_transparent;
         ] );
     ]

@@ -847,6 +847,113 @@ let test_serve_crash_recovery () =
   Alcotest.(check bool) "steady state" true
     (r3.Server.s_frames = 0 && r3.Server.s_aborted = 0)
 
+(* ---------------- warm path: the fingerprint memo ---------------- *)
+
+(* One workload record whose builds are counted; [resolve] hands out
+   that same record every time, as [Suite.find] does. *)
+let counted () =
+  let builds = Atomic.make 0 in
+  let w = micro_w ~name:"micro-counted" () in
+  let w =
+    {
+      w with
+      Workload.build =
+        (fun () ->
+          Atomic.incr builds;
+          w.Workload.build ());
+    }
+  in
+  (w, builds)
+
+let tenant_in root id =
+  match Tenant.find_or_create (Tenant.registry ~root ()) id with
+  | Ok t -> t
+  | Error e -> Alcotest.fail e
+
+let ok_body (o : Handler.outcome) =
+  if o.Handler.h_status <> Wire.Ok_ then
+    Alcotest.failf "request failed: %s %s"
+      (Wire.status_to_string o.Handler.h_status)
+      o.Handler.h_reason;
+  o.Handler.h_body
+
+(* The [program=] field of a body's first line, and its baseline line. *)
+let program_of body =
+  let first = List.hd (String.split_on_char '\n' body) in
+  List.nth (String.split_on_char '=' first) 3
+
+let baseline_of body =
+  List.find
+    (fun l -> String.length l > 8 && String.sub l 0 8 = "baseline")
+    (String.split_on_char '\n' body)
+
+let hex_of_func f =
+  Fingerprint.hex (Fingerprint.fingerprint f).Fingerprint.program
+
+let test_warm_request_builds_nothing () =
+  with_spool @@ fun root ->
+  let w, builds = counted () in
+  let config =
+    { handler_config with Handler.resolve = (fun _ -> Some w) }
+  in
+  let tenant = tenant_in root "t-warm" in
+  let ask id =
+    ok_body
+      (Handler.run config ~tenant
+         (req ~workload:w.Workload.name ~hints:(Lazy.force micro_doc) id))
+  in
+  let cold = ask "cold" in
+  let after_cold = Atomic.get builds in
+  Alcotest.(check bool) "the cold request built" true (after_cold > 0);
+  let warm = ask "warm" in
+  Alcotest.(check int) "the warm request built nothing" after_cold
+    (Atomic.get builds);
+  Alcotest.(check string) "warm body == cold body" cold warm
+
+let test_memo_does_not_alias_programs () =
+  with_spool @@ fun root ->
+  let w = micro_w ~name:"micro-shipped" () in
+  let current = ref w in
+  let config =
+    { handler_config with Handler.resolve = (fun _ -> Some !current) }
+  in
+  let tenant = tenant_in root "t-ship" in
+  let doc = Lazy.force micro_doc in
+  let ask ?program id =
+    ok_body
+      (Handler.run config ~tenant
+         (req ~workload:w.Workload.name ~hints:doc ?program id))
+  in
+  let suite = ask "suite" in
+  let suite_func = (w.Workload.build ()).Workload.func in
+  Alcotest.(check string) "suite program= is a fresh build's"
+    (hex_of_func suite_func) (program_of suite);
+  (* the same name, shipping its own (padded) program *)
+  let shipped_func = Mutate.pad_entry (w.Workload.build ()).Workload.func in
+  let text = Printer.func_to_string shipped_func in
+  let shipped = ask ~program:text "shipped" in
+  Alcotest.(check string) "shipped program= is the shipped IR's"
+    (hex_of_func (Parser.func_exn text))
+    (program_of shipped);
+  Alcotest.(check bool) "and differs from the suite program" true
+    (program_of shipped <> program_of suite);
+  Alcotest.(check bool) "not answered from the suite's cache entry" true
+    (baseline_of shipped <> baseline_of suite);
+  Alcotest.(check string) "the suite workload still answers as before" suite
+    (ask "suite-again");
+  (* a resolve that returns a new record under the same name *)
+  current :=
+    {
+      w with
+      Workload.build =
+        (fun () ->
+          let inst = w.Workload.build () in
+          { inst with Workload.func = Mutate.pad_entry inst.Workload.func });
+    };
+  Alcotest.(check string) "a new record gets a fresh fingerprint"
+    (hex_of_func shipped_func)
+    (program_of (ask "new-record"))
+
 (* ---------------- quarantine compaction ---------------- *)
 
 let fp_of (w : Workload.t) =
@@ -1444,6 +1551,13 @@ let () =
             test_serve_duplicate_id_across_drains;
           Alcotest.test_case "kill mid-flight, recover" `Slow
             test_serve_crash_recovery;
+        ] );
+      ( "warm",
+        [
+          Alcotest.test_case "a warm request builds nothing" `Slow
+            test_warm_request_builds_nothing;
+          Alcotest.test_case "the fingerprint memo does not alias programs"
+            `Slow test_memo_does_not_alias_programs;
         ] );
       ( "quarantine",
         [
