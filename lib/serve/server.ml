@@ -90,9 +90,18 @@ let exit_code r =
   then Exit_code.Degraded
   else Exit_code.Ok_
 
+(* What one [Unix.stat] of responses.q says: size, mtime, inode. *)
+type stamp = int * float * int
+
 type t = {
   config : config;
   registry : Tenant.registry;
+  answered : (string, Wire.response) Hashtbl.t;
+      (* the answered-id index: the first recorded response for each id
+         in responses.q, malformed answers left out *)
+  mutable answered_stamp : stamp option;
+      (* responses.q as this instance last read or wrote it; the index
+         is reused while a stat still matches, reloaded otherwise *)
   mutable processed : int;
   mutable resynced : int;  (* cumulative corrupt queue regions skipped *)
   mutable salvaged : int;  (* cumulative journal records salvaged *)
@@ -117,6 +126,8 @@ let create config =
     registry =
       Tenant.registry ~root:config.spool ~breaker:config.breaker
         ~cache:config.cache ();
+    answered = Hashtbl.create 64;
+    answered_stamp = None;
     processed = 0;
     resynced = 0;
     salvaged = 0;
@@ -143,6 +154,7 @@ let salvage_counts t =
   ("journal", t.salvaged) :: from_metrics
 
 let publish t state =
+  Trace.with_span ~name:"serve.health" @@ fun () ->
   t.beat <- t.beat + 1;
   Health.write ~spool:t.config.spool ~processed:t.processed
     ~resynced:t.resynced ~salvage:(salvage_counts t) ~beat:t.beat
@@ -157,6 +169,80 @@ let responses ~spool =
   | Ok buf ->
     let s = Frame.decode_stream buf in
     Ok (List.map Wire.response_of_string s.Frame.frames)
+
+(* ---------------- the answered-id index ---------------- *)
+
+let stamp_of (st : Unix.stats) : stamp =
+  (st.Unix.st_size, st.Unix.st_mtime, st.Unix.st_ino)
+
+let no_file : stamp = (0, 0., 0)
+
+let stamp path =
+  match Transport.retry_intr (fun () -> Unix.stat path) with
+  | st -> stamp_of st
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> no_file
+
+(* First response wins. A malformed answer carries a synthetic
+   [frame-N] id that no client chose, so it answers nothing: a later
+   request that happens to use that id is new work. *)
+let add_first tbl (r : Wire.response) =
+  if r.Wire.rsp_status <> Wire.Malformed && not (Hashtbl.mem tbl r.Wire.rsp_id)
+  then Hashtbl.add tbl r.Wire.rsp_id r
+
+(* The index over responses.q, parsed only when the file is not as this
+   instance last left it: on first use, after a restart, or after an
+   outside write. An incomplete trailing frame is what a kill in the
+   middle of an append leaves; it is cut off here, before the next
+   append could bury it under whole frames. *)
+let answered_index t =
+  let path = responses_path t.config.spool in
+  let current = stamp path in
+  if t.answered_stamp <> Some current then begin
+    Metrics.incr "serve.responses.loads";
+    Hashtbl.reset t.answered;
+    let buf = match Atomic_file.read ~path with Ok b -> b | Error _ -> "" in
+    let s = Frame.decode_stream buf in
+    List.iter
+      (fun payload ->
+        match Wire.response_of_string payload with
+        | Ok r -> add_first t.answered r
+        | Error _ -> ())
+      s.Frame.frames;
+    t.answered_stamp <-
+      (match s.Frame.trailing with
+      | None -> Some current
+      | Some _ ->
+        Transport.retry_intr (fun () -> Unix.truncate path s.Frame.consumed);
+        Metrics.incr "store.salvage.responses";
+        Some (stamp path))
+  end;
+  t.answered
+
+(* One O_APPEND write: the file grows by exactly the fresh frames, so
+   its bytes stay a function of the request sequence alone. The index
+   follows the write only if the file was still as this instance last
+   left it; otherwise the next batch reloads. *)
+let append_responses t rs =
+  let path = responses_path t.config.spool in
+  let fresh =
+    String.concat ""
+      (List.map (fun r -> Frame.encode (Wire.response_to_string r)) rs)
+  in
+  let indexed = t.answered_stamp = Some (stamp path) in
+  let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path in
+  let st =
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () ->
+        output_string oc fresh;
+        flush oc;
+        Unix.fstat (Unix.descr_of_out_channel oc))
+  in
+  if indexed then begin
+    t.answered_stamp <- Some (stamp_of st);
+    List.iter (add_first t.answered) rs
+  end
+  else t.answered_stamp <- None
 
 type work = { w_order : int; w_req : Wire.request; w_tenant : Tenant.t }
 
@@ -181,14 +267,16 @@ let reject (req : Wire.request) reason =
 type processed = {
   pr_report : report;
   pr_deliveries : (int option * Wire.response) list;
+  pr_journaled : bool;  (* the journal holds records, all now settled *)
 }
 
 (* The transport-agnostic batch core: takes decoded frame payloads (in
    arrival order) plus the transport's damage accounting, and performs
    everything both transports share — journal recovery, the
    duplicate-id ledger, admission in arrival order, per-tenant
-   parallel execution, the atomic response-record append and journal
-   compaction. [ack] runs right after the responses land (the spool
+   parallel execution and the response-record append. Journal
+   compaction is left to the caller ({!compact}), after delivery.
+   [ack] runs right after the responses land (the spool
    transport truncates its consumed queue prefix there). With
    [replay], an id that already has a durable answer is re-delivered
    (not re-executed and not re-recorded) instead of rejected — the
@@ -198,7 +286,8 @@ let process ?crash ?(replay = false) ?(ack = fun () -> ()) t ~payloads ~torn
     ~resynced ~skipped_bytes =
   let cfg = t.config in
   let inflight, orphans, recovery =
-    Inflight.open_ ?crash ~path:(journal_path cfg.spool) ()
+    Trace.with_span ~name:"serve.journal.open" (fun () ->
+        Inflight.open_ ?crash ~path:(journal_path cfg.spool) ())
   in
   let journal_records = ref (recovery.Journal.records <> []) in
   let report, deliveries =
@@ -218,18 +307,9 @@ let process ?crash ?(replay = false) ?(ack = fun () -> ()) t ~payloads ~torn
      re-executed; an answered id is client id reuse — rejected on the
      spool path, replayed (idempotent retry) on the socket path. The
      first recorded response for an id is the authoritative one. *)
-  let answered : (string, Wire.response) Hashtbl.t = Hashtbl.create 16 in
-  (match Atomic_file.read ~path:(responses_path cfg.spool) with
-  | Error _ -> ()
-  | Ok b ->
-    List.iter
-      (fun payload ->
-        match Wire.response_of_string payload with
-        | Ok r ->
-          if not (Hashtbl.mem answered r.Wire.rsp_id) then
-            Hashtbl.add answered r.Wire.rsp_id r
-        | Error _ -> ())
-      (Frame.decode_stream b).Frame.frames);
+  let answered =
+    Trace.with_span ~name:"serve.index" (fun () -> answered_index t)
+  in
   (* Recovery first: every orphan gets a clean [aborted] answer, and a
      [done] record so the answer is not repeated on the next drain. *)
   let aborted_ids = Hashtbl.create 8 in
@@ -336,11 +416,12 @@ let process ?crash ?(replay = false) ?(ack = fun () -> ()) t ~payloads ~torn
   (* Journal every admission before anything runs, serially, in
      arrival order — the crash-recovery ground truth. *)
   if admitted <> [] then journal_records := true;
-  List.iter
-    (fun w ->
-      Inflight.admit inflight ~id:w.w_req.Wire.req_id
-        ~tenant:w.w_req.Wire.tenant)
-    admitted;
+  Trace.with_span ~name:"serve.journal.admit" (fun () ->
+      List.iter
+        (fun w ->
+          Inflight.admit inflight ~id:w.w_req.Wire.req_id
+            ~tenant:w.w_req.Wire.tenant)
+        admitted);
   (* Per-tenant serial groups (first-appearance order), parallel across
      tenants. An armed crash plan forces serial execution so the
      journal's write ordering — which the plan counts — is exactly the
@@ -398,11 +479,7 @@ let process ?crash ?(replay = false) ?(ack = fun () -> ()) t ~payloads ~torn
      answered with the authoritative response for their id — delivered
      to the waiting connection, never re-recorded. *)
   let by_id = Hashtbl.create 16 in
-  List.iter
-    (fun r ->
-      if not (Hashtbl.mem by_id r.Wire.rsp_id) then
-        Hashtbl.add by_id r.Wire.rsp_id r)
-    all_responses;
+  List.iter (add_first by_id) all_responses;
   List.iter
     (fun (i, req) ->
       let rsp =
@@ -434,26 +511,17 @@ let process ?crash ?(replay = false) ?(ack = fun () -> ()) t ~payloads ~torn
       Wire.Failed;
       Wire.Aborted;
     ];
-  (* Responses land with one atomic append-rewrite, and only then does
+  (* Responses land with one append to responses.q, and only then does
      the transport acknowledge the batch (the spool truncates its
      consumed queue prefix): a crash between the two duplicates work,
-     never loses it. Neither write is routed through the crash plan —
-     simulated kills target the journal, which is what recovery is
-     tested against. *)
-  if all_responses <> [] then begin
-    let existing =
-      match Atomic_file.read ~path:(responses_path cfg.spool) with
-      | Ok b -> b
-      | Error _ -> ""
-    in
-    let fresh =
-      String.concat ""
-        (List.map
-           (fun r -> Frame.encode (Wire.response_to_string r))
-           all_responses)
-    in
-    Atomic_file.write ~path:(responses_path cfg.spool) (existing ^ fresh)
-  end;
+     never loses it. A kill inside the append leaves a torn frame that
+     the next index load cuts off; the request it answered is then
+     finished in the journal with no answer, so it is re-executed.
+     Neither write is routed through the crash plan — simulated kills
+     target the journal, which is what recovery is tested against. *)
+  if all_responses <> [] then
+    Trace.with_span ~name:"serve.append" (fun () ->
+        append_responses t all_responses);
   ack ();
   t.processed <- t.processed + List.length all_responses;
   let deliveries =
@@ -482,26 +550,37 @@ let process ?crash ?(replay = false) ?(ack = fun () -> ()) t ~payloads ~torn
     },
     deliveries )
   in
-  (* The batch completed, so every record in the journal is settled:
-     each admit has its done, each orphan was answered and marked done,
-     and the responses have landed. Compact, so a long-running --watch
-     daemon does not replay an ever-growing history on every drain.
-     Duplicate-id detection does not depend on the journal: it reads
-     responses.q. A crash mid-drain raises past this point and leaves
-     the journal for the next incarnation to recover. *)
-  if !journal_records then begin
-    Journal.truncate ~path:(journal_path cfg.spool);
-    Metrics.incr "serve.journal.compactions"
-  end;
   t.resynced <- t.resynced + report.s_resynced;
   t.salvaged <- t.salvaged + report.s_salvaged;
-  { pr_report = report; pr_deliveries = deliveries }
+  {
+    pr_report = report;
+    pr_deliveries = deliveries;
+    pr_journaled = !journal_records;
+  }
+
+(* After a completed batch every record in the journal is settled:
+   each admit has its done, each orphan was answered and marked done,
+   and the responses have landed. Compact, so a long-running daemon
+   does not replay an ever-growing history on every batch. The callers
+   run this once the batch is acknowledged or delivered, so the
+   rewrite is off the answer's path; it always runs before the next
+   batch opens the journal. Duplicate-id detection does not depend on
+   the journal: it reads responses.q. A crash mid-batch raises past
+   this point and leaves the journal for the next incarnation to
+   recover; a kill between delivery and compaction leaves only settled
+   records, which recover to nothing. *)
+let compact t p =
+  if p.pr_journaled then
+    Trace.with_span ~name:"serve.compact" (fun () ->
+        Journal.truncate ~path:(journal_path t.config.spool);
+        Metrics.incr "serve.journal.compactions")
 
 (* ---------------- spool transport ---------------- *)
 
 let drain ?crash t =
   let cfg = t.config in
   Transport.mkdir_p cfg.spool;
+  Trace.with_span ~name:"serve.batch" @@ fun () ->
   publish t Health.Ready;
   Metrics.incr "serve.drains";
   let buf =
@@ -553,6 +632,7 @@ let drain ?crash t =
       ~resynced:(List.length stream.Frame.skipped)
       ~skipped_bytes:(Frame.skipped_bytes stream)
   in
+  compact t p;
   (* Re-publish after the batch so a probe between drains sees the
      damage this drain found, not just that the daemon is alive. *)
   publish t Health.Ready;
@@ -633,9 +713,13 @@ let serve_socket ?crash ?max_batches t sc =
        journal its compaction) immediately, so a client retrying into
        the restarted daemon is replayed the abort rather than hanging. *)
     let r0 =
-      (process ?crash ~replay:true t ~payloads:[] ~torn:0 ~resynced:0
-         ~skipped_bytes:0)
-        .pr_report
+      Trace.with_span ~name:"serve.batch" @@ fun () ->
+      let p =
+        process ?crash ~replay:true t ~payloads:[] ~torn:0 ~resynced:0
+          ~skipped_bytes:0
+      in
+      compact t p;
+      p.pr_report
     in
     let last_beat = ref (Clock.now ()) in
     let deliver conns p =
@@ -661,13 +745,20 @@ let serve_socket ?crash ?max_batches t sc =
         Metrics.incr "serve.batches";
         let conns = Array.of_list (List.map fst pr.Transport.p_payloads) in
         let p =
-          process ?crash ~replay:true t
-            ~payloads:(List.map snd pr.Transport.p_payloads)
-            ~torn:0 ~resynced:pr.Transport.p_resynced
-            ~skipped_bytes:pr.Transport.p_skipped_bytes
+          Trace.with_span ~name:"serve.batch" @@ fun () ->
+          let p =
+            process ?crash ~replay:true t
+              ~payloads:(List.map snd pr.Transport.p_payloads)
+              ~torn:0 ~resynced:pr.Transport.p_resynced
+              ~skipped_bytes:pr.Transport.p_skipped_bytes
+          in
+          (* answers first; the journal rewrite and the health publish
+             wait until the clients have them *)
+          deliver conns p;
+          compact t p;
+          publish t Health.Ready;
+          p
         in
-        deliver conns p;
-        publish t Health.Ready;
         last_beat := Clock.now ();
         let acc =
           combine acc

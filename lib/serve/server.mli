@@ -28,7 +28,7 @@
     admissions, run them grouped per tenant — groups in parallel on
     the domain {!Aptget_util.Pool}, requests within a group serially —
     and append every response, in arrival order, to [responses.q] with
-    one atomic write. Response bytes are therefore a function of the
+    one [O_APPEND] write. Response bytes are therefore a function of the
     request sequence alone, identical at any [--jobs] and identical
     across the two transports.
 
@@ -43,7 +43,11 @@
 
     Duplicate ids: on the spool path an id that already has a response
     in [responses.q] is rejected as a duplicate rather than
-    re-executed. On the socket path the same id is {e replayed} — the
+    re-executed. The instance keeps the answered ids in memory: the
+    file is parsed on first use and again only when a stat (size,
+    mtime, inode) no longer matches what this instance last wrote, so
+    a warm batch costs the same however many answers are recorded. A
+    [malformed] answer (synthetic id [frame-N]) answers no id. On the socket path the same id is {e replayed} — the
     recorded response is re-sent, not re-recorded and not re-executed
     — because there a duplicate is almost always a client retry after
     a torn connection, and the id doubles as an idempotency key:
@@ -55,8 +59,12 @@
     forces [jobs:1], like the campaign runner) raises mid-batch before
     the response write; the next incarnation replays the journal,
     aborts the orphans and re-executes the rest against the tenants'
-    persistent stores. After a completed batch every journal record is
-    settled, so the journal is compacted to empty. *)
+    persistent stores. A kill inside the response append leaves a torn
+    last frame; the next index load cuts it off
+    ([store.salvage.responses]) and, the journal saying done with no
+    answer, re-executes that request. After a completed batch every
+    journal record is settled, so the journal is compacted to empty —
+    after the batch is acknowledged (spool) or delivered (socket). *)
 
 type config = {
   spool : string;

@@ -16,6 +16,7 @@ module Crash = Aptget_store.Crash
 module Journal = Aptget_store.Journal
 module Atomic_file = Aptget_store.Atomic_file
 module Metrics = Aptget_obs.Metrics
+module Trace = Aptget_obs.Trace
 module Frame = Aptget_serve.Frame
 module Wire = Aptget_serve.Wire
 module Exit_code = Aptget_serve.Exit_code
@@ -116,13 +117,15 @@ let write_file path contents =
     (fun () -> output_string oc contents)
 
 (* Raw bytes straight onto the request queue: garbage, torn halves —
-   the things a well-behaved [Server.submit] never writes. *)
-let append_raw spool bytes =
+   the things a well-behaved [Server.submit] never writes. With [~file:
+   "responses.q"], what an outside writer or a kill mid-append leaves on
+   the response record. *)
+let append_raw ?(file = "requests.q") spool bytes =
   let oc =
     open_out_gen
       [ Open_append; Open_creat; Open_binary ]
       0o644
-      (Filename.concat spool "requests.q")
+      (Filename.concat spool file)
   in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc bytes)
 
@@ -143,6 +146,20 @@ let response_for spool id =
   match List.find_opt (fun r -> r.Wire.rsp_id = id) (responses_exn spool) with
   | Some r -> r
   | None -> Alcotest.failf "no response for %s" id
+
+(* Runs [f counter] with the metrics registry on and empty; [counter
+   name] reads one merged counter (0 when never bumped). *)
+let with_metrics f =
+  Metrics.enable ();
+  Metrics.reset ();
+  Fun.protect ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.reset ())
+  @@ fun () ->
+  f (fun name ->
+      match List.assoc_opt name (Metrics.snapshot ()).Metrics.counters with
+      | Some n -> n
+      | None -> 0)
 
 (* ---------------- frames ---------------- *)
 
@@ -787,6 +804,174 @@ let test_serve_duplicate_id_across_drains () =
   Alcotest.(check bool) "one Ok answer, then one rejection" true
     (a1 = [ Wire.Ok_; Wire.Rejected ])
 
+(* A malformed frame's answer carries the synthetic id [frame-N]; a
+   client may later choose that id, and its request is new work, not a
+   duplicate of the garbage. *)
+let test_serve_malformed_id_not_answered () =
+  with_spool @@ fun spool ->
+  append_raw spool (Frame.encode "this is not a wire payload");
+  let srv = Server.create (server_config spool) in
+  let r1 = Server.drain srv in
+  Alcotest.(check int) "garbage answered as malformed" 1 r1.Server.s_malformed;
+  Alcotest.(check string) "synthetic id" "frame-1"
+    (response_for spool "frame-1").Wire.rsp_id;
+  let submit_and_drain srv =
+    Server.submit ~spool
+      (Wire.Run (req ~hints:(Lazy.force micro_doc) "frame-1"));
+    Server.drain srv
+  in
+  let r2 = submit_and_drain srv in
+  Alcotest.(check bool) "the same instance runs it" true
+    (r2.Server.s_ok = 1 && r2.Server.s_rejected = 0);
+  (* a new incarnation indexes the file from scratch: the Ok answer is
+     now the one that counts *)
+  let r3 = submit_and_drain (Server.create (server_config spool)) in
+  Alcotest.(check bool) "reuse of a real answer is still rejected" true
+    (r3.Server.s_ok = 0 && r3.Server.s_rejected = 1)
+
+(* The answered-id index is parsed from responses.q once per instance,
+   not once per batch: the deterministic stand-in for "a warm batch
+   costs the same however much history is recorded". An outside write
+   changes the file's stat, and the next batch reloads and sees it. *)
+let test_serve_index_loaded_once () =
+  with_spool @@ fun spool ->
+  with_metrics @@ fun counter ->
+  let srv = Server.create (server_config spool) in
+  let batches = 6 in
+  for i = 1 to batches do
+    (* an unknown workload is answered [rejected] without simulating *)
+    Server.submit ~spool
+      (Wire.Run (req ~workload:"no-such-kernel" (Printf.sprintf "n%d" i)));
+    let r = Server.drain srv in
+    Alcotest.(check int) (Printf.sprintf "batch %d answered" i) 1
+      r.Server.s_rejected
+  done;
+  Alcotest.(check int) "responses.q parsed once" 1
+    (counter "serve.responses.loads");
+  Alcotest.(check int) "every answer recorded" batches
+    (List.length (responses_exn spool));
+  let dup_reason =
+    "request id already answered in a previous drain; use a fresh id"
+  in
+  let last_reason id =
+    (List.hd
+       (List.rev
+          (List.filter (fun r -> r.Wire.rsp_id = id) (responses_exn spool))))
+      .Wire.rsp_reason
+  in
+  Server.submit ~spool (Wire.Run (req ~workload:"no-such-kernel" "n3"));
+  ignore (Server.drain srv);
+  Alcotest.(check string) "an appended id is a duplicate, from memory"
+    dup_reason (last_reason "n3");
+  Alcotest.(check int) "still parsed once" 1 (counter "serve.responses.loads");
+  append_raw ~file:"responses.q" spool
+    (Frame.encode
+       (Wire.response_to_string
+          {
+            Wire.rsp_id = "outside-1";
+            rsp_tenant = "t-a";
+            rsp_status = Wire.Ok_;
+            rsp_reason = "";
+            rsp_body = "written by another process";
+          }));
+  Server.submit ~spool (Wire.Run (req ~workload:"no-such-kernel" "outside-1"));
+  ignore (Server.drain srv);
+  Alcotest.(check int) "the outside write forced a reload" 2
+    (counter "serve.responses.loads");
+  Alcotest.(check string) "the outside answer is seen as a duplicate"
+    dup_reason (last_reason "outside-1")
+
+(* A kill inside the response append: the journal says done, the answer
+   is half a frame. The next drain cuts the half frame off, re-executes
+   the request, and leaves a record that decodes whole. *)
+let test_serve_torn_response_tail () =
+  with_spool @@ fun spool ->
+  with_metrics @@ fun counter ->
+  let doc = Lazy.force micro_doc in
+  Server.submit ~spool (Wire.Run (req ~hints:doc "r0"));
+  ignore (Server.drain (Server.create (server_config spool)));
+  Server.submit ~spool (Wire.Run (req ~hints:doc "r1"));
+  let j, _, _ =
+    Inflight.open_ ~path:(Filename.concat spool "serve.journal") ()
+  in
+  Inflight.admit j ~id:"r1" ~tenant:"t-a";
+  Inflight.finish j ~id:"r1" ~status:"ok";
+  Inflight.close j;
+  let lost =
+    Frame.encode
+      (Wire.response_to_string
+         { (response_for spool "r0") with Wire.rsp_id = "r1" })
+  in
+  append_raw ~file:"responses.q" spool
+    (String.sub lost 0 (String.length lost / 2));
+  let r = Server.drain (Server.create (server_config spool)) in
+  Alcotest.(check int) "re-executed as crash recovery" 1 r.Server.s_resumed;
+  Alcotest.(check int) "answered ok" 1 r.Server.s_ok;
+  let s =
+    Frame.decode_stream (read_file (Filename.concat spool "responses.q"))
+  in
+  Alcotest.(check int) "no skipped regions" 0 (List.length s.Frame.skipped);
+  Alcotest.(check bool) "no torn tail" true (s.Frame.trailing = None);
+  Alcotest.(check (list string)) "one answer each" [ "r0"; "r1" ]
+    (List.map (fun x -> x.Wire.rsp_id) (responses_exn spool));
+  Alcotest.(check int) "store.salvage.responses" 1
+    (counter "store.salvage.responses");
+  match Health.read ~spool with
+  | Error e -> Alcotest.fail e
+  | Ok h ->
+    Alcotest.(check (option int)) "health file reports the repair" (Some 1)
+      (List.assoc_opt "responses" h.Health.i_salvage)
+
+(* Tracing splits a batch into the daemon's own stages and changes no
+   response byte. *)
+let test_serve_batch_spans () =
+  with_spool @@ fun plain ->
+  with_spool @@ fun traced ->
+  let run spool =
+    Server.submit ~spool (Wire.Run (req ~hints:(Lazy.force micro_doc) "s1"));
+    ignore (Server.drain (Server.create (server_config spool)))
+  in
+  run plain;
+  Trace.reset ();
+  Trace.enable ();
+  let spans =
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.disable ();
+        Trace.reset ())
+      (fun () ->
+        run traced;
+        Trace.spans ())
+  in
+  Alcotest.(check string) "responses byte-identical with tracing on"
+    (read_file (Filename.concat plain "responses.q"))
+    (read_file (Filename.concat traced "responses.q"));
+  let batch =
+    match List.filter (fun sp -> sp.Trace.name = "serve.batch") spans with
+    | [ b ] -> b
+    | l -> Alcotest.failf "%d serve.batch spans" (List.length l)
+  in
+  let children =
+    List.filter_map
+      (fun sp ->
+        if sp.Trace.parent = Some batch.Trace.id then Some sp.Trace.name
+        else None)
+      spans
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is a child of serve.batch") true
+        (List.mem name children))
+    [
+      "serve.journal.open";
+      "serve.index";
+      "serve.journal.admit";
+      "serve.request";
+      "serve.append";
+      "serve.compact";
+      "serve.health";
+    ]
+
 (* ---------------- server: kill mid-flight, recover ---------------- *)
 
 let test_serve_crash_recovery () =
@@ -1009,18 +1194,7 @@ let test_quarantine_compact_atomic_under_crash () =
 
 let test_salvage_metrics () =
   with_spool @@ fun dir ->
-  Metrics.enable ();
-  Metrics.reset ();
-  Fun.protect ~finally:(fun () ->
-      Metrics.disable ();
-      Metrics.reset ())
-  @@ fun () ->
-  let counter name =
-    let snap = Metrics.snapshot () in
-    match List.assoc_opt name snap.Metrics.counters with
-    | Some n -> n
-    | None -> 0
-  in
+  with_metrics @@ fun counter ->
   let jp = Filename.concat dir "journal" in
   write_file jp "# aptget journal v1\nthis line is bit-rot\n";
   let t, _, recovery = Inflight.open_ ~path:jp () in
@@ -1457,6 +1631,32 @@ let test_socket_faulty_clients_exactly_once () =
         (List.length (List.filter (fun r -> r.Wire.rsp_id = id) rs)))
     ids
 
+(* Socket twin of the spool test: the malformed answer under [frame-1]
+   is not replayed to a client that later sends a real [frame-1]. *)
+let test_socket_malformed_id_not_answered () =
+  with_spool @@ fun spool ->
+  let (), report =
+    with_socket_server spool (fun addr ->
+        let fd = raw_connect addr in
+        raw_send fd (Frame.encode "this is not a wire payload");
+        let r = raw_read_response fd in
+        Unix.close fd;
+        Alcotest.(check string) "garbage answered under a synthetic id"
+          "frame-1" r.Wire.rsp_id;
+        Alcotest.(check string) "as malformed"
+          (Wire.status_to_string Wire.Malformed)
+          (Wire.status_to_string r.Wire.rsp_status);
+        let c = Client.create (Client.default_config (Client.Socket addr)) in
+        match Client.call c (req "frame-1") with
+        | Error e -> Alcotest.failf "frame-1: %s" e
+        | Ok o ->
+          Alcotest.(check string) "the real request runs"
+            (Wire.status_to_string Wire.Ok_)
+            (Wire.status_to_string o.Client.response.Wire.rsp_status))
+  in
+  Alcotest.(check int) "executed, not replayed" 1 report.Server.s_ok;
+  Alcotest.(check int) "no replay" 0 report.Server.s_replayed
+
 (* Garbage ending in a partial "APT" magic prefix: the daemon consumes
    the garbage, holds the prefix back, and reassembles the frame when
    the rest arrives. *)
@@ -1551,6 +1751,14 @@ let () =
             test_serve_duplicate_id_across_drains;
           Alcotest.test_case "kill mid-flight, recover" `Slow
             test_serve_crash_recovery;
+          Alcotest.test_case "a malformed answer's id is not answered" `Slow
+            test_serve_malformed_id_not_answered;
+          Alcotest.test_case "the answered-id index is loaded once" `Slow
+            test_serve_index_loaded_once;
+          Alcotest.test_case "a torn response tail is cut and re-run" `Slow
+            test_serve_torn_response_tail;
+          Alcotest.test_case "batch spans, responses unchanged by tracing"
+            `Slow test_serve_batch_spans;
         ] );
       ( "warm",
         [
@@ -1596,5 +1804,7 @@ let () =
             `Slow test_socket_faulty_clients_exactly_once;
           Alcotest.test_case "split magic across reads reassembles" `Slow
             test_socket_magic_holdback;
+          Alcotest.test_case "a malformed answer's id is not replayed" `Slow
+            test_socket_malformed_id_not_answered;
         ] );
     ]
