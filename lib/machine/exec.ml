@@ -1,10 +1,11 @@
 (* Shared substrate of the two simulator engines (the interpreter in
    Machine and the closure-compiled engine in Compiled): configuration,
-   run state, value semantics, fuses and execution windows. Both
-   engines must charge through the definitions here so their cycle
-   accounting stays byte-identical. *)
+   run state, value semantics, fuses, execution windows and the event
+   horizon. Both engines must charge through the definitions here so
+   their cycle accounting stays byte-identical. *)
 
 module Hierarchy = Aptget_cache.Hierarchy
+module Sampler = Aptget_pmu.Sampler
 
 type core_model = Blocking | Stall_on_use of { window : int }
 
@@ -68,9 +69,9 @@ type state = {
 
 (* ------------------------------------------------------------------ *)
 (* Execution windows: periodic counter-delta snapshots for online      *)
-(* drift detection. The hook fires from the charge/issue path, so the  *)
-(* window-less variants stay byte-identical to the pre-window          *)
-(* engines.                                                            *)
+(* drift detection. [tick] runs after every charge of the interpreter  *)
+(* and, through the event horizon below, whenever the compiled engine  *)
+(* reaches [next_tick].                                                *)
 (* ------------------------------------------------------------------ *)
 
 type window_report = {
@@ -81,9 +82,16 @@ type window_report = {
   w_counters : Hierarchy.counters;
 }
 
-(* Returns [(tick, finish)]: [tick st] fires [on_window] whenever the
-   cycle clock crosses the next window boundary; [finish st] flushes
-   the trailing partial window (if any activity happened since the last
+type windowing = {
+  tick : state -> unit;
+  next_tick : unit -> int;
+  finish : state -> unit;
+}
+
+(* [tick st] fires [on_window] whenever the cycle clock reaches the
+   next window boundary ([next_tick ()]), then moves the boundary one
+   window past the current cycle; [finish st] flushes the trailing
+   partial window (if any activity happened since the last
    boundary). *)
 let make_windowing ~hier ~window_cycles ~on_window =
   let next = ref window_cycles in
@@ -113,7 +121,53 @@ let make_windowing ~hier ~window_cycles ~on_window =
     end
   in
   let finish (st : state) = if st.cycle > !prev_cycle then emit st in
-  (tick, finish)
+  { tick; next_tick = (fun () -> !next); finish }
+
+(* ------------------------------------------------------------------ *)
+(* Event horizon                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every per-charge event of a run fires once the cycle clock reaches a
+   known cycle: the deadline at [max_cycles + 1], the next LBR snapshot
+   at [Sampler.next_due], the next window boundary at [next_tick]. The
+   horizon is the earliest of them. A core compares each charge's
+   cycle against it and calls [service] only when it is reached;
+   [service] runs the interpreter's per-charge hooks in its order and
+   re-reads the horizon. The hooks are no-ops before their own due
+   cycle, so servicing early is harmless, and each due cycle only
+   moves forward during a run, so a horizon read at the start of a
+   run and after every service is never late. *)
+type horizon = {
+  mutable at : int;
+  h_config : config;
+  h_sampler : Sampler.t option;
+  h_windowing : windowing option;
+}
+
+let next_event h =
+  let at =
+    let m = h.h_config.max_cycles in
+    if m > 0 && m < max_int then m + 1 else max_int
+  in
+  let at =
+    match h.h_sampler with Some s -> min at (Sampler.next_due s) | None -> at
+  in
+  match h.h_windowing with Some w -> min at (w.next_tick ()) | None -> at
+
+let make_horizon config ~sampler ~windowing =
+  let h =
+    { at = 0; h_config = config; h_sampler = sampler; h_windowing = windowing }
+  in
+  h.at <- next_event h;
+  h
+
+let service h st =
+  check_deadline h.h_config st.cycle;
+  (match h.h_sampler with
+  | Some s -> Sampler.on_cycle s ~cycle:st.cycle
+  | None -> ());
+  (match h.h_windowing with Some w -> w.tick st | None -> ());
+  h.at <- next_event h
 
 let bind_params (f : Ir.func) regs args =
   (* Walk params and args in lockstep; extra args are ignored, missing

@@ -488,7 +488,7 @@ let make_stepper ?(config = default_config) ?engine ?hierarchy ?sampler
       Some (Exec.make_windowing ~hier ~window_cycles:w ~on_window:fn)
     | _ -> None
   in
-  let wtick = Option.map fst windowing in
+  let wtick = Option.map (fun w -> w.Exec.tick) windowing in
   let regs = Array.make (max 1 f.Ir.next_reg) 0 in
   Exec.bind_params f regs args;
   let plan = Compile.plan f in
@@ -500,11 +500,11 @@ let make_stepper ?(config = default_config) ?engine ?hierarchy ?sampler
       stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
         ~plan f
     | Compiled, Blocking ->
-      Compiled.stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs ~plan
-        f
+      Compiled.stepper_blocking ~config ~hier ~sampler ~windowing ~mem ~regs
+        ~plan f
     | Compiled, Stall_on_use { window } ->
-      Compiled.stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs
-        ~window ~plan f
+      Compiled.stepper_stall_on_use ~config ~hier ~sampler ~windowing ~mem
+        ~regs ~window ~plan f
   in
   let finished = ref false in
   let outcome = ref None in
@@ -517,7 +517,7 @@ let make_stepper ?(config = default_config) ?engine ?hierarchy ?sampler
     match !outcome with
     | Some o -> o
     | None ->
-      (match windowing with Some (_, finish) -> finish st | None -> ());
+      (match windowing with Some w -> w.Exec.finish st | None -> ());
       let o =
         {
           cycles = st.Exec.cycle;

@@ -6,9 +6,11 @@
     and raise points):
 
     - {!Compiled} (the default): a one-time pass lowers each basic
-      block into an array of OCaml closures with operand shapes, layout
-      PCs and sampler hooks pre-resolved; unsampled runs additionally
-      batch pure ALU runs. About 3-4x faster than the interpreter on
+      block into one OCaml closure with operand shapes, layout PCs,
+      sampler hooks and the phi moves of each edge pre-resolved, and
+      batches pure ALU runs in every run, sampled, windowed or
+      deadlined ones included (event-horizon accounting, see
+      {!Exec.horizon}). About 3-4x faster than the interpreter on
       ALU-bound code and 1.2-1.6x on load-bound code.
     - {!Interp}: the original match-dispatch interpreter, kept as the
       differential oracle ([--engine interp] in the CLI and bench; the

@@ -81,13 +81,15 @@ let take_lbr_sample t ~cycle =
     t.next_lbr_sample <- t.next_lbr_sample + period
   done
 
-(* Batch-friendly: the core calls this once per [charge], however many
-   cycles the charge covered; crossing a boundary (or several) yields
-   one sample at the post-advance cycle, so per-instruction and
-   per-batch ticking observe identical sample streams. The not-due
-   fast path is a single compare. *)
+(* The horizon contract: [on_cycle] acts only once [cycle] reaches
+   [next_due], so a core may skip every call before that; a charge of
+   several cycles that crosses one boundary or more yields one sample
+   at the post-advance cycle. [next_due] only moves forward, except
+   through [reset]. *)
 let[@inline] on_cycle t ~cycle =
   if cycle >= t.next_lbr_sample then take_lbr_sample t ~cycle
+
+let next_due t = t.next_lbr_sample
 
 let on_llc_miss t ~load_pc ~cycle =
   t.miss_count <- t.miss_count + 1;

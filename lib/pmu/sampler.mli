@@ -51,8 +51,17 @@ val on_branch : t -> branch_pc:int -> target_pc:int -> cycle:int -> unit
 
 val on_cycle : t -> cycle:int -> unit
 (** Called by the core as time advances; takes an LBR snapshot whenever
-    a period boundary is crossed. Under faults a due snapshot may be
-    throttled, dropped or truncated. *)
+    a period boundary is crossed (one snapshot at [cycle], however many
+    boundaries the last charge crossed). Under faults a due snapshot may
+    be throttled, dropped or truncated. It does nothing while
+    [cycle < next_due t], so a core need only call it once the clock
+    reaches {!next_due}. *)
+
+val next_due : t -> int
+(** The cycle of the next LBR snapshot: a lower bound below which
+    {!on_cycle} takes none. It only moves forward (past the cycle of
+    each snapshot) until the next {!reset}, so a core may read it at
+    the start of a run and again after each {!on_cycle}. *)
 
 val on_llc_miss : t -> load_pc:int -> cycle:int -> unit
 (** Called by the core on every demand LLC miss; subsamples into the

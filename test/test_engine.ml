@@ -2,12 +2,14 @@
 
    The compiled engine must be byte-identical to the reference
    interpreter: same cycles, instrs, loads, prefetches and return
-   value; same sampler LBR/PEBS tallies; and the same exception
-   payloads ([Fuse_blown], [Deadline_blown], watchdog timeouts) raised
-   at the same instruction/cycle. *)
+   value; same sampler LBR/PEBS tallies and fault stats; same window
+   reports; and the same exception payloads ([Fuse_blown],
+   [Deadline_blown], watchdog timeouts, missing phi edges) raised at
+   the same instruction/cycle. *)
 
 module Machine = Aptget_machine.Machine
 module Sampler = Aptget_pmu.Sampler
+module Faults = Aptget_pmu.Faults
 module Lbr = Aptget_pmu.Lbr
 module Watchdog = Aptget_core.Watchdog
 
@@ -22,17 +24,37 @@ type run = {
   lbr : (int * (int * int * int) list) list;
   delinquent : (int * int) list;
   misses : int;
+  fault_stats : Faults.stats option;
+  windows : Machine.window_report list;
 }
 
-let run_with ~engine ?config ?(sample = false) f =
-  let mem, base = Branchy.fresh_mem () in
-  let sampler =
-    if sample then
-      Some (Sampler.create ~lbr_period:500 ~pebs_period:2 ())
-    else None
+let make_sampler ?faults ?(lbr_period = 500) () =
+  let faults =
+    Option.map
+      (fun seed -> Faults.create { Faults.default_faulty with Faults.seed })
+      faults
   in
+  Sampler.create ~lbr_period ~pebs_period:2 ?faults ()
+
+let lbr_of s =
+  List.map
+    (fun (smp : Sampler.lbr_sample) ->
+      ( smp.Sampler.at_cycle,
+        Array.to_list smp.Sampler.entries
+        |> List.map (fun (e : Lbr.entry) ->
+               (e.Lbr.branch_pc, e.Lbr.target_pc, e.Lbr.cycle)) ))
+    (Sampler.lbr_samples s)
+
+(* [sampler] is used as given, so a caller can carry one across runs. *)
+let run_with ~engine ?config ?sampler ?window_cycles f =
+  let mem, base = Branchy.fresh_mem () in
+  let windows = ref [] in
+  let on_window w = windows := w :: !windows in
   let outcome, failure =
-    match Machine.execute ?config ~engine ?sampler ~args:[ base; 7 ] ~mem f with
+    match
+      Machine.execute ?config ~engine ?sampler ?window_cycles ~on_window
+        ~args:[ base; 7 ] ~mem f
+    with
     | o ->
       ( Some
           ( o.Machine.cycles,
@@ -46,21 +68,24 @@ let run_with ~engine ?config ?(sample = false) f =
     | exception Machine.Deadline_blown { cycles; limit } ->
       (None, Some (Printf.sprintf "Deadline_blown %d/%d" cycles limit))
   in
-  let lbr, delinquent, misses =
+  let lbr, delinquent, misses, fault_stats =
     match sampler with
-    | None -> ([], [], 0)
+    | None -> ([], [], 0, None)
     | Some s ->
-      ( List.map
-          (fun (smp : Sampler.lbr_sample) ->
-            ( smp.Sampler.at_cycle,
-              Array.to_list smp.Sampler.entries
-              |> List.map (fun (e : Lbr.entry) ->
-                     (e.Lbr.branch_pc, e.Lbr.target_pc, e.Lbr.cycle)) ))
-          (Sampler.lbr_samples s),
+      ( lbr_of s,
         Sampler.delinquent_loads s,
-        Sampler.miss_samples s )
+        Sampler.miss_samples s,
+        Sampler.fault_stats s )
   in
-  { outcome; failure; lbr; delinquent; misses }
+  {
+    outcome;
+    failure;
+    lbr;
+    delinquent;
+    misses;
+    fault_stats;
+    windows = List.rev !windows;
+  }
 
 let check_identical what runs =
   match runs with
@@ -75,11 +100,22 @@ let check_identical what runs =
         Alcotest.(check bool)
           (ctx ^ " delinquent") true
           (r0.delinquent = r.delinquent);
-        Alcotest.(check int) (ctx ^ " misses") r0.misses r.misses)
+        Alcotest.(check int) (ctx ^ " misses") r0.misses r.misses;
+        Alcotest.(check bool)
+          (ctx ^ " fault stats") true
+          (r0.fault_stats = r.fault_stats);
+        Alcotest.(check bool) (ctx ^ " windows") true (r0.windows = r.windows))
       rest
 
-let all_engines ?config ?sample f =
-  List.map (fun e -> (e, run_with ~engine:e ?config ?sample f)) engines
+(* [sampler] makes a fresh sampler for each engine's run. *)
+let all_engines ?config ?sampler ?window_cycles f =
+  List.map
+    (fun e ->
+      let sampler = Option.map (fun mk -> mk ()) sampler in
+      (e, run_with ~engine:e ?config ?sampler ?window_cycles f))
+    engines
+
+let default_sampler () = make_sampler ()
 
 (* ---------------- pinned parity tests ---------------- *)
 
@@ -111,14 +147,14 @@ let test_one_block_per_step () =
 
 let test_sampler_parity () =
   let f = Branchy.kernel ~n:1500 ~stride:29 ~with_prefetch:false ~with_store:false () in
-  check_identical "sampler" (all_engines ~sample:true f)
+  check_identical "sampler" (all_engines ~sampler:default_sampler f)
 
 let test_stall_on_use_parity () =
   let f = Branchy.kernel ~n:1200 ~stride:13 ~with_prefetch:true ~with_store:true () in
   check_identical "stall-on-use"
     (all_engines ~config:(Machine.stall_on_use_config ()) f);
   check_identical "stall-on-use sampled"
-    (all_engines ~config:(Machine.stall_on_use_config ()) ~sample:true f)
+    (all_engines ~config:(Machine.stall_on_use_config ()) ~sampler:default_sampler f)
 
 let test_fuse_parity () =
   let f = Branchy.kernel ~n:100_000 ~stride:7 ~with_prefetch:false ~with_store:false () in
@@ -160,7 +196,9 @@ let test_deadline_parity () =
     [ `Blocking; `Sou ]
 
 (* The watchdog's cycle budget is enforced through the same machine
-   fuse; its [t_spent] must name the same cycle under every engine. *)
+   fuse; its [t_spent] must name the same cycle under every engine.
+   The closure switches the process-wide engine, so it is restored
+   however the test ends. *)
 let test_watchdog_parity () =
   let f = Branchy.kernel ~n:100_000 ~stride:11 ~with_prefetch:false ~with_store:false () in
   let wd_config =
@@ -169,6 +207,9 @@ let test_watchdog_parity () =
       Watchdog.measure_budget = { Watchdog.max_cycles = 40_000; max_steps = 0 };
     }
   in
+  let prev = Machine.default_engine () in
+  Fun.protect ~finally:(fun () -> Machine.set_default_engine prev)
+  @@ fun () ->
   let spent =
     List.map
       (fun engine ->
@@ -188,37 +229,230 @@ let test_watchdog_parity () =
           t.Watchdog.t_spent)
       engines
   in
-  (match spent with
+  match spent with
   | a :: rest ->
     List.iter (fun b -> Alcotest.(check int) "watchdog t_spent" a b) rest
-  | [] -> ());
-  Machine.set_default_engine Machine.Compiled
+  | [] -> ()
+
+let cores =
+  [
+    ("blocking", Machine.default_config);
+    ("stall-on-use", Machine.stall_on_use_config ());
+  ]
+
+(* Window reports are part of what an engine run observes: online
+   drift detection reads them. Every field must match, on both cores,
+   with and without a sampler. *)
+let test_window_parity () =
+  let f = Branchy.kernel ~n:1500 ~stride:23 ~with_prefetch:true ~with_store:true () in
+  List.iter
+    (fun (name, config) ->
+      List.iter
+        (fun sampled ->
+          let sampler = if sampled then Some default_sampler else None in
+          let runs = all_engines ~config ?sampler ~window_cycles:4_001 f in
+          check_identical ("windows " ^ name) runs;
+          List.iter
+            (fun (_, r) ->
+              Alcotest.(check bool)
+                (name ^ ": several windows") true
+                (List.length r.windows > 3))
+            runs)
+        [ false; true ])
+    cores
+
+(* Online re-profiling carries one sampler across epochs and re-arms
+   it with [Sampler.reset ~epoch_cycle] in between. Each run must read
+   the sampler's due cycle afresh: the second run starts at cycle 0
+   while the first left the sampler due far past it. *)
+let test_sampler_reuse () =
+  let f = Branchy.kernel ~n:1200 ~stride:19 ~with_prefetch:true ~with_store:false () in
+  List.iter
+    (fun (name, config) ->
+      List.iter
+        (fun faults ->
+          let two_runs engine =
+            let s = make_sampler ?faults ~lbr_period:700 () in
+            let r1 = run_with ~engine ~config ~sampler:s f in
+            Sampler.reset ~epoch_cycle:123 s;
+            let r2 = run_with ~engine ~config ~sampler:s f in
+            (r1, r2)
+          in
+          let i1, i2 = two_runs Machine.Interp in
+          let c1, c2 = two_runs Machine.Compiled in
+          Alcotest.(check bool)
+            (name ^ ": second run sampled") true (i2.lbr <> []);
+          Alcotest.(check bool)
+            (name ^ ": first sample of the second run at 823 or later") true
+            (match i2.lbr with (at, _) :: _ -> at >= 823 | [] -> false);
+          check_identical (name ^ " first run")
+            [ (Machine.Interp, i1); (Machine.Compiled, c1) ];
+          check_identical (name ^ " second run")
+            [ (Machine.Interp, i2); (Machine.Compiled, c2) ])
+        [ None; Some 5 ])
+    cores
+
+(* A phi with no edge from the block a branch came from. The
+   interpreter raises at the start of the step that enters the phi's
+   block, after the branch was charged and recorded; the compiled
+   engine must raise the same message in the same step. *)
+let test_missing_phi_edge () =
+  let f = Branchy.kernel ~n:400 ~stride:17 ~with_prefetch:false ~with_store:false () in
+  (* The diamond's join is the one block with a single phi (the loop
+     header carries one per loop variable); drop its edge from the
+     second arm. *)
+  let join =
+    let rec find b =
+      match f.Ir.blocks.(b).Ir.phis with [ _ ] -> b | _ -> find (b + 1)
+    in
+    find 0
+  in
+  let dropped =
+    match f.Ir.blocks.(join).Ir.phis with
+    | [ ({ Ir.incoming = [ kept; (gone, _) ]; _ } as p) ] ->
+      f.Ir.blocks.(join).Ir.phis <- [ { p with Ir.incoming = [ kept ] } ];
+      gone
+    | _ -> Alcotest.fail "expected a join phi with two incoming edges"
+  in
+  let expected =
+    match Compile.missing_phi_edge f ~cur:join ~prev:dropped with
+    | _ -> assert false
+    | exception Invalid_argument m -> m
+  in
+  List.iter
+    (fun (name, config) ->
+      List.iter
+        (fun sampled ->
+          let stepper engine =
+            let mem, base = Branchy.fresh_mem () in
+            let sampler = if sampled then Some (default_sampler ()) else None in
+            ( Machine.make_stepper ~config ~engine ?sampler ~args:[ base; 7 ]
+                ~mem f,
+              sampler )
+          in
+          let i, si = stepper Machine.Interp in
+          let c, sc = stepper Machine.Compiled in
+          let ring = Option.map (fun s -> Lbr.snapshot (Sampler.lbr s)) in
+          let step sp =
+            match sp.Machine.sp_step () with
+            | more -> Ok more
+            | exception Invalid_argument m -> Error m
+          in
+          let rec run steps =
+            let ri = step i and rc = step c in
+            if ri <> rc then
+              Alcotest.failf "%s step %d: engines disagree" name steps;
+            if i.Machine.sp_cycle () <> c.Machine.sp_cycle () then
+              Alcotest.failf "%s step %d: interp cycle %d, compiled cycle %d"
+                name steps (i.Machine.sp_cycle ()) (c.Machine.sp_cycle ());
+            match ri with
+            | Ok true -> run (steps + 1)
+            | Ok false -> Alcotest.failf "%s: ran to completion" name
+            | Error m ->
+              Alcotest.(check string) (name ^ " message") expected m;
+              Alcotest.(check bool)
+                (name ^ ": same LBR ring at the raise") true
+                (ring si = ring sc);
+              steps
+          in
+          Alcotest.(check bool) (name ^ ": raised after the entry step") true
+            (run 1 > 2))
+        [ false; true ])
+    cores
 
 (* ---------------- property: mutate-derived programs ---------------- *)
 
 (* Random structural mutations (entry padding, dead code, block
-   splits) over randomly parameterized kernels; every engine must
-   agree on the full observable tuple and the sampler tallies. *)
+   splits) over randomly parameterized kernels, run on both cores with
+   randomly placed events: an LBR period as short as one cycle (under
+   the default fault mix or clean), a window length, an odd cycle
+   deadline and an instruction fuse. Events land inside ALU batches,
+   so every crossing must be serviced at its exact cycle, and none
+   past a fuse blow. Every engine must agree on everything a run
+   observes. *)
+type case = {
+  n : int;
+  stride : int;
+  mutations : int;
+  salt : int;
+  lbr_period : int option;
+  fault_seed : int option;
+  window_cycles : int option;
+  max_cycles : int;
+  fuse : int option;
+}
+
+let case_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 400 in
+    let* stride = int_range 1 64 in
+    let* mutations = int_range 0 3 in
+    let* salt = small_int in
+    let* lbr_period = opt (oneofl [ 1; 2; 3; 7; 61; 500 ]) in
+    let* fault_seed = opt small_int in
+    let* window_cycles = opt (int_range 1 3_000) in
+    let* max_cycles =
+      oneof [ return 0; map (fun k -> (2 * k) + 1) (int_range 0 6_000) ]
+    in
+    let+ fuse = opt (int_range 1 8_000) in
+    {
+      n;
+      stride;
+      mutations;
+      salt;
+      lbr_period;
+      fault_seed;
+      window_cycles;
+      max_cycles;
+      fuse;
+    })
+
+let case_print c =
+  let o = function None -> "-" | Some v -> string_of_int v in
+  Printf.sprintf
+    "n=%d stride=%d mutations=%d salt=%d lbr_period=%s fault_seed=%s \
+     window_cycles=%s max_cycles=%d fuse=%s"
+    c.n c.stride c.mutations c.salt (o c.lbr_period) (o c.fault_seed)
+    (o c.window_cycles) c.max_cycles (o c.fuse)
+
 let prop_mutated_programs =
   QCheck.Test.make ~name:"engines agree on mutated programs" ~count:30
-    QCheck.(
-      quad (int_range 1 400) (int_range 1 64) (int_range 0 3) small_int)
-    (fun (n, stride, mutations, salt) ->
+    ~long_factor:20
+    (QCheck.make ~print:case_print case_gen)
+    (fun c ->
       let f =
-        Branchy.kernel ~n ~stride
-          ~with_prefetch:(salt land 1 = 0)
-          ~with_store:(salt land 2 = 0)
+        Branchy.kernel ~n:c.n ~stride:c.stride
+          ~with_prefetch:(c.salt land 1 = 0)
+          ~with_store:(c.salt land 2 = 0)
           ()
       in
-      let f = if mutations land 1 <> 0 then Mutate.pad_entry f else f in
+      let f = if c.mutations land 1 <> 0 then Mutate.pad_entry f else f in
       let f =
-        if mutations land 2 <> 0 then Mutate.split_all ~min_instrs:2 f else f
+        if c.mutations land 2 <> 0 then Mutate.split_all ~min_instrs:2 f else f
       in
       Verify.check_exn f;
-      let runs = all_engines ~sample:(salt land 4 = 0) f in
-      match runs with
-      | [] -> true
-      | (_, r0) :: rest -> List.for_all (fun (_, r) -> r = r0) rest)
+      let sampler =
+        Option.map
+          (fun lbr_period () ->
+            make_sampler ?faults:c.fault_seed ~lbr_period ())
+          c.lbr_period
+      in
+      List.for_all
+        (fun (_, core) ->
+          let config =
+            {
+              core with
+              Machine.max_cycles = c.max_cycles;
+              max_instructions =
+                Option.value c.fuse ~default:core.Machine.max_instructions;
+            }
+          in
+          match
+            all_engines ~config ?sampler ?window_cycles:c.window_cycles f
+          with
+          | [] -> true
+          | (_, r0) :: rest -> List.for_all (fun (_, r) -> r = r0) rest)
+        cores)
 
 let () =
   Alcotest.run "engine"
@@ -234,6 +468,10 @@ let () =
           Alcotest.test_case "fuse parity" `Quick test_fuse_parity;
           Alcotest.test_case "deadline parity" `Quick test_deadline_parity;
           Alcotest.test_case "watchdog parity" `Quick test_watchdog_parity;
+          Alcotest.test_case "window parity" `Quick test_window_parity;
+          Alcotest.test_case "sampler reuse across runs" `Quick
+            test_sampler_reuse;
+          Alcotest.test_case "missing phi edge" `Quick test_missing_phi_edge;
           QCheck_alcotest.to_alcotest prop_mutated_programs;
         ] );
     ]

@@ -72,6 +72,22 @@ let test_sampler_lbr_period () =
   Sampler.on_cycle s ~cycle:205;
   Alcotest.(check int) "next period" 2 (List.length (Sampler.lbr_samples s))
 
+(* The compiled engine's event horizon reads [next_due]: it must be
+   the first cycle at which [on_cycle] samples, move past each sample,
+   and restart from the epoch on [reset]. *)
+let test_sampler_next_due () =
+  let s = Sampler.create ~lbr_period:100 () in
+  Alcotest.(check int) "first due" 100 (Sampler.next_due s);
+  Sampler.on_cycle s ~cycle:99;
+  Alcotest.(check int) "nothing before due" 0 (List.length (Sampler.lbr_samples s));
+  Sampler.on_cycle s ~cycle:100;
+  Alcotest.(check int) "sampled at due" 1 (List.length (Sampler.lbr_samples s));
+  Alcotest.(check int) "moves one period on" 200 (Sampler.next_due s);
+  Sampler.on_cycle s ~cycle:437;
+  Alcotest.(check int) "moves past a long stall" 500 (Sampler.next_due s);
+  Sampler.reset ~epoch_cycle:40 s;
+  Alcotest.(check int) "reset restarts at the epoch" 140 (Sampler.next_due s)
+
 let test_sampler_long_stall_one_sample () =
   let s = Sampler.create ~lbr_period:100 () in
   Sampler.on_cycle s ~cycle:1_000;
@@ -290,6 +306,7 @@ let () =
         [
           Alcotest.test_case "lbr period" `Quick test_sampler_lbr_period;
           Alcotest.test_case "long stall" `Quick test_sampler_long_stall_one_sample;
+          Alcotest.test_case "next due" `Quick test_sampler_next_due;
           Alcotest.test_case "pebs subsampling" `Quick test_sampler_pebs_subsampling;
           Alcotest.test_case "delinquent ranking" `Quick test_sampler_delinquent_ranking;
           Alcotest.test_case "snapshot contents" `Quick test_sampler_snapshot_captures_ring;
