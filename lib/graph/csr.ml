@@ -66,18 +66,71 @@ let reverse g =
   let weights = Array.map snd pairs in
   of_edges ~weights ~n:g.n edges
 
+(* Row [u] of the result collects u's forward edges, in CSR order, then
+   every reverse edge (u, x) of a forward (x, u), in CSR order of the
+   forward edges. Sorting a row by (target, slot) and keeping the first
+   entry per target keeps the first-ranked weight: forward before
+   reverse, earlier before later. *)
 let symmetrize g =
-  let pairs = edges_of g in
-  let tbl = Hashtbl.create (2 * g.m) in
-  Array.iter (fun ((u, v), w) -> if not (Hashtbl.mem tbl (u, v)) then Hashtbl.add tbl (u, v) w) pairs;
-  Array.iter
-    (fun ((u, v), w) -> if not (Hashtbl.mem tbl (v, u)) then Hashtbl.add tbl (v, u) w)
-    pairs;
-  let all = Hashtbl.fold (fun (u, v) w acc -> ((u, v), w) :: acc) tbl [] in
-  let all = List.sort compare all in
-  let edges = Array.of_list (List.map fst all) in
-  let weights = Array.of_list (List.map snd all) in
-  of_edges ~weights ~n:g.n edges
+  let n = g.n in
+  let start = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    start.(u + 1) <- start.(u + 1) + degree g u;
+    for e = g.offsets.(u) to g.offsets.(u + 1) - 1 do
+      let v = g.cols.(e) in
+      start.(v + 1) <- start.(v + 1) + 1
+    done
+  done;
+  for u = 0 to n - 1 do
+    start.(u + 1) <- start.(u + 1) + start.(u)
+  done;
+  let cand_col = Array.make (2 * g.m) 0 in
+  let cand_w = Array.make (2 * g.m) 0 in
+  let cursor = Array.sub start 0 n in
+  let push u v w =
+    let slot = cursor.(u) in
+    cand_col.(slot) <- v;
+    cand_w.(slot) <- w;
+    cursor.(u) <- slot + 1
+  in
+  for u = 0 to n - 1 do
+    for e = g.offsets.(u) to g.offsets.(u + 1) - 1 do
+      push u g.cols.(e) g.weights.(e)
+    done
+  done;
+  for u = 0 to n - 1 do
+    for e = g.offsets.(u) to g.offsets.(u + 1) - 1 do
+      push g.cols.(e) u g.weights.(e)
+    done
+  done;
+  let offsets = Array.make (n + 1) 0 in
+  let cols = Array.make (2 * g.m) 0 in
+  let weights = Array.make (2 * g.m) 0 in
+  let m = ref 0 in
+  for u = 0 to n - 1 do
+    let s = start.(u) and len = start.(u + 1) - start.(u) in
+    let keys = Array.init len (fun j -> (cand_col.(s + j) * len) + j) in
+    Array.sort Int.compare keys;
+    let last = ref (-1) in
+    Array.iter
+      (fun k ->
+        let v = k / len in
+        if v <> !last then begin
+          cols.(!m) <- v;
+          weights.(!m) <- cand_w.(s + (k mod len));
+          incr m;
+          last := v
+        end)
+      keys;
+    offsets.(u + 1) <- !m
+  done;
+  {
+    n;
+    m = !m;
+    offsets;
+    cols = Array.sub cols 0 !m;
+    weights = Array.sub weights 0 !m;
+  }
 
 let validate g =
   let err what = Error what in

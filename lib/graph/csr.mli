@@ -28,8 +28,11 @@ val reverse : t -> t
 (** Transpose (used by PageRank's pull formulation). *)
 
 val symmetrize : t -> t
-(** Add every reverse edge (weights copied), deduplicating exact
-    duplicates. Used for undirected benchmarks (Graph500). *)
+(** Add every reverse edge (weights copied) and keep one edge per
+    (source, target), each row sorted by target. An edge keeps the
+    weight of its first occurrence in CSR order, and a forward edge
+    wins over a reverse one. Linear in the edges apart from a per-row
+    sort. Used for undirected benchmarks (Graph500). *)
 
 val validate : t -> (unit, string) result
 (** Structural invariants: offsets monotone and bounded, cols in range,

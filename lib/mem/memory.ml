@@ -8,13 +8,19 @@ type region = { name : string; base : int; words : int }
    [Bigarray.Array1.create] does not zero its storage, so both the
    initial buffer and every grown tail are zero-filled explicitly.
    Every word at or past [next] is therefore still zero (writes are
-   bounds-checked against [next], and [ensure] copies only [0, next)),
+   bounds-checked against [next], and [reallocate] copies only [0, next)),
    which is why [alloc] hands out fresh regions, and the alignment gaps
-   between them, without filling them. *)
+   between them, without filling them.
+
+   [shared] marks a handle whose buffer another handle may alias (see
+   [share]). Every writer calls [own] first, which gives a shared
+   handle a private copy of the buffer before the write; readers never
+   look at the flag. *)
 type t = {
   mutable data : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
   mutable next : int;
   mutable regions : region list; (* reversed *)
+  mutable shared : bool;
 }
 
 let words_per_line = 8
@@ -25,17 +31,32 @@ let make_data cap =
   b
 
 let create ?(capacity_words = 1 lsl 20) () =
-  { data = make_data capacity_words; next = 0; regions = [] }
+  { data = make_data capacity_words; next = 0; regions = []; shared = false }
+
+(* Move [t] onto a fresh zeroed buffer of [cap] words holding its
+   allocated words [0, next): the words past [next] stay zero. *)
+let reallocate t cap =
+  let fresh = make_data cap in
+  Bigarray.Array1.blit
+    (Bigarray.Array1.sub t.data 0 t.next)
+    (Bigarray.Array1.sub fresh 0 t.next);
+  t.data <- fresh
 
 let ensure t needed =
   let cap = Bigarray.Array1.dim t.data in
-  if needed > cap then begin
-    let fresh = make_data (max needed (cap * 2)) in
-    Bigarray.Array1.blit
-      (Bigarray.Array1.sub t.data 0 t.next)
-      (Bigarray.Array1.sub fresh 0 t.next);
-    t.data <- fresh
-  end
+  if needed > cap then reallocate t (max needed (cap * 2))
+
+let share t =
+  t.shared <- true;
+  { t with shared = true }
+
+let is_shared t = t.shared
+
+let[@inline never] unshare t =
+  reallocate t (Bigarray.Array1.dim t.data);
+  t.shared <- false
+
+let[@inline] own t = if t.shared then unshare t
 
 let align_up v a = (v + a - 1) / a * a
 
@@ -43,6 +64,7 @@ let alloc t ~name ~words =
   if words < 0 then invalid_arg "Memory.alloc: negative size";
   let base = align_up t.next words_per_line in
   let words_alloc = max words 1 in
+  own t;
   ensure t (base + words_alloc);
   t.next <- base + words_alloc;
   let r = { name; base; words = words_alloc } in
@@ -72,6 +94,7 @@ let[@inline] get t addr =
 
 let[@inline] set t addr v =
   if addr < 0 || addr >= t.next then oob_set addr;
+  own t;
   Bigarray.Array1.unsafe_set t.data addr v
 
 (* [region] is a public record, so a caller can hand in one that lies
@@ -84,12 +107,14 @@ let check_region fn t r =
 let blit_array t r a =
   if Array.length a > r.words then invalid_arg "Memory.blit_array: too large";
   check_region "blit_array" t r;
+  own t;
   for i = 0 to Array.length a - 1 do
     Bigarray.Array1.unsafe_set t.data (r.base + i) (Array.unsafe_get a i)
   done
 
 let init_region t r f =
   check_region "init_region" t r;
+  own t;
   for i = 0 to r.words - 1 do
     Bigarray.Array1.unsafe_set t.data (r.base + i) (f i)
   done

@@ -3,7 +3,13 @@
     The workloads lay out their data structures (graphs, tables, hash
     buckets) in this address space; the timing simulator translates word
     addresses to 64-byte cache lines. One word = 8 bytes, so 8 words per
-    line. Addresses are plain [int] word indices. *)
+    line. Addresses are plain [int] word indices.
+
+    A handle can be shared copy-on-write ({!share}): several handles
+    then read one buffer, and the first write through any of them
+    ([set], [blit_array], [init_region], [alloc]) gives that handle a
+    private copy first. A write through one handle is therefore never
+    visible through another. *)
 
 type t
 
@@ -25,6 +31,17 @@ val create : ?capacity_words:int -> unit -> t
 
 val alloc : t -> name:string -> words:int -> region
 (** Bump-allocate [words] words, line-aligned, zero-initialised. *)
+
+val share : t -> t
+(** [share t] is a new handle onto [t]'s buffer, with [t]'s allocations
+    and contents. Both [t] and the result are then shared: each copies
+    the buffer on its next write, so neither ever sees the other's
+    writes. Sharing costs no copy; reads are unchanged, and a write
+    through a handle that is not shared pays one field test. *)
+
+val is_shared : t -> bool
+(** Whether the next write through this handle copies the buffer
+    first. False after any write or allocation through it. *)
 
 val size_words : t -> int
 (** Words allocated so far. *)

@@ -64,8 +64,12 @@ let fingerprint_of (w : Workload.t) =
 (* The workload to run and a thunk for its program fingerprint. A
    client-shipped program re-parses on every build: injection passes
    mutate the IR in place, so handing out one shared [Ir.func] would
-   leak one run's prefetches into the next. Its fingerprint comes from
-   its own text, never from the memo, which keys suite records. *)
+   leak one run's prefetches into the next. Its memory comes from the
+   suite record's build, which for a store-free kernel is a
+   copy-on-write alias of one image: a shipped program that stores
+   copies the image on its first write and leaves it intact. Its
+   fingerprint comes from its own text, never from the memo, which
+   keys suite records. *)
 let prepare w = function
   | None -> Ok (w, fun () -> fingerprint_of w)
   | Some ir_text -> (

@@ -62,23 +62,13 @@ let indices p =
     p.phases;
   b
 
-let expected_slice b ~offset ~count =
-  let acc = ref 0 in
-  for i = offset to offset + count - 1 do
-    acc := !acc + (table_value b.(i) land 1)
-  done;
-  !acc
-
 (* Same kernel shape (and therefore same PCs and structural
    fingerprints) for the fused program and every segment view: only the
-   arguments select which window of B a run walks. *)
-let build_view p ~offset ~count () =
+   arguments select which window of B a run walks. [build] lays out the
+   fused program; [view] narrows a built instance to one window. *)
+let build p =
   check p;
   let n = total p in
-  if offset < 0 || count <= 0 || offset + count > n then
-    invalid_arg "Phased.build_view: window out of range";
-  if count mod p.inner <> 0 then
-    invalid_arg "Phased.build_view: count must be a multiple of inner";
   let mem = Memory.create ~capacity_words:(p.table_words + n + 65536) () in
   let b_region = Memory.alloc mem ~name:"B" ~words:n in
   let t_region = Memory.alloc mem ~name:"T" ~words:p.table_words in
@@ -116,20 +106,35 @@ let build_view p ~offset ~count () =
   Builder.ret bld (Some checksum);
   let func = Builder.finish bld in
   Verify.check_exn func;
-  let expected = expected_slice b ~offset ~count in
+  let expected =
+    Array.fold_left (fun acc i -> acc + (table_value i land 1)) 0 b
+  in
   {
     Workload.mem;
     func;
     args =
-      [
-        b_region.Memory.base + offset;
-        t_region.Memory.base;
-        count / p.inner;
-        p.inner;
-        p.complexity;
-      ];
+      [ b_region.Memory.base; t_region.Memory.base; n / p.inner; p.inner;
+        p.complexity ];
     verify = Workload.expect_ret expected;
   }
+
+(* The window's checksum is read back from the image itself, so a view
+   needs nothing but the built instance. *)
+let view p ~offset ~count (inst : Workload.instance) =
+  match inst.Workload.args with
+  | b_base :: t_base :: _ ->
+    let mem = inst.Workload.mem in
+    let expected = ref 0 in
+    for i = b_base + offset to b_base + offset + count - 1 do
+      expected := !expected + (Memory.get mem (t_base + Memory.get mem i) land 1)
+    done;
+    {
+      inst with
+      Workload.args =
+        [ b_base + offset; t_base; count / p.inner; p.inner; p.complexity ];
+      verify = Workload.expect_ret !expected;
+    }
+  | _ -> assert false
 
 let phase_tag phases =
   String.concat "" (List.map (fun (k, _) -> match k with Hot -> "H" | Cold -> "C") phases)
@@ -140,10 +145,12 @@ let workload ?(params = default_params) ~name () =
     ~input:(Printf.sprintf "phases=%s" (phase_tag params.phases))
     ~description:"Indirect-access kernel with alternating working-set phases"
     ~nested:true
-    (build_view params ~offset:0 ~count:(total params))
+    (fun () -> build params)
 
+(* Every segment builds through one image record, so all of them alias
+   a single copy of the memory image instead of holding one each. *)
 let segments ?(params = default_params) ~name () =
-  check params;
+  let image = workload ~params ~name () in
   let _, segs =
     List.fold_left
       (fun (offset, acc) (kind, count) ->
@@ -155,7 +162,7 @@ let segments ?(params = default_params) ~name () =
             ~description:
               (Printf.sprintf "phase %d (%s) of %s" i (kind_to_string kind) name)
             ~nested:true
-            (build_view params ~offset ~count)
+            (fun () -> view params ~offset ~count (image.Workload.build ()))
         in
         (offset + count, (kind, w) :: acc))
       (0, []) params.phases

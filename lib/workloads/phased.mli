@@ -41,10 +41,13 @@ val default_params : params
 val total : params -> int
 (** Sum of phase element counts. *)
 
+val build : params -> Workload.instance
+(** The fused program on a fresh memory: the recipe behind {!workload}. *)
+
 val workload : ?params:params -> name:string -> unit -> Workload.t
 (** All phases fused into a single run. *)
 
 val segments : ?params:params -> name:string -> unit -> (kind * Workload.t) list
 (** One workload per phase, named ["<name>@<i>"] (1-based), in phase
-    order. Each rebuilds the full memory image and runs only its own
-    window of [B]. *)
+    order. All of them alias one memory image, built once, and each
+    runs only its own window of [B]. *)

@@ -143,6 +143,47 @@ let prop_symmetrize_symmetric =
         List.for_all (fun (u, v) -> List.mem (v, u) es) es
       end)
 
+(* The Hashtbl implementation [Csr.symmetrize] replaced, kept as its
+   oracle: every (u, v) and (v, u) key, first add wins (forward edges
+   in CSR order, then reverse edges in CSR order), sorted. *)
+let symmetrize_oracle (g : Csr.t) =
+  let pairs = ref [] in
+  for u = g.Csr.n - 1 downto 0 do
+    for e = g.Csr.offsets.(u + 1) - 1 downto g.Csr.offsets.(u) do
+      pairs := ((u, g.Csr.cols.(e)), g.Csr.weights.(e)) :: !pairs
+    done
+  done;
+  let tbl = Hashtbl.create (2 * g.Csr.m) in
+  List.iter
+    (fun ((u, v), w) -> if not (Hashtbl.mem tbl (u, v)) then Hashtbl.add tbl (u, v) w)
+    !pairs;
+  List.iter
+    (fun ((u, v), w) -> if not (Hashtbl.mem tbl (v, u)) then Hashtbl.add tbl (v, u) w)
+    !pairs;
+  let all = List.sort compare (Hashtbl.fold (fun k w acc -> (k, w) :: acc) tbl []) in
+  Csr.of_edges
+    ~weights:(Array.of_list (List.map snd all))
+    ~n:g.Csr.n
+    (Array.of_list (List.map fst all))
+
+(* Small vertex and weight ranges make duplicate edges, self-loops and
+   one pair carrying different weights in each direction common. *)
+let prop_symmetrize_matches_oracle =
+  QCheck.Test.make ~name:"symmetrize matches the Hashtbl oracle" ~count:300
+    QCheck.(
+      pair (int_range 1 12)
+        (list_of_size Gen.(0 -- 60)
+           (triple (int_bound 11) (int_bound 11) (int_range 1 4))))
+    (fun (n, edges) ->
+      let edges = List.filter (fun (u, v, _) -> u < n && v < n) edges in
+      let g =
+        Csr.of_edges
+          ~weights:(Array.of_list (List.map (fun (_, _, w) -> w) edges))
+          ~n
+          (Array.of_list (List.map (fun (u, v, _) -> (u, v)) edges))
+      in
+      Csr.symmetrize g = symmetrize_oracle g)
+
 let () =
   Alcotest.run "graph"
     [
@@ -171,5 +212,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_csr_roundtrip; prop_symmetrize_symmetric ] );
+          [
+            prop_csr_roundtrip;
+            prop_symmetrize_symmetric;
+            prop_symmetrize_matches_oracle;
+          ] );
     ]

@@ -174,38 +174,52 @@ let test_init_region () =
   Alcotest.(check (array int)) "next region still zero" (Array.make 32 0)
     (Memory.read_array m fresh)
 
-(* Reference model: a plain [int array] holding every allocated word.
-   Random sequences of allocations (growing past [capacity_words]),
-   writes and reads must leave [Memory] and the model agreeing on every
-   read, and every word never written must read 0. Opcodes:
-   0 alloc, 1 set, 2 get, 3 blit_array, 4 init_region, 5 read_array. *)
+(* Reference model: a plain [int array] per handle, holding every
+   allocated word. Random sequences of allocations (growing past
+   [capacity_words]), writes, reads and [share]s must leave every
+   handle agreeing with its own model on every read, and every word
+   never written must read 0. A shared handle starts from a copy of
+   its origin's model, so a write that showed through another handle
+   breaks the agreement; every writer must also leave its handle
+   unshared. Each op names a handle [h]. Opcodes: 0 alloc, 1 set,
+   2 get, 3 blit_array, 4 init_region, 5 read_array, 6 share. *)
+type handle = {
+  m : Memory.t;
+  model : int array ref;
+  regions : Memory.region array ref;
+}
+
 let prop_matches_model =
   QCheck.Test.make ~name:"memory agrees with an int array model" ~count:200
     QCheck.(
       list_of_size Gen.(1 -- 40)
-        (quad (int_range 0 5) small_nat small_nat small_signed_int))
+        (pair small_nat
+           (quad (int_range 0 6) small_nat small_nat small_signed_int)))
     (fun ops ->
-      let m = Memory.create ~capacity_words:16 () in
-      let model = ref [||] in
-      let regions = ref [||] in
       let ok = ref true in
       let expect b = if not b then ok := false in
-      let alloc words =
-        let r = Memory.alloc m ~name:"r" ~words in
-        let base = (Array.length !model + 7) / 8 * 8 in
+      let alloc h words =
+        let r = Memory.alloc h.m ~name:"r" ~words in
+        let base = (Array.length !(h.model) + 7) / 8 * 8 in
         expect (r.Memory.base = base && r.Memory.words = max words 1);
-        let gap = base + max words 1 - Array.length !model in
-        model := Array.append !model (Array.make gap 0);
-        regions := Array.append !regions [| r |]
+        let gap = base + max words 1 - Array.length !(h.model) in
+        h.model := Array.append !(h.model) (Array.make gap 0);
+        h.regions := Array.append !(h.regions) [| r |]
       in
-      alloc 4;
+      let first =
+        { m = Memory.create ~capacity_words:16 (); model = ref [||]; regions = ref [||] }
+      in
+      alloc first 4;
+      let handles = ref [| first |] in
       List.iter
-        (fun (op, a, b, c) ->
-          let r = !regions.(a mod Array.length !regions) in
+        (fun (hi, (op, a, b, c)) ->
+          let h = !handles.(hi mod Array.length !handles) in
+          let m = h.m and model = h.model in
+          let r = !(h.regions).(a mod Array.length !(h.regions)) in
           let base = r.Memory.base and words = r.Memory.words in
           let addr = base + (b mod words) in
-          match op with
-          | 0 -> alloc (a mod 80)
+          (match op with
+          | 0 -> alloc h (a mod 80)
           | 1 ->
             Memory.set m addr c;
             !model.(addr) <- c
@@ -219,11 +233,27 @@ let prop_matches_model =
             for i = 0 to words - 1 do
               !model.(base + i) <- (c * i) + a
             done
+          | 5 -> expect (Memory.read_array m r = Array.sub !model base words)
           | _ ->
-            expect (Memory.read_array m r = Array.sub !model base words))
+            let alias = Memory.share m in
+            expect (Memory.is_shared m && Memory.is_shared alias);
+            handles :=
+              Array.append !handles
+                [|
+                  {
+                    m = alias;
+                    model = ref (Array.copy !model);
+                    regions = ref (Array.copy !(h.regions));
+                  };
+                |]);
+          if op = 0 || op = 1 || op = 3 || op = 4 then
+            expect (not (Memory.is_shared m)))
         ops;
-      expect (Memory.size_words m = Array.length !model);
-      Array.iteri (fun addr v -> expect (Memory.get m addr = v)) !model;
+      Array.iter
+        (fun h ->
+          expect (Memory.size_words h.m = Array.length !(h.model));
+          Array.iteri (fun addr v -> expect (Memory.get h.m addr = v)) !(h.model))
+        !handles;
       !ok)
 
 let prop_alloc_disjoint =

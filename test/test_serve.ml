@@ -1139,6 +1139,48 @@ let test_memo_does_not_alias_programs () =
     (hex_of_func shipped_func)
     (program_of (ask "new-record"))
 
+(* [f] with a store of 1 after every load: the program overwrites the
+   very words it reads. *)
+let with_stores (f : Ir.func) =
+  let f = Ir.copy_func f in
+  Array.iter
+    (fun (b : Ir.block) ->
+      b.Ir.instrs <-
+        Array.concat
+          (List.map
+             (fun (i : Ir.instr) ->
+               match i.Ir.kind with
+               | Ir.Load a ->
+                 [| i; { Ir.dst = Ir.no_dst; kind = Ir.Store (a, Ir.Imm 1) } |]
+               | _ -> [| i |])
+             (Array.to_list b.Ir.instrs)))
+    f.Ir.blocks;
+  f
+
+(* A store-free suite record hands out aliases of one memory image. A
+   shipped program that stores into it must copy on write: the plain
+   workload, asked for next under a new id, answers exactly as it does
+   from a daemon that never saw the storing program. *)
+let test_shipped_store_does_not_leak () =
+  let doc = Lazy.force micro_doc in
+  let ask w ?program root id =
+    let config =
+      { handler_config with Handler.resolve = (fun _ -> Some w) }
+    in
+    Handler.run config ~tenant:(tenant_in root "t-cow")
+      (req ~workload:w.Workload.name ~hints:doc ?program id)
+  in
+  let w = micro_w ~name:"micro-cow" () in
+  let text = Printer.func_to_string (with_stores (w.Workload.build ()).Workload.func) in
+  let plain =
+    with_spool @@ fun root ->
+    ignore (ask w ~program:text root "storing");
+    ask w root "plain"
+  in
+  let fresh = with_spool @@ fun root -> ask (micro_w ~name:"micro-cow" ()) root "plain" in
+  Alcotest.(check string) "the plain request succeeds" "" plain.Handler.h_reason;
+  Alcotest.(check bool) "answer == a fresh daemon's" true (plain = fresh)
+
 (* ---------------- quarantine compaction ---------------- *)
 
 let fp_of (w : Workload.t) =
@@ -1766,6 +1808,8 @@ let () =
             test_warm_request_builds_nothing;
           Alcotest.test_case "the fingerprint memo does not alias programs"
             `Slow test_memo_does_not_alias_programs;
+          Alcotest.test_case "a shipped store does not leak into the image"
+            `Slow test_shipped_store_does_not_leak;
         ] );
       ( "quarantine",
         [

@@ -9,6 +9,9 @@ module Is = Aptget_workloads.Is
 module Cg = Aptget_workloads.Cg
 module Randacc = Aptget_workloads.Randacc
 module Hashjoin = Aptget_workloads.Hashjoin
+module Btree = Aptget_workloads.Btree
+module Phased = Aptget_workloads.Phased
+module Thrash = Aptget_workloads.Thrash
 module Suite = Aptget_workloads.Suite
 module Generate = Aptget_graph.Generate
 module Csr = Aptget_graph.Csr
@@ -178,6 +181,138 @@ let test_workload_rebuild_deterministic () =
   Alcotest.(check bool) "identical runs" true
     (o1.Machine.cycles = o2.Machine.cycles && o1.Machine.ret = o2.Machine.ret)
 
+(* ---------------- the build memo ---------------- *)
+
+(* Everything a run can observe of an instance: the program, every
+   region's name, place and words, the arguments, and what an
+   unhinted run returns and its verifier says. *)
+let observe (inst : Workload.instance) =
+  let program =
+    Fingerprint.hex (Fingerprint.fingerprint inst.Workload.func).Fingerprint.program
+  in
+  let regions =
+    List.map
+      (fun r -> (r, Memory.read_array inst.Workload.mem r))
+      (Memory.regions inst.Workload.mem)
+  in
+  let out =
+    Machine.execute ~args:inst.Workload.args ~mem:inst.Workload.mem
+      (Ir.copy_func inst.Workload.func)
+  in
+  ( program,
+    regions,
+    inst.Workload.args,
+    out.Machine.ret,
+    inst.Workload.verify inst.Workload.mem out.Machine.ret )
+
+let check_same what a b =
+  let pa, ra, aa, reta, va = observe a and pb, rb, ab, retb, vb = observe b in
+  Alcotest.(check string) (what ^ ": program") pa pb;
+  Alcotest.(check bool) (what ^ ": regions and words") true (ra = rb);
+  Alcotest.(check (list int)) (what ^ ": args") aa ab;
+  Alcotest.(check (option int)) (what ^ ": return value") reta retb;
+  Alcotest.(check bool) (what ^ ": verify verdict") true (va = vb && va = Ok ())
+
+let hj_small algo =
+  { Hashjoin.hj2_params with Hashjoin.n_build = 4096; n_probe = 2048;
+    n_buckets = 1 lsl 11; algo }
+
+let phased_small =
+  {
+    Phased.default_params with
+    Phased.table_words = 1 lsl 14;
+    hot_words = 1024;
+    phases = [ (Phased.Cold, 1024); (Phased.Hot, 2048); (Phased.Cold, 512) ];
+  }
+
+let micro_small = { Micro.default_params with Micro.total = 4096; table_words = 65_536 }
+
+(* Store-free kernels: (name, record, raw recipe). *)
+let store_free () =
+  let btree = { Btree.levels = 2; queries = 512; seed = 11 } in
+  let thrash = { Thrash.words = 4096; passes = 2 } in
+  [
+    ("btree", Btree.workload ~params:btree ~name:"btree" (), fun () -> Btree.build btree);
+    ( "HJ-NPO",
+      Hashjoin.workload ~params:(hj_small Hashjoin.Npo) ~name:"hj" (),
+      fun () -> Hashjoin.build (hj_small Hashjoin.Npo) );
+    ( "HJ-NPO_st",
+      Hashjoin.workload ~params:(hj_small Hashjoin.Npo_st) ~name:"hj-st" (),
+      fun () -> Hashjoin.build (hj_small Hashjoin.Npo_st) );
+    ( "phased",
+      Phased.workload ~params:phased_small ~name:"phased" (),
+      fun () -> Phased.build phased_small );
+    ("thrash", Thrash.workload ~params:thrash ~name:"thrash" (), fun () -> Thrash.build thrash);
+    ("micro", Micro.workload ~params:micro_small ~name:"micro" (), fun () -> Micro.build micro_small);
+  ]
+
+(* A run with prefetches injected into the instance's own IR, then a
+   write over every word of its memory, must leave nothing behind for
+   the next build: it equals a raw build in every observable. *)
+let test_memo_rebuild_is_cold () =
+  List.iter
+    (fun (name, (w : Workload.t), raw) ->
+      let used = w.Workload.build () in
+      ignore (Aj.run used.Workload.func);
+      ignore
+        (Machine.execute ~args:used.Workload.args ~mem:used.Workload.mem
+           used.Workload.func);
+      List.iter
+        (fun r -> Memory.init_region used.Workload.mem r (fun i -> -1 - i))
+        (Memory.regions used.Workload.mem);
+      check_same name (w.Workload.build ()) (raw ()))
+    (store_free ())
+
+let counted recipe =
+  let calls = Atomic.make 0 in
+  let w =
+    Workload.make ~name:"counted" ~app:"counted" ~input:"" ~description:""
+      ~nested:false (fun () ->
+        Atomic.incr calls;
+        recipe ())
+  in
+  (w, calls)
+
+let test_memo_store_free_builds_once () =
+  let w, calls = counted (fun () -> Micro.build micro_small) in
+  for _ = 1 to 3 do
+    ignore (w.Workload.build ())
+  done;
+  Alcotest.(check int) "one recipe call" 1 (Atomic.get calls)
+
+let test_memo_storing_kernel_rebuilds () =
+  let w, calls =
+    counted (fun () ->
+        Randacc.build { Randacc.table_words = 1 lsl 12; updates = 1024; seed = 3 })
+  in
+  for _ = 1 to 3 do
+    ignore (w.Workload.build ())
+  done;
+  Alcotest.(check int) "a recipe call per build" 3 (Atomic.get calls)
+
+let test_memo_concurrent_first_build () =
+  let w, calls = counted (fun () -> Micro.build micro_small) in
+  let d1 = Domain.spawn w.Workload.build in
+  let d2 = Domain.spawn w.Workload.build in
+  let a = Domain.join d1 and b = Domain.join d2 in
+  Alcotest.(check int) "one recipe call" 1 (Atomic.get calls);
+  Alcotest.(check bool) "distinct handles" true
+    (a.Workload.mem != b.Workload.mem && a.Workload.func != b.Workload.func);
+  check_same "concurrent" a b
+
+(* Segment views narrow one shared image to their window: each passes
+   its own verifier, and their checksums add up to the fused run's. *)
+let test_phased_segments_sum_to_fused () =
+  let run (w : Workload.t) =
+    let out = run_and_verify (w.Workload.build ()) in
+    Option.get out.Machine.ret
+  in
+  let fused = run (Phased.workload ~params:phased_small ~name:"phased" ()) in
+  let segs = Phased.segments ~params:phased_small ~name:"phased" () in
+  Alcotest.(check int) "one segment per phase" 3 (List.length segs);
+  Alcotest.(check int) "segments sum to the fused checksum" fused
+    (List.fold_left (fun acc (_, w) -> acc + run w) 0 segs)
+
 let () =
   Alcotest.run "workloads"
     [
@@ -215,5 +350,18 @@ let () =
           Alcotest.test_case "registry" `Quick test_suite_registry;
           Alcotest.test_case "deterministic rebuild" `Quick
             test_workload_rebuild_deterministic;
+        ] );
+      ( "build memo",
+        [
+          Alcotest.test_case "rebuild after a hinted run is cold" `Quick
+            test_memo_rebuild_is_cold;
+          Alcotest.test_case "store-free recipe runs once" `Quick
+            test_memo_store_free_builds_once;
+          Alcotest.test_case "storing recipe runs every build" `Quick
+            test_memo_storing_kernel_rebuilds;
+          Alcotest.test_case "concurrent first builds agree" `Quick
+            test_memo_concurrent_first_build;
+          Alcotest.test_case "phased segments sum to the fused run" `Quick
+            test_phased_segments_sum_to_fused;
         ] );
     ]
