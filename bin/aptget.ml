@@ -1913,22 +1913,41 @@ let quarantine_cmd =
     Term.(const quarantine $ path_arg $ compact_flag $ obs_term)
 
 let obs_report_cmd =
-  let report path =
+  let report path metrics =
     match Aptget_obs.Trace.load ~path with
     | Error e ->
       Printf.eprintf "aptget: cannot read trace %s: %s\n" path e;
       exit 1
-    | Ok spans -> print_string (Aptget_obs.Report.render spans)
+    | Ok spans -> (
+      print_string (Aptget_obs.Report.render spans);
+      match metrics with
+      | None -> ()
+      | Some mpath -> (
+        match Aptget_store.Atomic_file.read ~path:mpath with
+        | Error e ->
+          Printf.eprintf "aptget: cannot read metrics %s: %s\n" mpath e;
+          exit 1
+        | Ok text -> Printf.printf "\nmetrics (%s):\n%s" mpath text))
   in
   let path_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE")
+  in
+  let metrics_arg =
+    Arg.(
+      value
+      & pos 1 (some string) None
+      & info [] ~docv:"METRICS"
+          ~doc:
+            "Optional metrics sidecar written by $(b,--metrics) in the same \
+             run, printed after the span table (for instance the \
+             $(b,mem.collections) and $(b,mem.buffer_bytes) counters).")
   in
   Cmd.v
     (Cmd.info "obs-report"
        ~doc:
          "Render a per-stage time breakdown from an NDJSON trace written by \
-          $(b,--trace)")
-    Term.(const report $ path_arg)
+          $(b,--trace), and optionally the run's metrics sidecar")
+    Term.(const report $ path_arg $ metrics_arg)
 
 let main =
   Cmd.group

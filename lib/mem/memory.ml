@@ -25,7 +25,29 @@ type t = {
 
 let words_per_line = 8
 
+(* Pacing (see memory.mli): OCaml 5.1's major GC does not count these
+   out-of-heap buffers when it paces its cycles, so without this a dead
+   image stays mapped until some unrelated cycle finishes. A full major
+   costs time in proportion to the heap and runs at most once per
+   heap-sized amount of buffer allocation, so collection work stays
+   proportional to allocation work, as in the GC's own pacing. *)
+let bytes_per_word = Sys.word_size / 8
+let unpaced_bytes = Atomic.make 0
+let collections = Atomic.make 0
+let forced_major_collections () = Atomic.get collections
+
+let pace bytes =
+  Aptget_obs.Metrics.incr ~by:bytes "mem.buffer_bytes";
+  let pending = Atomic.fetch_and_add unpaced_bytes bytes + bytes in
+  if pending >= (Gc.quick_stat ()).heap_words * bytes_per_word then begin
+    Atomic.set unpaced_bytes 0;
+    Atomic.incr collections;
+    Aptget_obs.Metrics.incr "mem.collections";
+    Gc.full_major ()
+  end
+
 let make_data cap =
+  pace (cap * bytes_per_word);
   let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout cap in
   Bigarray.Array1.fill b 0;
   b

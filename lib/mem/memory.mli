@@ -9,7 +9,19 @@
     then read one buffer, and the first write through any of them
     ([set], [blit_array], [init_region], [alloc]) gives that handle a
     private copy first. A write through one handle is therefore never
-    visible through another. *)
+    visible through another.
+
+    Buffers are paced like heap memory. Every buffer this module
+    allocates ([create], growth in [alloc], the copy a shared handle
+    makes on its first write) adds its size to a process-wide count of
+    bytes allocated since the last paced collection. When the count,
+    the new buffer included, reaches the size of the major heap, a
+    [Gc.full_major] runs and the count restarts from zero before the
+    buffer is allocated. Buffers live outside the OCaml heap, and the
+    major GC does not count them when it paces its own cycles, so
+    without this a dead image would stay mapped until an unrelated
+    cycle finished. Pacing changes when host memory is returned, never
+    what a handle reads. *)
 
 type t
 
@@ -20,6 +32,11 @@ type region = {
 }
 (** A named allocation, used by workloads to pass base addresses into IR
     kernels and by diagnostics to attribute cache traffic. *)
+
+val forced_major_collections : unit -> int
+(** Full major collections the pacing rule has run in this process,
+    from every domain. The metrics registry counts the same events as
+    [mem.collections], and buffer bytes as [mem.buffer_bytes]. *)
 
 val words_per_line : int
 (** 8: cache line size (64 B) divided by word size (8 B). *)

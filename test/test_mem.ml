@@ -1,4 +1,7 @@
 module Memory = Aptget_mem.Memory
+module Metrics = Aptget_obs.Metrics
+module Workload = Aptget_workloads.Workload
+module Micro = Aptget_workloads.Micro
 
 let test_alloc_aligned () =
   let m = Memory.create () in
@@ -276,6 +279,113 @@ let prop_alloc_disjoint =
       in
       disjoint regions)
 
+(* Pacing (see memory.mli): buffer bytes allocated since the last
+   paced collection are counted, and a buffer that brings the count to
+   the major heap's size runs a full major before it is allocated. A
+   memory of more words than the heap crosses the threshold whatever
+   was counted before it, and restarts the count from zero. The heap
+   size comes from the GC's sampled statistics, which a minor
+   collection (in any domain) can move between two reads, so
+   "larger than the heap" here means twice its size. *)
+let heap_words () = (Gc.quick_stat ()).Gc.heap_words
+let larger_than_heap () =
+  Memory.create ~capacity_words:((2 * heap_words ()) + 1) ()
+
+let[@inline never] finalised_when_dropped () =
+  let finalised = ref false in
+  Gc.finalise (fun _ -> finalised := true) (larger_than_heap ());
+  finalised
+
+let test_pacing_reclaims_dead_image () =
+  let finalised = finalised_when_dropped () in
+  let before = Memory.forced_major_collections () in
+  let second = larger_than_heap () in
+  Alcotest.(check bool) "dead image finalised before create returned" true
+    !finalised;
+  Alcotest.(check int) "one paced collection" (before + 1)
+    (Memory.forced_major_collections ());
+  ignore (Sys.opaque_identity second)
+
+let test_pacing_accumulates () =
+  ignore (Sys.opaque_identity (larger_than_heap ()));
+  let part = heap_words () * 3 / 10 in
+  let before = Memory.forced_major_collections () in
+  let live =
+    List.init 3 (fun i ->
+        let m = Memory.create ~capacity_words:part () in
+        Alcotest.(check int)
+          (Printf.sprintf "no collection at %d tenths of the heap" (3 * (i + 1)))
+          before
+          (Memory.forced_major_collections ());
+        m)
+  in
+  let last = Memory.create ~capacity_words:part () in
+  Alcotest.(check int) "collects once the sum reaches the heap" (before + 1)
+    (Memory.forced_major_collections ());
+  ignore (Sys.opaque_identity (last :: live))
+
+(* Two domains allocate at once, and one of them may be inside
+   [Workload.make]'s locked first build (whose recipe grows its memory
+   past the heap) while the other waits for that lock: a full major
+   stops every domain, so this must not deadlock. Every buffer here is
+   larger than the heap, so each allocation collects. *)
+let test_pacing_two_domains () =
+  let micro =
+    { Micro.default_params with Micro.total = 1024; table_words = 4096 }
+  in
+  let w =
+    Workload.make ~name:"paced" ~app:"paced" ~input:"" ~description:""
+      ~nested:false (fun () ->
+        let inst = Micro.build micro in
+        ignore
+          (Memory.alloc inst.Workload.mem ~name:"pad"
+             ~words:((2 * heap_words ()) + 1));
+        inst)
+  in
+  let before = Memory.forced_major_collections () in
+  let work () =
+    let inst = w.Workload.build () in
+    for _ = 1 to 3 do
+      ignore (Sys.opaque_identity (larger_than_heap ()))
+    done;
+    (* The first write copies the shared image: one more buffer. *)
+    Memory.set inst.Workload.mem 0 1;
+    inst
+  in
+  let other = Domain.spawn work in
+  let here = work () in
+  let there = Domain.join other in
+  Alcotest.(check bool) "each domain wrote its own copy" true
+    (here.Workload.mem != there.Workload.mem
+    && Memory.get here.Workload.mem 0 = 1
+    && Memory.get there.Workload.mem 0 = 1);
+  Alcotest.(check bool) "every buffer collected" true
+    (Memory.forced_major_collections () - before >= 1 + (2 * 4))
+
+(* The obs counters: off by default (nothing registered), and when on
+   they count every buffer byte and every paced collection. *)
+let test_pacing_metrics () =
+  Metrics.reset ();
+  ignore (Sys.opaque_identity (Memory.create ~capacity_words:64 ()));
+  Alcotest.(check (list (pair string int))) "nothing while off" []
+    (Metrics.snapshot ()).Metrics.counters;
+  Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.reset ())
+    (fun () ->
+      let words = (2 * heap_words ()) + 1 in
+      let before = Memory.forced_major_collections () in
+      ignore (Sys.opaque_identity (Memory.create ~capacity_words:words ()));
+      let counters = (Metrics.snapshot ()).Metrics.counters in
+      Alcotest.(check (option int)) "mem.buffer_bytes"
+        (Some (words * (Sys.word_size / 8)))
+        (List.assoc_opt "mem.buffer_bytes" counters);
+      Alcotest.(check (option int)) "mem.collections"
+        (Some (Memory.forced_major_collections () - before))
+        (List.assoc_opt "mem.collections" counters))
+
 let () =
   Alcotest.run "mem"
     [
@@ -294,6 +404,16 @@ let () =
           Alcotest.test_case "alloc after growth reads zero" `Quick
             test_alloc_after_growth_zero;
           Alcotest.test_case "init region" `Quick test_init_region;
+        ] );
+      ( "pacing",
+        [
+          Alcotest.test_case "dead image reclaimed before allocating" `Quick
+            test_pacing_reclaims_dead_image;
+          Alcotest.test_case "small buffers accumulate to the heap" `Quick
+            test_pacing_accumulates;
+          Alcotest.test_case "two domains and a locked first build" `Quick
+            test_pacing_two_domains;
+          Alcotest.test_case "obs counters" `Quick test_pacing_metrics;
         ] );
       ( "properties",
         [
