@@ -345,34 +345,10 @@ let run_cmd =
       | None ->
         die "bad --corun-policy value: %s (rr | ratio:W0,W1,...)" policy
     in
-    let meas label (inst : Workload.instance) (o : Machine.outcome) =
-      {
-        Pipeline.workload = label;
-        outcome = o;
-        verified = inst.Workload.verify inst.Workload.mem o.Machine.ret;
-        injected = [];
-        skipped = [];
-        wall_seconds = 0.0;
-      }
-    in
-    (* Tenant stream first, co-runner second; both semantically
-       verified — cache sharing must never change results. *)
-    let corun (ti : Workload.instance) =
-      let ci = co.Workload.build () in
-      let outs =
-        Corun.run ~policy
-          [
-            Corun.stream ~args:ti.Workload.args ~name:w.Workload.name
-              ~mem:ti.Workload.mem ti.Workload.func;
-            Corun.stream ~args:ci.Workload.args ~name:co.Workload.name
-              ~mem:ci.Workload.mem ci.Workload.func;
-          ]
-      in
-      match outs with
-      | [ t; c ] ->
-        ( meas w.Workload.name ti t.Corun.so_outcome,
-          meas co.Workload.name ci c.Corun.so_outcome )
-      | _ -> assert false
+    let corun ?transform () =
+      Pipeline.measure
+        ~executor:(Pipeline.Corun { corunner = co; policy })
+        ?transform w
     in
     Printf.printf "co-runner %s (%s on %s), policy %s\n\n" co.Workload.name
       co.Workload.app co.Workload.input
@@ -384,27 +360,25 @@ let run_cmd =
     print_fault_stats prof.Profiler.fault_stats;
     let solo_apt = Pipeline.with_hints ~hints:prof.Profiler.hints w in
     print_outcome "solo APT" solo_apt;
-    let cr_base, cr_corunner = corun (w.Workload.build ()) in
-    print_outcome "corun base" cr_base;
-    let hinted =
-      let inst = w.Workload.build () in
-      ignore (Aptget_pass.run inst.Workload.func ~hints:prof.Profiler.hints);
-      Aptget_ir.Verify.check_exn inst.Workload.func;
-      inst
+    let cr_base = corun () in
+    print_outcome "corun base" cr_base.Pipeline.tenant;
+    let cr_apt =
+      corun ~transform:(Pipeline.apply_hints ~hints:prof.Profiler.hints) ()
     in
-    let cr_apt, cr_apt_corunner = corun hinted in
-    print_outcome "corun APT" cr_apt;
-    print_outcome "co-runner" cr_corunner;
+    print_outcome "corun APT" cr_apt.Pipeline.tenant;
+    print_outcome "co-runner" (Option.get cr_base.Pipeline.corunner);
     Printf.printf
       "\nspeedup: solo %s, co-run (stale solo hints) %s (%d hint(s))\n"
       (Table.fmt_speedup (Pipeline.speedup ~baseline:solo_base solo_apt))
-      (Table.fmt_speedup (Pipeline.speedup ~baseline:cr_base cr_apt))
+      (Table.fmt_speedup
+         (Pipeline.speedup ~baseline:cr_base.Pipeline.tenant cr_apt.Pipeline.tenant))
       (List.length prof.Profiler.hints);
+    (* A co-runner that fails its check makes its tenant unverified. *)
     let degraded =
       List.exists
         (fun (m : Pipeline.measurement) ->
           Result.is_error m.Pipeline.verified)
-        [ solo_base; solo_apt; cr_base; cr_corunner; cr_apt; cr_apt_corunner ]
+        [ solo_base; solo_apt; cr_base.Pipeline.tenant; cr_apt.Pipeline.tenant ]
     in
     if degraded then exit 1
   in
@@ -445,21 +419,38 @@ let run_cmd =
       online epochs drift corun corun_policy faults () () =
     float_range "guard-floor" ~gt:0. ~le:1.5 guard_floor;
     int_min "epochs" 1 epochs;
-    if robust && (remap || guard) then
-      die "--robust cannot be combined with --remap/--guard";
-    if online && (robust || remap || guard || hints_path <> None) then
-      die "--online cannot be combined with --hints/--robust/--remap/--guard";
-    if
-      corun <> None
-      && (online || robust || remap || guard || hints_path <> None)
-    then
-      die
-        "--corun cannot be combined with \
-         --hints/--robust/--remap/--guard/--online";
+    (* A run's mode is the first of these flags given, else plain. Every
+       mode flag lists the modes it applies to; one given outside them
+       is rejected rather than silently ignored. *)
+    let mode =
+      List.find_opt snd
+        [
+          ("--corun", corun <> None); ("--online", online); ("--guard", guard);
+          ("--remap", remap); ("--robust", robust);
+        ]
+      |> Option.fold ~none:"plain" ~some:fst
+    in
+    let reads_hints = [ "--guard"; "--remap"; "--robust"; "plain" ] in
+    List.iter
+      (fun (flag, given, modes) ->
+        if given && flag <> mode && not (List.mem mode modes) then
+          if modes = [] then die "%s needs --hints" flag
+          else die "%s does not apply to %s runs" flag mode)
+      [
+        ("--hints", hints_path <> None, reads_hints);
+        ("--lenient-hints", lenient, if hints_path = None then [] else reads_hints);
+        ("--robust", robust, [ "--robust" ]);
+        ("--remap", remap, [ "--guard" ]);
+        ("--guard", guard, [ "--guard" ]);
+        ("--quarantine", quarantine_path <> None, [ "--guard"; "--online" ]);
+        ("--online", online, [ "--online" ]);
+        ("--corun-policy", corun_policy <> None, [ "--corun" ]);
+      ];
     Printf.printf "workload %s (%s on %s)\n\n" w.Workload.name w.Workload.app
       w.Workload.input;
     match corun with
-    | Some co -> run_corun w co ~policy:corun_policy ~faults
+    | Some co ->
+      run_corun w co ~policy:(Option.value corun_policy ~default:"rr") ~faults
     | None ->
     if online then
       run_online w ~faults ~guard_floor ~quarantine_path ~epochs ~drift
@@ -712,12 +703,13 @@ let run_cmd =
   in
   let corun_policy_flag =
     Arg.(
-      value & opt string "rr"
+      value
+      & opt (some string) None
       & info [ "corun-policy" ] ~docv:"POLICY"
           ~doc:
             "Scheduler for $(b,--corun): $(b,rr) (round-robin block \
-             dispatch) or $(b,ratio:W0,W1,...) (advance the live stream \
-             with the smallest weighted cycle count)")
+             dispatch, the default) or $(b,ratio:W0,W1,...) (advance the \
+             live stream with the smallest weighted cycle count)")
   in
   Cmd.v (Cmd.info "run" ~doc:"Run a workload under baseline, A&J and APT-GET")
     Term.(

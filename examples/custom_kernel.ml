@@ -9,8 +9,8 @@
 
 module Memory = Aptget_mem.Memory
 module Machine = Aptget_machine.Machine
-module Profiler = Aptget_profile.Profiler
-module Aptget_pass = Aptget_passes.Aptget_pass
+module Pipeline = Aptget_core.Pipeline
+module Workload = Aptget_workloads.Workload
 module Rng = Aptget_util.Rng
 
 let kernel_text =
@@ -48,26 +48,36 @@ let build () =
   let t = Memory.alloc mem ~name:"A" ~words:table_words in
   ignore (Memory.alloc mem ~name:"guard" ~words:8192);
   let rng = Rng.create 99 in
-  Memory.blit_array mem c (Array.init elements (fun _ -> Rng.int rng elements));
-  Memory.blit_array mem b (Array.init elements (fun _ -> Rng.int rng table_words));
+  let cs = Array.init elements (fun _ -> Rng.int rng elements) in
+  let bs = Array.init elements (fun _ -> Rng.int rng table_words) in
+  Memory.blit_array mem c cs;
+  Memory.blit_array mem b bs;
   Memory.blit_array mem t (Array.init table_words (fun i -> i land 255));
-  (f, mem, [ c.Memory.base; b.Memory.base; t.Memory.base; elements ])
+  {
+    Workload.mem;
+    func = f;
+    args = [ c.Memory.base; b.Memory.base; t.Memory.base; elements ];
+    verify =
+      Workload.expect_ret
+        (Array.fold_left (fun acc ci -> acc + (bs.(ci) land 255)) 0 cs);
+  }
+
+let double_indirect =
+  Workload.make ~name:"double_indirect" ~app:"custom" ~input:"64K"
+    ~nested:false ~description:"sum += A[B[C[i]]]" build
 
 let () =
-  let f, mem, args = build () in
   print_endline "parsed kernel:";
-  print_string (Printer.func_to_string f);
-  let base = Machine.execute ~args ~mem f in
-  Printf.printf "\nbaseline: %d cycles, IPC %.3f\n" base.Machine.cycles
-    (Machine.ipc base);
-  let f2, mem2, args2 = build () in
-  let prof = Profiler.profile ~args:args2 ~mem:mem2 f2 in
-  let f3, mem3, args3 = build () in
-  let r = Aptget_pass.run f3 ~hints:prof.Profiler.hints in
+  print_string (Printer.func_to_string (double_indirect.Workload.build ()).Workload.func);
+  let base = Pipeline.verified_exn (Pipeline.baseline double_indirect) in
+  Printf.printf "\nbaseline: %d cycles, IPC %.3f\n"
+    base.Pipeline.outcome.Machine.cycles
+    (Machine.ipc base.Pipeline.outcome);
+  let opt, _ = Pipeline.aptget double_indirect in
+  let opt = Pipeline.verified_exn opt in
   Printf.printf "injected %d prefetch slice(s) for the A[B[C[i]]] chain\n"
-    (List.length r.Aptget_pass.injected);
-  let opt = Machine.execute ~args:args3 ~mem:mem3 f3 in
-  assert (opt.Machine.ret = base.Machine.ret);
+    (List.length opt.Pipeline.injected);
   Printf.printf "APT-GET:  %d cycles, IPC %.3f -> %.2fx (checksums match)\n"
-    opt.Machine.cycles (Machine.ipc opt)
-    (float_of_int base.Machine.cycles /. float_of_int opt.Machine.cycles)
+    opt.Pipeline.outcome.Machine.cycles
+    (Machine.ipc opt.Pipeline.outcome)
+    (Pipeline.speedup ~baseline:base opt)

@@ -12,7 +12,8 @@ module Memory = Aptget_mem.Memory
 module Machine = Aptget_machine.Machine
 module Profiler = Aptget_profile.Profiler
 module Model = Aptget_profile.Model
-module Aptget_pass = Aptget_passes.Aptget_pass
+module Pipeline = Aptget_core.Pipeline
+module Workload = Aptget_workloads.Workload
 module Rng = Aptget_util.Rng
 
 let elements = 100_000
@@ -24,7 +25,8 @@ let build_instance () =
   let b = Memory.alloc mem ~name:"B" ~words:elements in
   let t = Memory.alloc mem ~name:"T" ~words:table_words in
   let rng = Rng.create 42 in
-  Memory.blit_array mem b (Array.init elements (fun _ -> Rng.int rng table_words));
+  let indices = Array.init elements (fun _ -> Rng.int rng table_words) in
+  Memory.blit_array mem b indices;
   Memory.blit_array mem t (Array.init table_words (fun i -> i * 7));
   (* 2. Express the kernel in the IR via the builder DSL. *)
   let bld = Builder.create ~name:"gather" ~nparams:3 in
@@ -39,21 +41,30 @@ let build_instance () =
         [ Builder.add bld (List.hd accs) v ])
   in
   Builder.ret bld (Some (List.hd sums));
-  let func = Builder.finish bld in
-  Verify.check_exn func;
-  (mem, func, [ b.Memory.base; t.Memory.base; elements ])
+  {
+    Workload.mem;
+    func = Builder.finish bld;
+    args = [ b.Memory.base; t.Memory.base; elements ];
+    (* Every run checks the kernel still returns sum T[B[i]]. *)
+    verify =
+      Workload.expect_ret (Array.fold_left (fun acc i -> acc + (i * 7)) 0 indices);
+  }
+
+let gather =
+  Workload.make ~name:"gather" ~app:"gather" ~input:"100K" ~nested:false
+    ~description:"sum += T[B[i]]" build_instance
 
 let () =
-  (* 3. Baseline run on the timing simulator. *)
-  let mem, func, args = build_instance () in
-  let base = Machine.execute ~args ~mem func in
+  (* 3. Baseline run on the timing simulator. Every run builds a fresh
+     instance, checks the IR and verifies the result. *)
+  let base = Pipeline.verified_exn (Pipeline.baseline gather) in
+  let b = base.Pipeline.outcome in
   Printf.printf "baseline:  %d cycles, IPC %.3f, %.1f MPKI\n"
-    base.Machine.cycles (Machine.ipc base) (Machine.mpki base);
+    b.Machine.cycles (Machine.ipc b) (Machine.mpki b);
 
   (* 4. One profiling run: PEBS finds the delinquent load, the LBR
      yields its loop's latency distribution, Eq. (1) the distance. *)
-  let mem2, func2, args2 = build_instance () in
-  let prof = Profiler.profile ~args:args2 ~mem:mem2 func2 in
+  let prof = Pipeline.profile gather in
   List.iter
     (fun (p : Profiler.load_profile) ->
       match p.Profiler.model with
@@ -69,14 +80,14 @@ let () =
     prof.Profiler.profiles;
 
   (* 5. Inject and re-run. *)
-  let mem3, func3, args3 = build_instance () in
-  let report = Aptget_pass.run func3 ~hints:prof.Profiler.hints in
+  let opt =
+    Pipeline.verified_exn (Pipeline.with_hints ~hints:prof.Profiler.hints gather)
+  in
+  let o = opt.Pipeline.outcome in
   Printf.printf "injected:  %d prefetch slice(s)\n"
-    (List.length report.Aptget_pass.injected);
-  let opt = Machine.execute ~args:args3 ~mem:mem3 func3 in
-  Printf.printf "APT-GET:   %d cycles, IPC %.3f, %.1f MPKI\n" opt.Machine.cycles
-    (Machine.ipc opt) (Machine.mpki opt);
-  assert (base.Machine.ret = opt.Machine.ret);
+    (List.length opt.Pipeline.injected);
+  Printf.printf "APT-GET:   %d cycles, IPC %.3f, %.1f MPKI\n" o.Machine.cycles
+    (Machine.ipc o) (Machine.mpki o);
   Printf.printf "speedup:   %.2fx (checksums match: %s)\n"
-    (float_of_int base.Machine.cycles /. float_of_int opt.Machine.cycles)
-    (match base.Machine.ret with Some v -> string_of_int v | None -> "-")
+    (Pipeline.speedup ~baseline:base opt)
+    (match o.Machine.ret with Some v -> string_of_int v | None -> "-")

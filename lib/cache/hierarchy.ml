@@ -35,12 +35,6 @@ let default_config =
 
 type level = L1 | L2 | Llc | Dram
 
-let level_to_string = function
-  | L1 -> "L1"
-  | L2 -> "L2"
-  | Llc -> "LLC"
-  | Dram -> "DRAM"
-
 (* A demand load's result, packed into an immediate int so the
    per-load path allocates nothing: latency in the high bits, then the
    late-SW-prefetch flag (bit 3), the fill-buffer-hit flag (bit 2) and

@@ -39,8 +39,6 @@ val default_config : config
 
 type level = L1 | L2 | Llc | Dram
 
-val level_to_string : level -> string
-
 type access = private int
 (** A demand load's result, packed into one immediate int so that a
     simulated load allocates nothing. Read it with the accessors

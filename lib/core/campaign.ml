@@ -197,10 +197,8 @@ let run_group ~config ~mconfig ~crash ~append ~done_tbl ~runner wname
     | Some b -> Ok b
     | None -> (
       match
-        Watchdog.run ~config:config.watchdog ?crash
-          ~machine:(Option.value mconfig ~default:Machine.default_config)
-          Watchdog.Measure
-          (fun capped -> Pipeline.baseline ~config:capped w)
+        (Pipeline.measure ?config:mconfig ~watchdog:config.watchdog ?crash w)
+          .Pipeline.tenant
       with
       | m ->
         baseline := Some m;

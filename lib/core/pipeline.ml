@@ -36,60 +36,142 @@ let mpki_reduction ~baseline m =
   let b = Machine.mpki baseline.outcome in
   if b = 0. then 0. else 1. -. (Machine.mpki m.outcome /. b)
 
-let wall = Clock.wall
+(* ------------------------------------------------------------------ *)
+(* The measure stage: every measured run, solo or co-run, is built,    *)
+(* transformed, IR-verified, executed and semantically verified here.  *)
+(* ------------------------------------------------------------------ *)
 
-let run_transformed ?config (w : Workload.t) transform =
+module Corun = Aptget_machine.Corun
+module Sampler = Aptget_pmu.Sampler
+
+exception Invalid_ir of string
+
+type executor = Solo | Corun of { corunner : Workload.t; policy : Corun.policy }
+
+type run = {
+  tenant : measurement;
+  corunner : measurement option;
+  instance : Workload.instance;
+}
+
+let build (w : Workload.t) =
+  Trace.with_span ~name:"stage.build" (fun () -> w.Workload.build ())
+
+let measure ?config ?(executor = Solo) ?watchdog ?crash ?sampler ?window_cycles
+    ?on_window ?(transform = fun _ -> ([], [])) (w : Workload.t) =
   Trace.with_span ~name:"pipeline.run" ~attrs:[ ("workload", w.Workload.name) ]
   @@ fun () ->
-  let (outcome, verified, injected, skipped), wall_seconds =
-    wall (fun () ->
-        let inst =
-          Trace.with_span ~name:"stage.build" (fun () -> w.Workload.build ())
-        in
+  let (inst, injected, skipped, co, (outcome, co_outcome)), wall_seconds =
+    Clock.wall (fun () ->
+        let inst = build w in
         let injected, skipped =
           Trace.with_span ~name:"stage.inject" (fun () -> transform inst)
         in
         Trace.with_span ~name:"stage.verify-ir" (fun () ->
-            Verify.check_exn inst.Workload.func);
-        let outcome =
-          Trace.with_span ~name:"stage.measure" (fun () ->
-              let o =
-                Machine.execute ?config ~args:inst.Workload.args
-                  ~mem:inst.Workload.mem inst.Workload.func
-              in
-              Trace.set_cycles o.Machine.cycles;
-              o)
+            Result.iter_error
+              (fun e -> raise (Invalid_ir e))
+              (Verify.check inst.Workload.func));
+        (* The co-runner is built fresh for every co-run, after the
+           tenant, and runs as stream 1 with no instrumentation. *)
+        let co =
+          match executor with
+          | Solo -> None
+          | Corun { corunner; policy } -> Some (corunner, build corunner, policy)
         in
-        let verified =
-          Trace.with_span ~name:"stage.semantic-verify" (fun () ->
-              inst.Workload.verify inst.Workload.mem outcome.Machine.ret)
+        let execute capped =
+          match co with
+          | None ->
+            ( Machine.execute ~config:capped ?sampler ?window_cycles ?on_window
+                ~args:inst.Workload.args ~mem:inst.Workload.mem
+                inst.Workload.func,
+              None )
+          | Some ((cw : Workload.t), ci, policy) -> (
+            match
+              Corun.run ~config:capped ~policy
+                [
+                  Corun.stream ?sampler ?window_cycles ?on_window
+                    ~args:inst.Workload.args ~name:w.Workload.name
+                    ~mem:inst.Workload.mem inst.Workload.func;
+                  Corun.stream ~args:ci.Workload.args ~name:cw.Workload.name
+                    ~mem:ci.Workload.mem ci.Workload.func;
+                ]
+            with
+            | [ t; c ] -> (t.Corun.so_outcome, Some c.Corun.so_outcome)
+            | _ -> assert false)
         in
-        (outcome, verified, injected, skipped))
+        ( inst,
+          injected,
+          skipped,
+          co,
+          Trace.with_span ~name:"stage.measure" @@ fun () ->
+          let ((o, _) as r) =
+            Watchdog.run ?config:watchdog ?crash
+              ~machine:(Option.value config ~default:Machine.default_config)
+              Watchdog.Measure execute
+          in
+          Trace.set_cycles o.Machine.cycles;
+          r ))
   in
-  { workload = w.Workload.name; outcome; verified; injected; skipped; wall_seconds }
+  Trace.with_span ~name:"stage.semantic-verify" @@ fun () ->
+  let measurement (w : Workload.t) (i : Workload.instance) ~injected ~skipped o =
+    {
+      workload = w.Workload.name;
+      outcome = o;
+      verified = i.Workload.verify i.Workload.mem o.Machine.ret;
+      injected;
+      skipped;
+      wall_seconds;
+    }
+  in
+  let tenant = measurement w inst ~injected ~skipped outcome in
+  let corunner =
+    match (co, co_outcome) with
+    | Some (cw, ci, _), Some o ->
+      Some (measurement cw ci ~injected:[] ~skipped:[] o)
+    | _ -> None
+  in
+  (* Cache sharing must never change semantics: a co-runner that fails
+     its own check makes the tenant's run unverified too. *)
+  let tenant =
+    match corunner with
+    | Some { workload; verified = Error e; _ } when tenant.verified = Ok () ->
+      { tenant with verified = Error (Printf.sprintf "co-runner %s: %s" workload e) }
+    | _ -> tenant
+  in
+  { tenant; corunner; instance = inst }
 
-let baseline ?config w = run_transformed ?config w (fun _ -> ([], []))
+let refit ?(options = Profiler.default_options) ~sampler r =
+  (* An analysis failure means no re-fit this time, not a failed run;
+     a simulated crash still propagates. *)
+  try
+    Some
+      (Profiler.refit ~options ~baseline:r.tenant.outcome sampler
+         r.instance.Workload.func)
+  with e when not (Crash.is_crashed e) -> None
 
-let aj ?config ?distance w =
-  run_transformed ?config w (fun inst ->
-      let r = Aj.run ?distance inst.Workload.func in
-      (r.Aj.injected, r.Aj.skipped))
+let apply_hints ?(cse = false) ?veto ~hints (inst : Workload.instance) =
+  let r = Aptget_pass.run ?veto inst.Workload.func ~hints in
+  if cse then ignore (Aptget_passes.Cse.run inst.Workload.func);
+  (r.Aptget_pass.injected, r.Aptget_pass.skipped)
+
+let aj_pass ?distance (inst : Workload.instance) =
+  let r = Aj.run ?distance inst.Workload.func in
+  (r.Aj.injected, r.Aj.skipped)
+
+let baseline ?config w = (measure ?config w).tenant
+
+let aj ?config ?distance w = (measure ?config ~transform:(aj_pass ?distance) w).tenant
 
 let profile ?options (w : Workload.t) =
   Trace.with_span ~name:"pipeline.profile"
     ~attrs:[ ("workload", w.Workload.name) ]
   @@ fun () ->
-  let inst =
-    Trace.with_span ~name:"stage.build" (fun () -> w.Workload.build ())
-  in
+  let inst = build w in
   Profiler.profile ?options ~args:inst.Workload.args ~mem:inst.Workload.mem
     inst.Workload.func
 
-let with_hints ?config ?(cse = false) ?veto ~hints w =
-  run_transformed ?config w (fun inst ->
-      let r = Aptget_pass.run ?veto inst.Workload.func ~hints in
-      if cse then ignore (Aptget_passes.Cse.run inst.Workload.func);
-      (r.Aptget_pass.injected, r.Aptget_pass.skipped))
+let with_hints ?config ?cse ?veto ~hints w =
+  (measure ?config ~transform:(apply_hints ?cse ?veto ~hints) w).tenant
 
 let aptget ?options ?config ?cse w =
   let prof = profile ?options w in
@@ -128,6 +210,10 @@ let profile_too_thin (p : Profiler.t) =
          && Array.length lp.Profiler.iteration_times < 8)
        p.Profiler.profiles
 
+(* Raised by run_robust's transform so its handler can tell an
+   injection failure from a build or run failure. *)
+exception Inject_failed of exn
+
 let run_robust ?(options = Profiler.default_options) ?config
     ?(faults = Faults.none) ?hints ?watchdog ?crash (w : Workload.t) =
   let degradations = ref [] in
@@ -144,179 +230,162 @@ let run_robust ?(options = Profiler.default_options) ?config
     | e -> Printexc.to_string e
   in
   let go () =
-        let options = { options with Profiler.faults } in
-        let try_profile opts =
-          match
-            Watchdog.run ?config:watchdog ?crash
-              ~machine:opts.Profiler.machine Watchdog.Profile
-              (fun capped ->
-                profile ~options:{ opts with Profiler.machine = capped } w)
-          with
-          | p -> Some p
-          | exception e when not (Crash.is_crashed e) ->
-            add "profile" (cause_of e) "continuing without a fresh profile";
-            None
-        in
-        (* 1. Profile (unless hints were supplied), retrying once with
-           denser sampling when too few iteration samples came back. *)
-        let prof, retried =
-          match hints with
-          | Some _ -> (None, false)
-          | None -> (
-            match try_profile options with
-            | Some p when profile_too_thin p ->
-              add "profile"
-                (Printf.sprintf
-                   "too few iteration samples (%d LBR snapshots, %d PEBS \
-                    samples)"
-                   p.Profiler.lbr_snapshots p.Profiler.pebs_samples)
-                "retried profiling with a 4x denser LBR sampling period";
-              let denser =
-                {
-                  options with
-                  Profiler.lbr_period = max 1_000 (options.Profiler.lbr_period / 4);
-                }
-              in
-              (match try_profile denser with
-              | Some p2 -> (Some p2, true)
-              | None -> (Some p, true))
-            | p -> (p, false))
-        in
-        (* Per-load diagnostics from the profiler become report entries
-           so every fallback/skip is visible with its cause. *)
-        (match prof with
-        | None -> ()
-        | Some p ->
-          List.iter
-            (fun (lp : Profiler.load_profile) ->
-              match lp.Profiler.status with
-              | Profiler.Hinted -> ()
-              | Profiler.Fallback why ->
-                add "profile"
-                  (Printf.sprintf "load PC %d: %s" lp.Profiler.load_pc why)
-                  "hint emitted with fallback parameters"
-              | Profiler.Skipped why ->
-                add "profile"
-                  (Printf.sprintf "load PC %d: %s" lp.Profiler.load_pc why)
-                  "no hint for this load")
-            p.Profiler.profiles);
-        let candidate =
-          match (hints, prof) with
-          | Some h, _ -> h
-          | None, Some p -> p.Profiler.hints
-          | None, None -> []
-        in
-        (* 2. Build, validate hints against the program, inject, verify
-           the rewritten IR, run, verify semantics — each stage falling
-           back instead of raising. *)
-        match w.Workload.build () with
-        | exception e when not (Crash.is_crashed e) ->
-          add "build" (cause_of e) "no measurement for this workload";
-          (prof, retried, candidate, [], None)
-        | inst ->
-          let hints_used, hints_dropped =
-            Profiler.validate_hints inst.Workload.func candidate
-          in
-          List.iter
-            (fun ((_ : Aptget_pass.hint), why) ->
-              add "hints" why "hint skipped")
-            hints_dropped;
-          let inst, injected, skipped =
-            match
-              (* The injection pass is pure rewriting (no simulated
-                 cycles), so its budget is counted in kernel steps: one
-                 per hint it will process. *)
-              Watchdog.check_steps ?config:watchdog Watchdog.Inject
-                ~steps:(List.length hints_used);
-              Trace.with_span ~name:"stage.inject" (fun () ->
-                  Aptget_pass.run inst.Workload.func ~hints:hints_used)
-            with
-            | exception e when not (Crash.is_crashed e) ->
-              add "inject" (cause_of e)
-                "discarding injections; rebuilding the unmodified kernel";
-              (w.Workload.build (), [], [])
-            | r -> (
-              if r.Aptget_pass.fellback then
-                add "inject" "no usable hints (Algorithm 2, lines 35-38)"
-                  "static Ainsworth & Jones injection";
-              List.iter
-                (fun (pc, why) ->
-                  add "inject"
-                    (Printf.sprintf "load PC %d: %s" pc why)
-                    "load left unprefetched")
-                r.Aptget_pass.skipped;
-              match Verify.check inst.Workload.func with
-              | Ok () -> (inst, r.Aptget_pass.injected, r.Aptget_pass.skipped)
-              | Error e ->
-                add "verify-ir" e
-                  "discarding injections; rebuilding the unmodified kernel";
-                (w.Workload.build (), [], []))
-          in
-          let run_inst inst injected skipped =
-            let outcome =
-              Trace.with_span ~name:"stage.measure" @@ fun () ->
-              let o =
-                Watchdog.run ?config:watchdog ?crash
-                  ~machine:(Option.value config ~default:Machine.default_config)
-                  Watchdog.Measure
-                  (fun capped ->
-                    Machine.execute ~config:capped ~args:inst.Workload.args
-                      ~mem:inst.Workload.mem inst.Workload.func)
-              in
-              Trace.set_cycles o.Machine.cycles;
-              o
-            in
-            let verified =
-              inst.Workload.verify inst.Workload.mem outcome.Machine.ret
-            in
-            (match verified with
-            | Ok () -> ()
-            | Error e ->
-              add "semantic-verify" e "measurement reported as unverified");
+    let options = { options with Profiler.faults } in
+    let try_profile opts =
+      match
+        Watchdog.run ?config:watchdog ?crash
+          ~machine:opts.Profiler.machine Watchdog.Profile
+          (fun capped ->
+            profile ~options:{ opts with Profiler.machine = capped } w)
+      with
+      | p -> Some p
+      | exception e when not (Crash.is_crashed e) ->
+        add "profile" (cause_of e) "continuing without a fresh profile";
+        None
+    in
+    (* 1. Profile (unless hints were supplied), retrying once with
+       denser sampling when too few iteration samples came back. *)
+    let prof, retried =
+      match hints with
+      | Some _ -> (None, false)
+      | None -> (
+        match try_profile options with
+        | Some p when profile_too_thin p ->
+          add "profile"
+            (Printf.sprintf
+               "too few iteration samples (%d LBR snapshots, %d PEBS \
+                samples)"
+               p.Profiler.lbr_snapshots p.Profiler.pebs_samples)
+            "retried profiling with a 4x denser LBR sampling period";
+          let denser =
             {
-              workload = w.Workload.name;
-              outcome;
-              verified;
-              injected;
-              skipped;
-              wall_seconds = 0.;
+              options with
+              Profiler.lbr_period = max 1_000 (options.Profiler.lbr_period / 4);
             }
           in
-          let measurement =
-            match run_inst inst injected skipped with
-            | m -> Some m
-            | exception e when not (Crash.is_crashed e) -> (
-              add "run" (cause_of e)
-                "rebuilding and running the unmodified kernel";
-              match run_inst (w.Workload.build ()) [] [] with
-              | m -> Some m
-              | exception e2 when not (Crash.is_crashed e2) ->
-                add "run" (cause_of e2)
-                  "no measurement for this workload";
-                None)
-          in
-          (prof, retried, hints_used, hints_dropped, measurement)
+          (match try_profile denser with
+          | Some p2 -> (Some p2, true)
+          | None -> (Some p, true))
+        | p -> (p, false))
+    in
+    (* Per-load diagnostics from the profiler become report entries
+       so every fallback/skip is visible with its cause. *)
+    (match prof with
+    | None -> ()
+    | Some p ->
+      List.iter
+        (fun (lp : Profiler.load_profile) ->
+          match lp.Profiler.status with
+          | Profiler.Hinted -> ()
+          | Profiler.Fallback why ->
+            add "profile"
+              (Printf.sprintf "load PC %d: %s" lp.Profiler.load_pc why)
+              "hint emitted with fallback parameters"
+          | Profiler.Skipped why ->
+            add "profile"
+              (Printf.sprintf "load PC %d: %s" lp.Profiler.load_pc why)
+              "no hint for this load")
+        p.Profiler.profiles);
+    let candidate =
+      match (hints, prof) with
+      | Some h, _ -> h
+      | None, Some p -> p.Profiler.hints
+      | None, None -> []
+    in
+    (* 2. Measure: validate the hints against the built program and
+       inject them, then let the measure stage verify the IR, run
+       and verify semantics. Every failure falls back to the
+       unmodified kernel instead of raising. *)
+    let validated = ref None in
+    let transform (inst : Workload.instance) =
+      let used, dropped =
+        Profiler.validate_hints inst.Workload.func candidate
+      in
+      validated := Some (used, dropped);
+      List.iter
+        (fun ((_ : Aptget_pass.hint), why) -> add "hints" why "hint skipped")
+        dropped;
+      match
+        (* The injection pass is pure rewriting (no simulated
+           cycles), so its budget is counted in kernel steps: one
+           per hint it will process. *)
+        Watchdog.check_steps ?config:watchdog Watchdog.Inject
+          ~steps:(List.length used);
+        Aptget_pass.run inst.Workload.func ~hints:used
+      with
+      | exception e when not (Crash.is_crashed e) -> raise (Inject_failed e)
+      | r ->
+        if r.Aptget_pass.fellback then
+          add "inject" "no usable hints (Algorithm 2, lines 35-38)"
+            "static Ainsworth & Jones injection";
+        List.iter
+          (fun (pc, why) ->
+            add "inject"
+              (Printf.sprintf "load PC %d: %s" pc why)
+              "load left unprefetched")
+          r.Aptget_pass.skipped;
+        (r.Aptget_pass.injected, r.Aptget_pass.skipped)
+    in
+    let measured r =
+      (match r.tenant.verified with
+      | Ok () -> ()
+      | Error e -> add "semantic-verify" e "measurement reported as unverified");
+      Some r.tenant
+    in
+    let rebuilding = "rebuilding and running the unmodified kernel" in
+    (* [retry]: a failed run of the unmodified kernel is tried once more. *)
+    let rec unmodified ~retry =
+      match measure ?config ?watchdog ?crash w with
+      | r -> measured r
+      | exception e when not (Crash.is_crashed e) ->
+        if retry then begin
+          add "run" (cause_of e) rebuilding;
+          unmodified ~retry:false
+        end
+        else begin
+          add "run" (cause_of e) "no measurement for this workload";
+          None
+        end
+    in
+    let discarded = "discarding injections; rebuilding the unmodified kernel" in
+    let measurement =
+      match measure ?config ?watchdog ?crash ~transform w with
+      | r -> measured r
+      | exception Inject_failed e ->
+        add "inject" (cause_of e) discarded;
+        unmodified ~retry:true
+      | exception Invalid_ir e ->
+        add "verify-ir" e discarded;
+        unmodified ~retry:true
+      | exception e when (not (Crash.is_crashed e)) && Option.is_none !validated ->
+        (* the transform never ran: the build itself failed *)
+        add "build" (cause_of e) "no measurement for this workload";
+        None
+      | exception e when not (Crash.is_crashed e) ->
+        add "run" (cause_of e) rebuilding;
+        unmodified ~retry:false
+    in
+    let hints_used, hints_dropped =
+      Option.value !validated ~default:(candidate, [])
+    in
+    (prof, retried, hints_used, hints_dropped, measurement)
   in
   (* Last-resort catch: run_robust must never raise, even on failures
      in stages the per-stage handlers above do not anticipate. The one
      exception is a simulated crash, which models the process dying and
      therefore must propagate. *)
-  let result, wall_seconds =
+  let prof, retried, hints_used, hints_dropped, measurement =
     Trace.with_span ~name:"pipeline.run-robust"
       ~attrs:[ ("workload", w.Workload.name) ]
     @@ fun () ->
-    wall (fun () ->
-        try go ()
-        with e when not (Crash.is_crashed e) ->
-          add "pipeline" (cause_of e)
-            "no measurement for this workload";
-          (None, false, [], [], None))
+    try go ()
+    with e when not (Crash.is_crashed e) ->
+      add "pipeline" (cause_of e) "no measurement for this workload";
+      (None, false, [], [], None)
   in
-  let prof, retried, hints_used, hints_dropped, measurement = result in
   {
     r_workload = w.Workload.name;
-    r_measurement =
-      Option.map (fun m -> { m with wall_seconds }) measurement;
+    r_measurement = measurement;
     r_profile = prof;
     r_hints_used = hints_used;
     r_hints_dropped = hints_dropped;
@@ -362,17 +431,6 @@ let guard_outcome_to_string = function
     Printf.sprintf "known bad (%.3fx on record); fell back to %s"
       k.prior_speedup k.fallback
 
-(* The baseline-equivalent fallback still goes through the injection
-   pass, vetoing every hint: the measurement is the unmodified kernel
-   (the simulator is deterministic), and the per-hint skip records show
-   exactly what the guard suppressed. An empty candidate would instead
-   trip the pass's Algorithm-2 static fallback, so it shortcuts to the
-   plain baseline run. *)
-let pinned ?config w hints reason =
-  match hints with
-  | [] -> baseline ?config w
-  | _ :: _ -> with_hints ?config ~veto:(fun _ -> Some reason) ~hints w
-
 let no_measure_cache ~variant f =
   ignore (variant : string);
   f ()
@@ -402,26 +460,29 @@ let run_guarded ?config ?(guard = default_guard) ?quarantine ?remap ?watchdog
      process mid-measurement. A baseline or fallback that blows its
      budget has nothing to degrade to, so its Timed_out propagates; a
      candidate that blows its budget is quarantined at 0.0x. *)
-  let mconfig = Option.value config ~default:Machine.default_config in
-  let measure f =
-    Watchdog.run ?config:watchdog ?crash ~machine:mconfig Watchdog.Measure f
+  let measure ?transform () =
+    (measure ?config ?watchdog ?crash ?transform w).tenant
   in
-  let base =
-    measure_cache ~variant:"guard-baseline" (fun () ->
-        measure (fun capped -> baseline ~config:capped w))
-  in
+  let base = measure_cache ~variant:"guard-baseline" measure in
   let program = current.Aptget_ir.Fingerprint.program in
   let hkey = Quarantine.hints_key hints in
   let fall_back ~reason =
     (* The pinned fallback embeds [reason] in its per-hint skip records,
-       so it is never cached — two different reasons must not alias. *)
+       so it is never cached — two different reasons must not alias. It
+       still goes through the injection pass, vetoing every hint: the
+       measurement is the unmodified kernel (the simulator is
+       deterministic), and the skip records show exactly what the guard
+       suppressed. An empty candidate would instead trip the pass's
+       Algorithm-2 static fallback, so it runs the plain baseline. *)
     let pinned_m () =
-      measure (fun capped -> pinned ~config:capped w hints reason)
+      match hints with
+      | [] -> measure ()
+      | _ :: _ ->
+        measure ~transform:(apply_hints ~veto:(fun _ -> Some reason) ~hints) ()
     in
     if guard.try_aj then begin
       match
-        measure_cache ~variant:"guard-aj" (fun () ->
-            measure (fun capped -> aj ~config:capped w))
+        measure_cache ~variant:"guard-aj" (measure ~transform:aj_pass)
       with
       | m when speedup ~baseline:base m >= guard.floor ->
         (m, "static Ainsworth & Jones injection")
@@ -462,7 +523,7 @@ let run_guarded ?config ?(guard = default_guard) ?quarantine ?remap ?watchdog
       match
         measure_cache
           ~variant:("guard-candidate:" ^ Aptget_ir.Fingerprint.hex hkey)
-          (fun () -> measure (fun capped -> with_hints ~config:capped ~hints w))
+          (measure ~transform:(apply_hints ~hints))
       with
       | m ->
         let s = speedup ~baseline:base m in
@@ -513,8 +574,6 @@ let run_guarded ?config ?(guard = default_guard) ?quarantine ?remap ?watchdog
 (* (Aptget_adapt) drives once per program phase/segment.               *)
 (* ------------------------------------------------------------------ *)
 
-module Sampler = Aptget_pmu.Sampler
-
 type epoch = {
   e_measurement : measurement;
   e_windows : Machine.window_report list;  (** in execution order *)
@@ -522,68 +581,37 @@ type epoch = {
   e_hints_dropped : (Aptget_pass.hint * string) list;
 }
 
-let run_adaptive ?config ?watchdog ?crash ?(options = Profiler.default_options)
-    ?sampler ?window_cycles ?veto ~hints (w : Workload.t) =
+let run_adaptive ?config ?watchdog ?crash ?options ?sampler ?window_cycles ?veto
+    ~hints (w : Workload.t) =
   Trace.with_span ~name:"pipeline.run-adaptive"
     ~attrs:[ ("workload", w.Workload.name) ]
   @@ fun () ->
-  let inst = w.Workload.build () in
-  let hints_used, hints_dropped =
-    Profiler.validate_hints inst.Workload.func hints
-  in
-  (* An empty (or fully stale) hint list takes the injection pass's
-     Algorithm-2 static fallback — the bottom rung of the degradation
-     ladder runs A&J's fixed distance, not an unprefetched kernel. *)
-  let r = Aptget_pass.run ?veto inst.Workload.func ~hints:hints_used in
-  Verify.check_exn inst.Workload.func;
   Option.iter (fun s -> Sampler.reset s) sampler;
   let windows = ref [] in
   let on_window =
-    match window_cycles with
-    | Some _ -> Some (fun wr -> windows := wr :: !windows)
-    | None -> None
+    Option.map (fun _ wr -> windows := wr :: !windows) window_cycles
   in
-  let mconfig = Option.value config ~default:Machine.default_config in
-  let (outcome, verified), wall_seconds =
-    wall (fun () ->
-        let o =
-          Trace.with_span ~name:"stage.measure" @@ fun () ->
-          let o =
-            Watchdog.run ?config:watchdog ?crash ~machine:mconfig
-              Watchdog.Measure (fun capped ->
-                Machine.execute ~config:capped ?sampler ?window_cycles
-                  ?on_window ~args:inst.Workload.args ~mem:inst.Workload.mem
-                  inst.Workload.func)
-          in
-          Trace.set_cycles o.Machine.cycles;
-          o
-        in
-        (o, inst.Workload.verify inst.Workload.mem o.Machine.ret))
+  let dropped = ref [] in
+  (* An empty (or fully stale) hint list takes the injection pass's
+     Algorithm-2 static fallback — the bottom rung of the degradation
+     ladder runs A&J's fixed distance, not an unprefetched kernel. *)
+  let transform (inst : Workload.instance) =
+    let used, d = Profiler.validate_hints inst.Workload.func hints in
+    dropped := d;
+    apply_hints ?veto ~hints:used inst
   in
-  let refit =
-    match sampler with
-    | None -> None
-    | Some s -> (
-      (* The re-fit analyses the *rewritten* kernel the sampler just
-         observed; its hint PCs must travel through the remap path to
-         reach a fresh build. An analysis failure means re-profiling is
-         unavailable this epoch, not that the epoch failed. *)
-      try Some (Profiler.refit ~options ~baseline:outcome s inst.Workload.func)
-      with e when not (Crash.is_crashed e) -> None)
+  let r =
+    measure ?config ?watchdog ?crash ?sampler ?window_cycles ?on_window
+      ~transform w
   in
   {
-    e_measurement =
-      {
-        workload = w.Workload.name;
-        outcome;
-        verified;
-        injected = r.Aptget_pass.injected;
-        skipped = r.Aptget_pass.skipped;
-        wall_seconds;
-      };
+    e_measurement = r.tenant;
     e_windows = List.rev !windows;
-    e_refit = refit;
-    e_hints_dropped = hints_dropped;
+    (* The re-fit analyses the *rewritten* kernel the sampler just
+       observed; its hint PCs must travel through the remap path to
+       reach a fresh build. *)
+    e_refit = Option.bind sampler (fun sampler -> refit ?options ~sampler r);
+    e_hints_dropped = !dropped;
   }
 
 let force_distance d hints =

@@ -7,10 +7,20 @@
     build workload -> inject (A&J static pass)   -> baseline competitor
     v}
 
-    Every run gets a freshly built workload instance, so measured runs
-    never see a previous run's memory side effects, and every run's
-    semantic verifier is checked — a prefetch pass that breaks the
-    program is reported, not silently timed. *)
+    Every measured run goes through one stage, {!measure}:
+
+    {v
+    build -> transform -> Verify.check -> execute (watchdog) -> semantic verify
+    v}
+
+    Its executor is {!Solo} ({!Aptget_machine.Machine.execute}) or
+    {!Corun} ({!Aptget_machine.Corun.run} against a freshly built
+    co-runner on the shared LLC/DRAM). The plain, robust, guarded and
+    adaptive entry points below, the experiments and the CLI are
+    compositions of that stage. Every run gets a freshly built workload
+    instance, so measured runs never see a previous run's memory side
+    effects, and every run's semantic verifier is checked: a prefetch
+    pass that breaks the program is reported, not silently timed. *)
 
 type measurement = {
   workload : string;
@@ -19,8 +29,11 @@ type measurement = {
   injected : Aptget_passes.Inject.injected list;
   skipped : (int * string) list;
   wall_seconds : float;
-      (** elapsed wall-clock seconds spent building + simulating,
-          measured on the monotonic {!Aptget_util.Clock} *)
+      (** build plus simulate time of this one run, in wall-clock
+          seconds on the monotonic {!Aptget_util.Clock}: {!measure}
+          from building the instance (and the co-runner's, under
+          {!Corun}) through the transform, IR check and simulation.
+          Profiling and every other run are never included. *)
 }
 
 val verified_exn : measurement -> measurement
@@ -34,6 +47,72 @@ val instruction_overhead : baseline:measurement -> measurement -> float
 
 val mpki_reduction : baseline:measurement -> measurement -> float
 (** 1 - mpki/mpki_baseline (Fig. 7, higher is better). *)
+
+(** {2 The measure stage} *)
+
+exception Invalid_ir of string
+(** Raised by {!measure} when the transformed IR fails
+    {!Aptget_ir.Verify.check}; carries the rendered report. *)
+
+type executor =
+  | Solo  (** the tenant alone on the machine *)
+  | Corun of { corunner : Aptget_workloads.Workload.t; policy : Aptget_machine.Corun.policy }
+      (** the tenant as stream 0 and a fresh build of [corunner] as
+          stream 1, interleaved by [policy] over one shared LLC/DRAM *)
+
+type run = {
+  tenant : measurement;
+      (** under {!Corun}, unverified also when the co-runner's own
+          check failed; the error then names the co-runner *)
+  corunner : measurement option;  (** [Some] exactly under {!Corun} *)
+  instance : Aptget_workloads.Workload.instance;
+      (** the tenant instance as executed: transformed IR, post-run
+          memory *)
+}
+
+val measure :
+  ?config:Aptget_machine.Machine.config ->
+  ?executor:executor ->
+  ?watchdog:Watchdog.config ->
+  ?crash:Aptget_store.Crash.t ->
+  ?sampler:Aptget_pmu.Sampler.t ->
+  ?window_cycles:int ->
+  ?on_window:(Aptget_machine.Machine.window_report -> unit) ->
+  ?transform:
+    (Aptget_workloads.Workload.instance ->
+    Aptget_passes.Inject.injected list * (int * string) list) ->
+  Aptget_workloads.Workload.t ->
+  run
+(** Build a fresh instance of the workload, apply [transform] (default:
+    none; it returns the measurement's [injected] and [skipped]), check
+    the IR (raising {!Invalid_ir}), execute under [executor] (default
+    {!Solo}) supervised by {!Watchdog.run} in its [Measure] stage, and
+    run the semantic verifier. [sampler], [window_cycles] and
+    [on_window] ride along the tenant exactly as in
+    {!Aptget_machine.Machine.execute}. Exceptions from the transform,
+    the watchdog ({!Watchdog.Timed_out}, {!Aptget_store.Crash.Crashed})
+    and the machine propagate. *)
+
+val apply_hints :
+  ?cse:bool ->
+  ?veto:(Aptget_passes.Aptget_pass.hint -> string option) ->
+  hints:Aptget_passes.Aptget_pass.hint list ->
+  Aptget_workloads.Workload.instance ->
+  Aptget_passes.Inject.injected list * (int * string) list
+(** The APT-GET pass as a {!measure} transform. [cse] (default false)
+    runs the local CSE cleanup after injection; [veto] is forwarded to
+    {!Aptget_passes.Aptget_pass.run}. *)
+
+val refit :
+  ?options:Aptget_profile.Profiler.options ->
+  sampler:Aptget_pmu.Sampler.t ->
+  run ->
+  Aptget_profile.Profiler.t option
+(** Incremental Eq. 1 re-fit from [sampler], which rode along [run],
+    over the kernel [run] executed. [None] when the analysis fails;
+    {!Aptget_store.Crash.Crashed} propagates. *)
+
+(** {2 Plain entry points} *)
 
 val baseline : ?config:Aptget_machine.Machine.config -> Aptget_workloads.Workload.t -> measurement
 (** Unmodified kernel. *)

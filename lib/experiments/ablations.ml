@@ -135,29 +135,30 @@ let clamping lab =
     (fun d ->
       List.iter
         (fun (label, clamp) ->
-          let inst = w.Workload.build () in
-          let pc = Micro.delinquent_load_pc inst in
-          (match
-             Inject.inject ~clamp inst.Workload.func
-               { Inject.load_pc = pc; distance = d; site = Inject.Inner; sweep = 1 }
-           with
-          | Ok _ -> ()
-          | Error e -> failwith e);
-          let out =
-            Machine.execute ~args:inst.Workload.args ~mem:inst.Workload.mem
-              inst.Workload.func
+          let transform (inst : Workload.instance) =
+            match
+              Inject.inject ~clamp inst.Workload.func
+                {
+                  Inject.load_pc = Micro.delinquent_load_pc inst;
+                  distance = d;
+                  site = Inject.Inner;
+                  sweep = 1;
+                }
+            with
+            | Ok i -> ([ i ], [])
+            | Error e -> failwith e
           in
+          let m = (Pipeline.measure ~transform w).Pipeline.tenant in
           let verified =
-            match inst.Workload.verify inst.Workload.mem out.Machine.ret with
-            | Ok () -> "ok"
-            | Error _ -> "FAILED"
-          in
-          let s =
-            float_of_int base.Pipeline.outcome.Machine.cycles
-            /. float_of_int out.Machine.cycles
+            match m.Pipeline.verified with Ok () -> "ok" | Error _ -> "FAILED"
           in
           Table.add_row t
-            [ string_of_int d; label; Table.fmt_speedup s; verified ])
+            [
+              string_of_int d;
+              label;
+              Table.fmt_speedup (Pipeline.speedup ~baseline:base m);
+              verified;
+            ])
         [ ("clamped", true); ("unclamped", false) ])
     [ 8; 32 ];
   [ t ]

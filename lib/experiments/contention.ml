@@ -26,7 +26,6 @@
    a time). *)
 
 module Table = Aptget_util.Table
-module Clock = Aptget_util.Clock
 module Pipeline = Aptget_core.Pipeline
 module Machine = Aptget_machine.Machine
 module Corun = Aptget_machine.Corun
@@ -120,50 +119,21 @@ let config =
 let profile_options =
   { Profiler.default_options with Profiler.machine = config }
 
-(* One co-run of [tenant_inst] against a *fresh* co-runner instance,
-   returning the tenant's measurement (its stream outcome, verified
-   against the tenant's own memory — the co-runner is verified too;
-   cache sharing must never change semantics). *)
-let corun_tenant ?policy ?sampler ?window_cycles ?on_window ~label
-    (pair : pair) (tenant_inst : Workload.instance) =
-  let ci = pair.corunner.Workload.build () in
-  let streams =
-    [
-      Corun.stream ?sampler ?window_cycles ?on_window
-        ~args:tenant_inst.Workload.args ~name:pair.tenant.Workload.name
-        ~mem:tenant_inst.Workload.mem tenant_inst.Workload.func;
-      Corun.stream ~args:ci.Workload.args ~name:pair.corunner.Workload.name
-        ~mem:ci.Workload.mem ci.Workload.func;
-    ]
+(* One co-run of a fresh tenant instance, [hints] injected (validated
+   first, so a stale subset degrades exactly like the adaptive
+   pipeline's rung), against a fresh co-runner. The measure stage
+   verifies both streams: cache sharing must never change semantics. *)
+let corun ?(policy = Corun.Round_robin) ?sampler ?window_cycles ?on_window
+    ?hints (pair : pair) =
+  let inject_valid hints (inst : Workload.instance) =
+    let used, _dropped = Profiler.validate_hints inst.Workload.func hints in
+    Pipeline.apply_hints ~hints:used inst
   in
-  let outcomes, wall = Clock.wall (fun () -> Corun.run ~config ?policy streams) in
-  let tenant_o, corunner_o =
-    match outcomes with
-    | [ t; c ] -> (t.Corun.so_outcome, c.Corun.so_outcome)
-    | _ -> assert false
-  in
-  (match ci.Workload.verify ci.Workload.mem corunner_o.Machine.ret with
-  | Ok () -> ()
-  | Error e -> failwith (label ^ ": co-runner verification failed: " ^ e));
-  {
-    Pipeline.workload = label;
-    outcome = tenant_o;
-    verified =
-      tenant_inst.Workload.verify tenant_inst.Workload.mem
-        tenant_o.Machine.ret;
-    injected = [];
-    skipped = [];
-    wall_seconds = wall;
-  }
-
-(* Fresh tenant instance with [hints] injected (validated first, so a
-   stale subset degrades exactly like the adaptive pipeline's rung). *)
-let hinted_instance (pair : pair) hints =
-  let inst = pair.tenant.Workload.build () in
-  let used, _dropped = Profiler.validate_hints inst.Workload.func hints in
-  ignore (Aptget_pass.run inst.Workload.func ~hints:used);
-  Verify.check_exn inst.Workload.func;
-  inst
+  Pipeline.measure ~config
+    ~executor:(Pipeline.Corun { corunner = pair.corunner; policy })
+    ?sampler ?window_cycles ?on_window
+    ?transform:(Option.map inject_valid hints)
+    pair.tenant
 
 let cycles (m : Pipeline.measurement) = m.Pipeline.outcome.Machine.cycles
 
@@ -205,27 +175,17 @@ let study lab (pair : pair) =
       ~lbr_period:Profiler.default_options.Profiler.lbr_period
       ~pebs_period:Profiler.default_options.Profiler.pebs_period ()
   in
-  let base_inst = pair.tenant.Workload.build () in
-  let corun_base =
-    Lab.check
-      (corun_tenant ~sampler ~label:(name ^ "@corun") pair base_inst)
-  in
-  let refit =
-    try
-      Some
-        (Profiler.refit ~options:profile_options
-           ~baseline:corun_base.Pipeline.outcome sampler
-           base_inst.Workload.func)
-    with _ -> None
-  in
+  let base_run = corun ~sampler pair in
+  let corun_base = Lab.check base_run.Pipeline.tenant in
+  let refit = Pipeline.refit ~options:profile_options ~sampler base_run in
   (* Co-run with the stale solo hints, windows feeding the detector. *)
   let windows = ref [] in
   let corun_stale =
     Lab.check
-      (corun_tenant ~window_cycles:wc
+      (corun ~window_cycles:wc
          ~on_window:(fun w -> windows := w :: !windows)
-         ~label:(name ^ "@corun-stale") pair
-         (hinted_instance pair prof.Profiler.hints))
+         ~hints:prof.Profiler.hints pair)
+        .Pipeline.tenant
   in
   let corun_windows = List.rev !windows in
   (* Drift: epoch 1 (solo hinted) calibrates, epoch 2 (co-run) rules. *)
@@ -253,9 +213,7 @@ let study lab (pair : pair) =
     | [] -> None
     | hints ->
       Some
-        (Lab.check
-           (corun_tenant ~label:(name ^ "@corun-retuned") pair
-              (hinted_instance pair hints)))
+        (Lab.check (corun ~hints pair).Pipeline.tenant)
   in
   let floor = Pipeline.default_guard.Pipeline.floor in
   let final, action =
@@ -382,19 +340,14 @@ let sweep_table ((pair : pair), (s : study)) =
         let solo =
           Lab.check (Pipeline.with_hints ~config ~hints pair.tenant)
         in
-        let corun =
-          Lab.check
-            (corun_tenant
-               ~label:(Printf.sprintf "%s@corun-d%d" name d)
-               pair (hinted_instance pair hints))
-        in
+        let co = Lab.check (corun ~hints pair).Pipeline.tenant in
         Table.add_row t
           [
             string_of_int d;
             string_of_int (cycles solo);
             Table.fmt_speedup (speedup ~base:solo_base solo);
-            string_of_int (cycles corun);
-            Table.fmt_speedup (speedup ~base:corun_base corun);
+            string_of_int (cycles co);
+            Table.fmt_speedup (speedup ~base:corun_base co);
           ])
       distances;
     Some t
@@ -405,21 +358,9 @@ let sweep_table ((pair : pair), (s : study)) =
    changes with it. *)
 let policy_table (pair : pair) =
   let run policy =
-    let ti = pair.tenant.Workload.build () in
-    let ci = pair.corunner.Workload.build () in
-    let outs =
-      Corun.run ~config ~policy
-        [
-          Corun.stream ~args:ti.Workload.args ~name:pair.tenant.Workload.name
-            ~mem:ti.Workload.mem ti.Workload.func;
-          Corun.stream ~args:ci.Workload.args
-            ~name:pair.corunner.Workload.name ~mem:ci.Workload.mem
-            ci.Workload.func;
-        ]
-    in
-    match outs with
-    | [ t; c ] -> (t.Corun.so_outcome, c.Corun.so_outcome)
-    | _ -> assert false
+    let r = corun ~policy pair in
+    ( (Lab.check r.Pipeline.tenant).Pipeline.outcome,
+      (Option.get r.Pipeline.corunner).Pipeline.outcome )
   in
   let t =
     Table.create

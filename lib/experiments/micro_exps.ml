@@ -147,11 +147,9 @@ let fig2 lab =
 
 let fig3 lab =
   let w = micro_workload lab ~inner:4 ~complexity:0 in
-  let inst = w.Workload.build () in
   let sampler = Sampler.create ~lbr_period:20_000 () in
-  ignore
-    (Machine.execute ~sampler ~args:inst.Workload.args ~mem:inst.Workload.mem
-       inst.Workload.func);
+  let r = Pipeline.measure ~sampler w in
+  ignore (Lab.check r.Pipeline.tenant);
   let samples = Sampler.lbr_samples sampler in
   let sample = median_snapshot samples in
   let t =
@@ -173,7 +171,7 @@ let fig3 lab =
           ])
     sample.Sampler.entries;
   (* Recover the loop statistics from all snapshots, as §3.1 does. *)
-  let loops = Loops.analyze inst.Workload.func in
+  let loops = Loops.analyze r.Pipeline.instance.Workload.func in
   let inner_loop =
     Array.to_list loops
     |> List.filter (fun (l : Loops.loop) -> l.Loops.parent <> None)

@@ -75,5 +75,3 @@ let func_to_string (f : Ir.func) =
            (term_to_string b.Ir.term)))
     f.Ir.blocks;
   Buffer.contents buf
-
-let pp_func fmt f = Format.pp_print_string fmt (func_to_string f)

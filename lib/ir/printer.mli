@@ -8,5 +8,3 @@ val term_to_string : Ir.terminator -> string
 val func_to_string : Ir.func -> string
 (** Whole function, one block per paragraph, with layout PCs in the
     margin. *)
-
-val pp_func : Format.formatter -> Ir.func -> unit

@@ -191,16 +191,6 @@ let loop_containing loops label =
     loops;
   Option.map fst !best
 
-let innermost_of_phi (f : Ir.func) loops reg =
-  let found = ref None in
-  Array.iteri
-    (fun i l ->
-      let blk = f.Ir.blocks.(l.header) in
-      if List.exists (fun (p : Ir.phi) -> p.Ir.phi_dst = reg) blk.Ir.phis then
-        found := Some i)
-    loops;
-  !found
-
 let loop_of_latch_pc loops pc =
   let found = ref None in
   Array.iteri (fun i l -> if l.latch_pc = pc then found := Some i) loops;

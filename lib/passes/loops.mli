@@ -40,8 +40,5 @@ val analyze : Ir.func -> loop array
 val loop_containing : loop array -> Ir.label -> int option
 (** Index of the innermost loop whose body contains a block. *)
 
-val innermost_of_phi : Ir.func -> loop array -> Ir.reg -> int option
-(** Index of the loop whose header defines this phi register. *)
-
 val loop_of_latch_pc : loop array -> int -> int option
 (** Index of the loop whose latch terminator has this PC. *)

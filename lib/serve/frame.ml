@@ -20,11 +20,6 @@ type error =
   | Incomplete of { have : int; need : int }
   | Malformed of string
 
-let error_to_string = function
-  | Incomplete { have; need } ->
-    Printf.sprintf "incomplete frame: %d of %d bytes" have need
-  | Malformed why -> "malformed frame: " ^ why
-
 let decode ~buf ~pos =
   let len = String.length buf in
   let avail = if pos >= len then 0 else len - pos in

@@ -38,8 +38,6 @@ type error =
   | Malformed of string  (** bad magic, bad hex field, oversized
           length, or checksum mismatch *)
 
-val error_to_string : error -> string
-
 val decode : buf:string -> pos:int -> (string * int, error) result
 (** Decode the frame starting at byte [pos] of [buf]: the payload and
     the offset of the next frame. Never raises (a [pos] outside the

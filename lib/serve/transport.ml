@@ -231,10 +231,6 @@ let listen config =
                (addr_to_string config.sc_addr)
                (Unix.error_message e))))
 
-let listener_addr l = l.config.sc_addr
-
-let conn_count l = List.length l.conns
-
 let best_effort_write fd bytes =
   if bytes <> "" then
     try

@@ -84,8 +84,6 @@ val listen : socket_config -> (listener, string) result
 (** Bind and listen (unlinking a stale Unix-domain path first), set
     [SIGPIPE] to ignore. [Error] for a bad config or bind failure. *)
 
-val listener_addr : listener -> addr
-
 type poll = {
   p_payloads : (conn_id * string) list;
       (** whole decoded frame payloads, in arrival order *)
@@ -115,8 +113,6 @@ val finish : listener -> conn_id -> unit
 (** One of the connection's outstanding payloads has been answered;
     when none remain the connection is closed (the transport is
     one-shot per request batch, like HTTP/1.0). *)
-
-val conn_count : listener -> int
 
 val close_listener : listener -> unit
 (** Close every connection and the listening socket; unlink a

@@ -34,9 +34,6 @@ let armed t = (not t.fired) && t.point <> Nothing
 let crashed t = t.fired
 let writes_seen t = t.writes
 
-let kill_write t =
-  match t.point with Write { k; _ } -> Some k | Nothing | Cycle _ -> None
-
 let cycle_limit t =
   match t.point with Cycle c -> Some c | Nothing | Write _ -> None
 

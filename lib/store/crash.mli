@@ -54,9 +54,6 @@ val writes_seen : t -> int
 (** Guarded writes observed so far (survives the crash, so a test can
     assert where the plan fired). *)
 
-val kill_write : t -> int option
-(** The armed write index, when the plan is a write plan. *)
-
 val cycle_limit : t -> int option
 (** The armed cycle, when the plan is a cycle plan. *)
 

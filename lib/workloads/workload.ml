@@ -62,8 +62,6 @@ let make ~name ~app ~input ~description ~nested recipe =
 
 let alloc_guard mem = ignore (Memory.alloc mem ~name:"guard" ~words:8192)
 
-let no_verify _ _ = Ok ()
-
 let expect_ret expected _ ret =
   match ret with
   | Some v when v = expected -> Ok ()

@@ -52,8 +52,5 @@ val alloc_guard : Aptget_mem.Memory.t -> unit
     (mirrors reading adjacent pages on real hardware). Call last,
     after all workload allocations. *)
 
-val no_verify : Aptget_mem.Memory.t -> int option -> (unit, string) result
-(** Always [Ok ()]. *)
-
 val expect_ret : int -> Aptget_mem.Memory.t -> int option -> (unit, string) result
 (** Check the kernel returned exactly this value. *)

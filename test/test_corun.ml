@@ -5,6 +5,9 @@
    must reproduce Machine.execute byte-for-byte, and a multi-stream
    schedule must produce identical per-stream outcomes under every
    engine and every policy.
+   Pipeline's co-run executor must be exactly that scheduler over the
+   transformed tenant and a fresh co-runner, and must report a
+   co-runner that fails its check.
    The pins lock three fixed bugs: the hardware prefetcher walking
    past the memory extent, Model.top_peak assuming a sorted peak
    list, and positional List.nth in builder specs failing without a
@@ -351,6 +354,99 @@ let test_builder_labeled_errors () =
   Alcotest.(check bool) "in-range index still works" true
     (Builder.nth_value b ~what:"arg" vals 1 = List.nth vals 1)
 
+(* ---------------- the co-run executor ---------------- *)
+
+module Pipeline = Aptget_core.Pipeline
+module Workload = Aptget_workloads.Workload
+module Micro = Aptget_workloads.Micro
+module Thrash = Aptget_workloads.Thrash
+module Aptget_pass = Aptget_passes.Aptget_pass
+module Inject = Aptget_passes.Inject
+
+let small_tenant () =
+  Micro.workload
+    ~params:
+      { Micro.default_params with Micro.total = 8_192; table_words = 1 lsl 18; inner = 64 }
+    ~name:"micro-ct" ()
+
+let small_thrash ?(name = "thrash-ct") () =
+  Thrash.workload ~params:{ Thrash.words = 1 lsl 19; passes = 1 } ~name ()
+
+let hint_for (inst : Workload.instance) =
+  {
+    Aptget_pass.load_pc = Micro.delinquent_load_pc inst;
+    distance = 8;
+    site = Inject.Inner;
+    sweep = 1;
+  }
+
+let test_executor_matches_corun () =
+  (* The stage's Corun executor is Corun.run over the transformed
+     tenant and a fresh co-runner: same per-stream outcomes as wiring
+     the two streams by hand. *)
+  let tenant = small_tenant () and corunner = small_thrash () in
+  let hints = [ hint_for (tenant.Workload.build ()) ] in
+  let policy = Corun.Cycle_ratio [ 1; 4 ] in
+  let r =
+    Pipeline.measure
+      ~executor:(Pipeline.Corun { corunner; policy })
+      ~transform:(Pipeline.apply_hints ~hints) tenant
+  in
+  let ti = tenant.Workload.build () in
+  ignore (Aptget_pass.run ti.Workload.func ~hints);
+  let ci = corunner.Workload.build () in
+  match
+    Corun.run ~policy
+      [
+        Corun.stream ~args:ti.Workload.args ~name:"t" ~mem:ti.Workload.mem
+          ti.Workload.func;
+        Corun.stream ~args:ci.Workload.args ~name:"c" ~mem:ci.Workload.mem
+          ci.Workload.func;
+      ]
+  with
+  | [ t; c ] ->
+    Alcotest.(check bool) "tenant outcome" true
+      (obs r.Pipeline.tenant.Pipeline.outcome = obs t.Corun.so_outcome);
+    Alcotest.(check bool) "co-runner outcome" true
+      (Option.map (fun m -> obs m.Pipeline.outcome) r.Pipeline.corunner
+      = Some (obs c.Corun.so_outcome));
+    Alcotest.(check bool) "tenant verified" true
+      (r.Pipeline.tenant.Pipeline.verified = Ok ());
+    Alcotest.(check bool) "injected" true
+      (r.Pipeline.tenant.Pipeline.injected <> [])
+  | l -> Alcotest.failf "expected two streams, got %d" (List.length l)
+
+let test_executor_corunner_unverified () =
+  (* A co-runner that fails its own check makes the tenant's run
+     unverified, and the error names the co-runner. *)
+  let thrash = small_thrash ~name:"thrash-broken" () in
+  let corunner =
+    {
+      thrash with
+      Workload.build =
+        (fun () ->
+          {
+            (thrash.Workload.build ()) with
+            Workload.verify = (fun _ _ -> Error "always wrong");
+          });
+    }
+  in
+  let r =
+    Pipeline.measure
+      ~executor:(Pipeline.Corun { corunner; policy = Corun.Round_robin })
+      (small_tenant ())
+  in
+  (match r.Pipeline.tenant.Pipeline.verified with
+  | Ok () -> Alcotest.fail "tenant must be unverified"
+  | Error e ->
+    Alcotest.(check string) "names the co-runner"
+      "co-runner thrash-broken: always wrong" e);
+  match r.Pipeline.corunner with
+  | Some m ->
+    Alcotest.(check bool) "co-runner unverified" true
+      (m.Pipeline.verified = Error "always wrong")
+  | None -> Alcotest.fail "expected a co-runner measurement"
+
 let () =
   Alcotest.run "corun"
     [
@@ -377,5 +473,12 @@ let () =
             test_model_distance_peak_order;
           Alcotest.test_case "builder labeled errors" `Quick
             test_builder_labeled_errors;
+        ] );
+      ( "executor",
+        [
+          Alcotest.test_case "matches Corun.run" `Quick
+            test_executor_matches_corun;
+          Alcotest.test_case "co-runner unverified" `Quick
+            test_executor_corunner_unverified;
         ] );
     ]
