@@ -316,7 +316,7 @@ let run_cmd =
             (Table.fmt_speedup e.Quarantine.q_speedup))
         entries
   in
-  let run_guarded w ~doc ~remap ~guard_floor ~quarantine_path =
+  let run_guarded ~baseline w ~doc ~remap ~guard_floor ~quarantine_path =
     let quarantine =
       Option.map (fun path -> Quarantine.create ~path ()) quarantine_path
     in
@@ -324,7 +324,7 @@ let run_cmd =
     let g =
       Pipeline.run_guarded ?quarantine
         ?remap:(if remap then Some Remap.default_config else None)
-        ~guard ~doc w
+        ~guard ~baseline ~doc w
     in
     print_outcome "APT-GET" g.Pipeline.g_final;
     Option.iter print_remap g.Pipeline.g_remap;
@@ -353,10 +353,9 @@ let run_cmd =
     Printf.printf "co-runner %s (%s on %s), policy %s\n\n" co.Workload.name
       co.Workload.app co.Workload.input
       (Corun.policy_to_string policy);
-    let solo_base = Pipeline.baseline w in
-    print_outcome "solo base" solo_base;
     let options = { Profiler.default_options with Profiler.faults } in
-    let prof = Pipeline.profile ~options w in
+    let solo_base, prof = Pipeline.profiled ~options w in
+    print_outcome "solo base" solo_base;
     print_fault_stats prof.Profiler.fault_stats;
     let solo_apt = Pipeline.with_hints ~hints:prof.Profiler.hints w in
     print_outcome "solo APT" solo_apt;
@@ -455,10 +454,19 @@ let run_cmd =
     if online then
       run_online w ~faults ~guard_floor ~quarantine_path ~epochs ~drift
     else
-    let base = Pipeline.baseline w in
+    (* Without a hints file (and outside --robust, which profiles on its
+       own) the run profiles, and the profiling run is the baseline. *)
+    let options = { Profiler.default_options with Profiler.faults } in
+    let base, fresh =
+      if hints_path = None && not robust then
+        let base, prof = Pipeline.profiled ~options w in
+        (base, Some prof)
+      else (Pipeline.baseline w, None)
+    in
     print_outcome "baseline" base;
     let aj = Pipeline.aj w in
     print_outcome "A&J" aj;
+    Option.iter (fun p -> print_fault_stats p.Profiler.fault_stats) fresh;
     (* Unified exit codes: 0 = ok, 1 = degraded (the command completed
        but the final measurement is missing or unverified). *)
     let degraded =
@@ -466,15 +474,14 @@ let run_cmd =
         let doc =
           match hints_path with
           | Some path -> load_doc ~lenient path
-          | None ->
-            let options = { Profiler.default_options with Profiler.faults } in
-            let prof = Pipeline.profile ~options w in
-            print_fault_stats prof.Profiler.fault_stats;
-            Profiler.to_doc ~options prof
+          | None -> Profiler.to_doc ~options (Option.get fresh)
         in
         let speedup_final, n_hints, final_verified =
           if guard then begin
-            let g = run_guarded w ~doc ~remap ~guard_floor ~quarantine_path in
+            let g =
+              run_guarded ~baseline:base w ~doc ~remap ~guard_floor
+                ~quarantine_path
+            in
             ( g.Pipeline.g_speedup,
               List.length g.Pipeline.g_hints,
               g.Pipeline.g_final.Pipeline.verified )
@@ -525,20 +532,17 @@ let run_cmd =
           Result.is_error apt.Pipeline.verified
       end
       else begin
-        let apt, hint_count =
+        let hints =
           match file_hints with
-          | Some hints -> (Pipeline.with_hints ~hints w, List.length hints)
-          | None ->
-            let options = { Profiler.default_options with Profiler.faults } in
-            let apt, prof = Pipeline.aptget ~options w in
-            print_fault_stats prof.Profiler.fault_stats;
-            (apt, List.length prof.Profiler.hints)
+          | Some hints -> hints
+          | None -> (Option.get fresh).Profiler.hints
         in
+        let apt = Pipeline.with_hints ~hints w in
         print_outcome "APT-GET" apt;
         Printf.printf "\nspeedup: A&J %s, APT-GET %s (%d hints%s)\n"
           (Table.fmt_speedup (Pipeline.speedup ~baseline:base aj))
           (Table.fmt_speedup (Pipeline.speedup ~baseline:base apt))
-          hint_count
+          (List.length hints)
           (match hints_path with
           | Some p -> " from " ^ p
           | None -> " from a fresh profile");
@@ -783,13 +787,9 @@ let show_ir_cmd =
   let show w inject =
     let inst = w.Workload.build () in
     if inject then begin
-      let prof =
-        Profiler.profile ~args:inst.Workload.args ~mem:inst.Workload.mem
-          inst.Workload.func
-      in
-      let inst2 = w.Workload.build () in
-      let r = Aptget_pass.run inst2.Workload.func ~hints:prof.Profiler.hints in
-      Printf.printf "%s\n" (Printer.func_to_string inst2.Workload.func);
+      let prof = Pipeline.profile w in
+      let r = Aptget_pass.run inst.Workload.func ~hints:prof.Profiler.hints in
+      Printf.printf "%s\n" (Printer.func_to_string inst.Workload.func);
       List.iter
         (fun (i : Inject.injected) ->
           Printf.printf

@@ -10,6 +10,7 @@
 module Memory = Aptget_mem.Memory
 module Machine = Aptget_machine.Machine
 module Pipeline = Aptget_core.Pipeline
+module Profiler = Aptget_profile.Profiler
 module Workload = Aptget_workloads.Workload
 module Rng = Aptget_util.Rng
 
@@ -69,12 +70,15 @@ let double_indirect =
 let () =
   print_endline "parsed kernel:";
   print_string (Printer.func_to_string (double_indirect.Workload.build ()).Workload.func);
-  let base = Pipeline.verified_exn (Pipeline.baseline double_indirect) in
+  let base, prof = Pipeline.profiled double_indirect in
+  let base = Pipeline.verified_exn base in
   Printf.printf "\nbaseline: %d cycles, IPC %.3f\n"
     base.Pipeline.outcome.Machine.cycles
     (Machine.ipc base.Pipeline.outcome);
-  let opt, _ = Pipeline.aptget double_indirect in
-  let opt = Pipeline.verified_exn opt in
+  let opt =
+    Pipeline.verified_exn
+      (Pipeline.with_hints ~hints:prof.Profiler.hints double_indirect)
+  in
   Printf.printf "injected %d prefetch slice(s) for the A[B[C[i]]] chain\n"
     (List.length opt.Pipeline.injected);
   Printf.printf "APT-GET:  %d cycles, IPC %.3f -> %.2fx (checksums match)\n"

@@ -32,8 +32,8 @@ let () =
     Micro.workload ~params ~name:(Printf.sprintf "micro-i%d-c%d" inner complexity) ()
   in
   Printf.printf "microbenchmark: INNER=%d COMPLEXITY=%d\n%!" inner complexity;
-  let base = Pipeline.verified_exn (Pipeline.baseline w) in
-  let prof = Pipeline.profile w in
+  let base, prof = Pipeline.profiled w in
+  let base = Pipeline.verified_exn base in
   let chosen =
     match prof.Profiler.hints with
     | h :: _ -> h.Aptget_pass.distance

@@ -35,10 +35,12 @@ let () =
   List.iter
     (fun w ->
       Printf.printf "running %s...\n%!" w.Workload.name;
-      let base = Pipeline.verified_exn (Pipeline.baseline w) in
+      let base, prof = Pipeline.profiled w in
+      let base = Pipeline.verified_exn base in
       let aj = Pipeline.verified_exn (Pipeline.aj w) in
-      let apt, prof = Pipeline.aptget w in
-      let apt = Pipeline.verified_exn apt in
+      let apt =
+        Pipeline.verified_exn (Pipeline.with_hints ~hints:prof.Profiler.hints w)
+      in
       let hints =
         String.concat ", "
           (List.map

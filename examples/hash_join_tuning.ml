@@ -27,8 +27,8 @@ let () =
     (fun (name, params) ->
       let w = Hashjoin.workload ~params ~name () in
       Printf.printf "running %s...\n%!" name;
-      let base = Pipeline.verified_exn (Pipeline.baseline w) in
-      let prof = Pipeline.profile w in
+      let base, prof = Pipeline.profiled w in
+      let base = Pipeline.verified_exn base in
       let hint = List.hd prof.Profiler.hints in
       let inner =
         Pipeline.verified_exn

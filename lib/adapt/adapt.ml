@@ -3,8 +3,6 @@ module Watchdog = Aptget_core.Watchdog
 module Breaker = Aptget_core.Breaker
 module Quarantine = Aptget_core.Quarantine
 module Machine = Aptget_machine.Machine
-module Sampler = Aptget_pmu.Sampler
-module Faults = Aptget_pmu.Faults
 module Profiler = Aptget_profile.Profiler
 module Hints_file = Aptget_profile.Hints_file
 module Remap = Aptget_profile.Remap
@@ -172,12 +170,12 @@ let retune cfg ?quarantine ?crash ~plan ~refit w =
           fallback
       | Pipeline.Admitted -> assert false
     in
-    if fallback = "static Ainsworth & Jones injection" then
-      (Aj_static, Aj_fallback g.Pipeline.g_speedup)
-    else
-      let hold = Option.value last_doc ~default:doc in
-      ( Pinned (hold, Hints_file.hints_of_doc hold),
-        Pinned_baseline g.Pipeline.g_speedup )
+    match fallback with
+    | Pipeline.Aj_static -> (Aj_static, Aj_fallback g.Pipeline.g_speedup)
+    | Pipeline.Pinned_baseline ->
+        let hold = Option.value last_doc ~default:doc in
+        ( Pinned (hold, Hints_file.hints_of_doc hold),
+          Pinned_baseline g.Pipeline.g_speedup )
   in
   try
     let attempts =
@@ -230,15 +228,7 @@ let run ?(config = default_config) ?quarantine ?crash ~profile ~name segments =
   let cfg = config in
   let det = Drift.create ~config:cfg.drift (reference_of_profile profile) in
   let breaker = Breaker.create ~config:cfg.breaker () in
-  let faults =
-    if Faults.enabled cfg.options.Profiler.faults then
-      Some (Faults.create cfg.options.Profiler.faults)
-    else None
-  in
-  let sampler =
-    Sampler.create ~lbr_period:cfg.options.Profiler.lbr_period
-      ~pebs_period:cfg.options.Profiler.pebs_period ?faults ()
-  in
+  let sampler = Profiler.sampler cfg.options in
   let plan = ref (plan_of_profile ~options:cfg.options profile) in
   let results = ref [] in
   List.iteri

@@ -49,9 +49,6 @@ type plan =
   | Pinned of Aptget_profile.Hints_file.doc * Aptget_passes.Aptget_pass.hint list
       (** hints held but vetoed: the epoch runs the unmodified kernel *)
 
-val plan_to_string : plan -> string
-(** ["hints:<n>"], ["aj"] or ["pinned:<n>"]. *)
-
 type action =
   | No_drift
   | Dwell_suppressed  (** verdict due, held by the dwell guard *)
@@ -72,7 +69,7 @@ val rung_of_action : action -> (int * string) option
 type segment_result = {
   s_index : int;
   s_workload : string;
-  s_plan : string;
+  s_plan : string;  (** ["hints:<n>"], ["aj"] or ["pinned:<n>"] *)
   s_epoch : Aptget_core.Pipeline.epoch;
   s_eval : Drift.epoch_eval;
   s_verdict : Drift.verdict;
@@ -98,16 +95,10 @@ type report = {
           the artifact the CI drift-smoke job diffs across job counts *)
 }
 
-val iter_median : Aptget_profile.Profiler.t -> float option
-(** Median iteration time of the profile's top delinquent load. *)
-
-val reference_of_profile : Aptget_profile.Profiler.t -> Drift.reference
-val plan_of_profile :
-  options:Aptget_profile.Profiler.options -> Aptget_profile.Profiler.t -> plan
-
 val prime : ?config:config -> Aptget_workloads.Workload.t -> Aptget_profile.Profiler.t
 (** One-shot profile of the fused workload: the aging profile the loop
-    starts from ({!plan_of_profile} / {!reference_of_profile}). *)
+    starts from ({!run} derives its first plan and its drift reference
+    from it). *)
 
 val run :
   ?config:config ->

@@ -57,10 +57,20 @@ type run = {
 let build (w : Workload.t) =
   Trace.with_span ~name:"stage.build" (fun () -> w.Workload.build ())
 
-let measure ?config ?(executor = Solo) ?watchdog ?crash ?sampler ?window_cycles
-    ?on_window ?(transform = fun _ -> ([], [])) (w : Workload.t) =
-  Trace.with_span ~name:"pipeline.run" ~attrs:[ ("workload", w.Workload.name) ]
-  @@ fun () ->
+(* [stage] is the watchdog budget the execution is charged to; it also
+   names the run's spans. A profiling run ([Profile]) runs inside the
+   caller's [pipeline.profile] span. *)
+let measure_as stage ?config ?(executor = Solo) ?watchdog ?crash ?sampler
+    ?window_cycles ?on_window ?(transform = fun _ -> ([], [])) (w : Workload.t) =
+  let execute_span, in_run_span =
+    match stage with
+    | Watchdog.Profile -> ("stage.profile", fun f -> f ())
+    | Watchdog.Inject | Watchdog.Measure ->
+      ( "stage.measure",
+        Trace.with_span ~name:"pipeline.run"
+          ~attrs:[ ("workload", w.Workload.name) ] )
+  in
+  in_run_span @@ fun () ->
   let (inst, injected, skipped, co, (outcome, co_outcome)), wall_seconds =
     Clock.wall (fun () ->
         let inst = build w in
@@ -103,11 +113,11 @@ let measure ?config ?(executor = Solo) ?watchdog ?crash ?sampler ?window_cycles
           injected,
           skipped,
           co,
-          Trace.with_span ~name:"stage.measure" @@ fun () ->
+          Trace.with_span ~name:execute_span @@ fun () ->
           let ((o, _) as r) =
             Watchdog.run ?config:watchdog ?crash
               ~machine:(Option.value config ~default:Machine.default_config)
-              Watchdog.Measure execute
+              stage execute
           in
           Trace.set_cycles o.Machine.cycles;
           r ))
@@ -140,6 +150,8 @@ let measure ?config ?(executor = Solo) ?watchdog ?crash ?sampler ?window_cycles
   in
   { tenant; corunner; instance = inst }
 
+let measure = measure_as Watchdog.Measure
+
 let refit ?(options = Profiler.default_options) ~sampler r =
   (* An analysis failure means no re-fit this time, not a failed run;
      a simulated crash still propagates. *)
@@ -162,20 +174,25 @@ let baseline ?config w = (measure ?config w).tenant
 
 let aj ?config ?distance w = (measure ?config ~transform:(aj_pass ?distance) w).tenant
 
-let profile ?options (w : Workload.t) =
-  Trace.with_span ~name:"pipeline.profile"
-    ~attrs:[ ("workload", w.Workload.name) ]
-  @@ fun () ->
-  let inst = build w in
-  Profiler.profile ?options ~args:inst.Workload.args ~mem:inst.Workload.mem
-    inst.Workload.func
-
 let with_hints ?config ?cse ?veto ~hints w =
   (measure ?config ~transform:(apply_hints ?cse ?veto ~hints) w).tenant
 
-let aptget ?options ?config ?cse w =
-  let prof = profile ?options w in
-  (with_hints ?config ?cse ~hints:prof.Profiler.hints w, prof)
+let profiled ?(options = Profiler.default_options) ?watchdog ?crash
+    (w : Workload.t) =
+  Trace.with_span ~name:"pipeline.profile"
+    ~attrs:[ ("workload", w.Workload.name) ]
+  @@ fun () ->
+  let sampler = Profiler.sampler options in
+  let r =
+    measure_as Watchdog.Profile ~config:options.Profiler.machine ?watchdog
+      ?crash ~sampler w
+  in
+  Sampler.export_metrics sampler;
+  ( r.tenant,
+    Profiler.refit ~options ~baseline:r.tenant.outcome sampler
+      r.instance.Workload.func )
+
+let profile ?options w = snd (profiled ?options w)
 
 (* ------------------------------------------------------------------ *)
 (* Robust pipeline: profile corruption, stale hints and verifier       *)
@@ -231,14 +248,9 @@ let run_robust ?(options = Profiler.default_options) ?config
   in
   let go () =
     let options = { options with Profiler.faults } in
-    let try_profile opts =
-      match
-        Watchdog.run ?config:watchdog ?crash
-          ~machine:opts.Profiler.machine Watchdog.Profile
-          (fun capped ->
-            profile ~options:{ opts with Profiler.machine = capped } w)
-      with
-      | p -> Some p
+    let try_profile options =
+      match profiled ~options ?watchdog ?crash w with
+      | _, p -> Some p
       | exception e when not (Crash.is_crashed e) ->
         add "profile" (cause_of e) "continuing without a fresh profile";
         None
@@ -332,20 +344,14 @@ let run_robust ?(options = Profiler.default_options) ?config
       | Error e -> add "semantic-verify" e "measurement reported as unverified");
       Some r.tenant
     in
-    let rebuilding = "rebuilding and running the unmodified kernel" in
-    (* [retry]: a failed run of the unmodified kernel is tried once more. *)
-    let rec unmodified ~retry =
+    (* The unmodified kernel is the last resort. Its run is
+       deterministic, so a failed one is not tried again. *)
+    let unmodified () =
       match measure ?config ?watchdog ?crash w with
       | r -> measured r
       | exception e when not (Crash.is_crashed e) ->
-        if retry then begin
-          add "run" (cause_of e) rebuilding;
-          unmodified ~retry:false
-        end
-        else begin
-          add "run" (cause_of e) "no measurement for this workload";
-          None
-        end
+        add "run" (cause_of e) "no measurement for this workload";
+        None
     in
     let discarded = "discarding injections; rebuilding the unmodified kernel" in
     let measurement =
@@ -353,17 +359,17 @@ let run_robust ?(options = Profiler.default_options) ?config
       | r -> measured r
       | exception Inject_failed e ->
         add "inject" (cause_of e) discarded;
-        unmodified ~retry:true
+        unmodified ()
       | exception Invalid_ir e ->
         add "verify-ir" e discarded;
-        unmodified ~retry:true
+        unmodified ()
       | exception e when (not (Crash.is_crashed e)) && Option.is_none !validated ->
         (* the transform never ran: the build itself failed *)
         add "build" (cause_of e) "no measurement for this workload";
         None
       | exception e when not (Crash.is_crashed e) ->
-        add "run" (cause_of e) rebuilding;
-        unmodified ~retry:false
+        add "run" (cause_of e) "rebuilding and running the unmodified kernel";
+        unmodified ()
     in
     let hints_used, hints_dropped =
       Option.value !validated ~default:(candidate, [])
@@ -405,10 +411,12 @@ type guard_config = { floor : float; try_aj : bool }
 
 let default_guard = { floor = 0.98; try_aj = true }
 
+type fallback = Aj_static | Pinned_baseline
+
 type guard_outcome =
   | Admitted
-  | Quarantined of { speedup : float; fallback : string }
-  | Known_bad of { prior_speedup : float; fallback : string }
+  | Quarantined of { speedup : float; fallback : fallback }
+  | Known_bad of { prior_speedup : float; fallback : fallback }
 
 type guarded = {
   g_workload : string;
@@ -422,22 +430,26 @@ type guarded = {
   g_remap : Remap.t option;
 }
 
+let fallback_to_string = function
+  | Aj_static -> "static Ainsworth & Jones injection"
+  | Pinned_baseline -> "baseline (hints vetoed)"
+
 let guard_outcome_to_string = function
   | Admitted -> "admitted"
   | Quarantined q ->
     Printf.sprintf "quarantined (%.3fx < floor); fell back to %s" q.speedup
-      q.fallback
+      (fallback_to_string q.fallback)
   | Known_bad k ->
     Printf.sprintf "known bad (%.3fx on record); fell back to %s"
-      k.prior_speedup k.fallback
+      k.prior_speedup (fallback_to_string k.fallback)
 
 let no_measure_cache ~variant f =
   ignore (variant : string);
   f ()
 
 let run_guarded ?config ?(guard = default_guard) ?quarantine ?remap ?watchdog
-    ?crash ?(measure_cache = no_measure_cache) ?program ~(doc : Hints_file.doc)
-    (w : Workload.t) =
+    ?crash ?(measure_cache = no_measure_cache) ?program ?baseline
+    ~(doc : Hints_file.doc) (w : Workload.t) =
   Trace.with_span ~name:"pipeline.run-guarded"
     ~attrs:[ ("workload", w.Workload.name) ]
   @@ fun () ->
@@ -463,7 +475,23 @@ let run_guarded ?config ?(guard = default_guard) ?quarantine ?remap ?watchdog
   let measure ?transform () =
     (measure ?config ?watchdog ?crash ?transform w).tenant
   in
-  let base = measure_cache ~variant:"guard-baseline" measure in
+  (* A caller's baseline stands in for the run only where that run
+     could not have fired: within the measure stage's cycle and step
+     limits, an armed crash cycle included. *)
+  let within_budget { outcome = o; _ } =
+    let c =
+      Watchdog.cap ?config:watchdog ?crash Watchdog.Measure
+        (Option.value config ~default:Machine.default_config)
+    in
+    (c.Machine.max_cycles = 0 || o.Machine.cycles <= c.Machine.max_cycles)
+    && o.Machine.instructions <= c.Machine.max_instructions
+  in
+  let base =
+    measure_cache ~variant:"guard-baseline" (fun () ->
+        match baseline with
+        | Some b when within_budget b -> b
+        | _ -> measure ())
+  in
   let program = current.Aptget_ir.Fingerprint.program in
   let hkey = Quarantine.hints_key hints in
   let fall_back ~reason =
@@ -484,12 +512,11 @@ let run_guarded ?config ?(guard = default_guard) ?quarantine ?remap ?watchdog
       match
         measure_cache ~variant:"guard-aj" (measure ~transform:aj_pass)
       with
-      | m when speedup ~baseline:base m >= guard.floor ->
-        (m, "static Ainsworth & Jones injection")
-      | _ -> (pinned_m (), "baseline (hints vetoed)")
-      | exception Watchdog.Timed_out _ -> (pinned_m (), "baseline (hints vetoed)")
+      | m when speedup ~baseline:base m >= guard.floor -> (m, Aj_static)
+      | _ -> (pinned_m (), Pinned_baseline)
+      | exception Watchdog.Timed_out _ -> (pinned_m (), Pinned_baseline)
     end
-    else (pinned_m (), "baseline (hints vetoed)")
+    else (pinned_m (), Pinned_baseline)
   in
   let known =
     Option.bind quarantine (fun q ->

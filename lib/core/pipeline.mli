@@ -1,11 +1,13 @@
 (** The end-to-end APT-GET pipeline (the paper's headline flow):
 
     {v
-    build workload -> baseline run
-    build workload -> profiling run (LBR + PEBS) -> hints
+    build workload -> profiling run (LBR + PEBS) -> baseline + hints
     build workload -> inject (APT-GET pass)      -> optimized run
     build workload -> inject (A&J static pass)   -> baseline competitor
     v}
+
+    Sampling never perturbs the simulation, so the profiling run is
+    also the baseline of record: {!profiled} returns both.
 
     Every measured run goes through one stage, {!measure}:
 
@@ -32,8 +34,10 @@ type measurement = {
       (** build plus simulate time of this one run, in wall-clock
           seconds on the monotonic {!Aptget_util.Clock}: {!measure}
           from building the instance (and the co-runner's, under
-          {!Corun}) through the transform, IR check and simulation.
-          Profiling and every other run are never included. *)
+          {!Corun}) through the transform, IR check and simulation. For
+          {!profiled}'s measurement that is the sampled profiling run;
+          the profile analysis after it and every other run are never
+          included. *)
 }
 
 val verified_exn : measurement -> measurement
@@ -115,26 +119,29 @@ val refit :
 (** {2 Plain entry points} *)
 
 val baseline : ?config:Aptget_machine.Machine.config -> Aptget_workloads.Workload.t -> measurement
-(** Unmodified kernel. *)
+(** Unmodified kernel. A caller that profiles anyway has this run as
+    {!profiled}'s measurement. *)
 
 val aj : ?config:Aptget_machine.Machine.config -> ?distance:int -> Aptget_workloads.Workload.t -> measurement
 (** Ainsworth & Jones static injection, then run. *)
+
+val profiled :
+  ?options:Aptget_profile.Profiler.options ->
+  ?watchdog:Watchdog.config ->
+  ?crash:Aptget_store.Crash.t ->
+  Aptget_workloads.Workload.t ->
+  measurement * Aptget_profile.Profiler.t
+(** The profiling run: {!measure} of the unmodified kernel on
+    [options.machine] with {!Aptget_profile.Profiler.sampler}[ options]
+    riding along, charged to the watchdog's [Profile] budget, then
+    {!Aptget_profile.Profiler.refit}. The measurement is the baseline
+    under [options.machine]. Exceptions propagate as from {!measure}. *)
 
 val profile :
   ?options:Aptget_profile.Profiler.options ->
   Aptget_workloads.Workload.t ->
   Aptget_profile.Profiler.t
-(** The profiling run on a fresh instance. *)
-
-val aptget :
-  ?options:Aptget_profile.Profiler.options ->
-  ?config:Aptget_machine.Machine.config ->
-  ?cse:bool ->
-  Aptget_workloads.Workload.t ->
-  measurement * Aptget_profile.Profiler.t
-(** Full pipeline: profile, inject hints, run. [cse] (default false)
-    runs the local CSE cleanup after injection, as LLVM's scalar
-    optimisations would. *)
+(** [snd] of {!profiled}. *)
 
 val with_hints :
   ?config:Aptget_machine.Machine.config ->
@@ -143,9 +150,11 @@ val with_hints :
   hints:Aptget_passes.Aptget_pass.hint list ->
   Aptget_workloads.Workload.t ->
   measurement
-(** Inject externally supplied hints (used by the distance/site
-    studies and by cross-input evaluation, Fig. 8–10, 12). [veto]
-    (default: veto nothing) is forwarded to
+(** Inject hints and run: with a fresh {!profiled}'s hints, the full
+    APT-GET pipeline; with externally supplied ones, the distance/site
+    studies and cross-input evaluation (Fig. 8–10, 12). [cse] (default
+    false) runs the local CSE cleanup after injection, as LLVM's scalar
+    optimisations would. [veto] (default: veto nothing) is forwarded to
     {!Aptget_passes.Aptget_pass.run}. *)
 
 (** {2 Robust pipeline}
@@ -197,7 +206,7 @@ val run_robust :
     process dying mid-run (a dead process cannot degrade). [faults]
     (default {!Aptget_pmu.Faults.none}) injects PMU faults into the
     profiling run; with the default config the measured outcome is
-    bit-identical to {!aptget}'s. Supplying [hints] skips profiling and
+    bit-identical to {!profiled} composed with {!with_hints}. Supplying [hints] skips profiling and
     exercises the stale-hint validation path (e.g. hints loaded
     leniently from a checked-in file). When profiling collects too few
     iteration samples, it is retried once with a 4x denser LBR period.
@@ -230,12 +239,16 @@ type guard_config = {
 
 val default_guard : guard_config
 
+type fallback =
+  | Aj_static  (** the static Ainsworth & Jones pass cleared the floor *)
+  | Pinned_baseline  (** the unmodified kernel, every hint vetoed *)
+
 type guard_outcome =
   | Admitted  (** candidate met the floor; its measurement is final *)
-  | Quarantined of { speedup : float; fallback : string }
+  | Quarantined of { speedup : float; fallback : fallback }
       (** candidate measured below the floor this run; recorded (when a
           store was supplied) and replaced by [fallback] *)
-  | Known_bad of { prior_speedup : float; fallback : string }
+  | Known_bad of { prior_speedup : float; fallback : fallback }
       (** the store already held this (workload, program, hints) key —
           no candidate simulation was spent *)
 
@@ -267,6 +280,7 @@ val run_guarded :
   ?crash:Aptget_store.Crash.t ->
   ?measure_cache:(variant:string -> (unit -> measurement) -> measurement) ->
   ?program:Aptget_ir.Fingerprint.t ->
+  ?baseline:measurement ->
   doc:Aptget_profile.Hints_file.doc ->
   Aptget_workloads.Workload.t ->
   guarded
@@ -297,7 +311,13 @@ val run_guarded :
     (the serve daemon keys its measurement cache on the same value);
     it stands for a fresh build's, so the remapper, the quarantine key
     and [g_program] all see it. Omitted, [w] is built once to take
-    it. *)
+    it.
+
+    [baseline] is [w]'s unmodified run under [config] (from
+    {!profiled}), for a caller that has it. It still goes through
+    [measure_cache] as ["guard-baseline"], and the baseline is
+    simulated anyway when the given run does not fit the measure budget
+    (an armed crash cycle included), so a budget that fires still does. *)
 
 (** {2 Adaptive epoch}
 

@@ -21,8 +21,6 @@
 
 type stage = Profile | Inject | Measure
 
-val stage_to_string : stage -> string
-
 type budget = {
   max_cycles : int;  (** simulated-cycle deadline; 0 = unlimited *)
   max_steps : int;
@@ -30,8 +28,6 @@ type budget = {
           instructions for [Profile]/[Measure], hints processed for
           [Inject]. *)
 }
-
-val unlimited_budget : budget
 
 type config = {
   profile_budget : budget;

@@ -27,11 +27,12 @@ let hj_w lab =
       ~name:"HJ8-abl" ()
   else Hashjoin.workload ~params:Hashjoin.hj8_params ~name:"HJ8-abl" ()
 
-let speedup_with_options lab w options =
-  let prof = Pipeline.profile ~options w in
-  let base = Lab.baseline lab w in
+(* Only the analysis options vary, so every profiling run is also the
+   default machine's baseline. *)
+let speedup_with_options w options =
+  let base, prof = Pipeline.profiled ~options w in
   let m = Lab.check (Pipeline.with_hints ~hints:prof.Profiler.hints w) in
-  (Pipeline.speedup ~baseline:base m, prof)
+  (Pipeline.speedup ~baseline:(Lab.check base) m, prof)
 
 let peak_finder lab =
   let t =
@@ -46,7 +47,7 @@ let peak_finder lab =
       List.iter
         (fun (label, finder) ->
           let options = { Profiler.default_options with Profiler.finder } in
-          let s, prof = speedup_with_options lab w options in
+          let s, prof = speedup_with_options w options in
           let ds =
             String.concat ","
               (List.map
@@ -70,7 +71,7 @@ let k_constant lab =
       List.iter
         (fun k ->
           let options = { Profiler.default_options with Profiler.k } in
-          let s, prof = speedup_with_options lab w options in
+          let s, prof = speedup_with_options w options in
           let sites =
             String.concat ","
               (List.map
@@ -100,12 +101,12 @@ let mshr lab =
             { Hierarchy.default_config with Hierarchy.mshr_capacity = capacity };
         }
       in
-      let base = Lab.check (Pipeline.baseline ~config w) in
-      let prof =
-        Pipeline.profile
+      let base, prof =
+        Pipeline.profiled
           ~options:{ Profiler.default_options with Profiler.machine = config }
           w
       in
+      let base = Lab.check base in
       let m =
         Lab.check (Pipeline.with_hints ~config ~hints:prof.Profiler.hints w)
       in
@@ -209,12 +210,12 @@ let core_model lab =
     (fun w ->
       List.iter
         (fun (label, config) ->
-          let base = Lab.check (Pipeline.baseline ~config w) in
-          let prof =
-            Pipeline.profile
+          let base, prof =
+            Pipeline.profiled
               ~options:{ Profiler.default_options with Profiler.machine = config }
               w
           in
+          let base = Lab.check base in
           let m =
             Lab.check (Pipeline.with_hints ~config ~hints:prof.Profiler.hints w)
           in
@@ -282,12 +283,12 @@ let bandwidth lab =
             { Hierarchy.default_config with Hierarchy.dram_min_gap = gap };
         }
       in
-      let base = Lab.check (Pipeline.baseline ~config w) in
-      let prof =
-        Pipeline.profile
+      let base, prof =
+        Pipeline.profiled
           ~options:{ Profiler.default_options with Profiler.machine = config }
           w
       in
+      let base = Lab.check base in
       let m =
         Lab.check (Pipeline.with_hints ~config ~hints:prof.Profiler.hints w)
       in

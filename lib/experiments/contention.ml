@@ -31,7 +31,6 @@ module Machine = Aptget_machine.Machine
 module Corun = Aptget_machine.Corun
 module Drift = Aptget_adapt.Drift
 module Profiler = Aptget_profile.Profiler
-module Sampler = Aptget_pmu.Sampler
 module Aptget_pass = Aptget_passes.Aptget_pass
 module Workload = Aptget_workloads.Workload
 module Randacc = Aptget_workloads.Randacc
@@ -160,8 +159,8 @@ let study lab (pair : pair) =
   (* Solo arms. The solo hinted run collects counter windows: they are
      the drift detector's calibration epoch (the reference must
      describe the *hinted* program running alone). *)
-  let solo_base = Lab.check (Pipeline.baseline ~config pair.tenant) in
-  let prof = Pipeline.profile ~options:profile_options pair.tenant in
+  let solo_base, prof = Pipeline.profiled ~options:profile_options pair.tenant in
+  let solo_base = Lab.check solo_base in
   let solo_epoch =
     Pipeline.run_adaptive ~config ~options:profile_options ~window_cycles:wc
       ~hints:prof.Profiler.hints pair.tenant
@@ -170,11 +169,7 @@ let study lab (pair : pair) =
   (* Co-run baseline, with a sampler riding on the unhinted tenant:
      its LBR sees iteration times inflated by the shared DRAM queue,
      which is exactly the evidence the Eq. 1 re-fit needs. *)
-  let sampler =
-    Sampler.create
-      ~lbr_period:Profiler.default_options.Profiler.lbr_period
-      ~pebs_period:Profiler.default_options.Profiler.pebs_period ()
-  in
+  let sampler = Profiler.sampler profile_options in
   let base_run = corun ~sampler pair in
   let corun_base = Lab.check base_run.Pipeline.tenant in
   let refit = Pipeline.refit ~options:profile_options ~sampler base_run in

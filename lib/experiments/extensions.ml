@@ -130,14 +130,14 @@ let hw_sw_interplay lab =
   List.iter
     (fun w ->
       let base_on = Lab.baseline lab w in
-      let base_off = Lab.check (Pipeline.baseline ~config:config_off w) in
-      let apt_on = Lab.aptget lab w in
-      let prof_off =
-        Pipeline.profile
+      let base_off, prof_off =
+        Pipeline.profiled
           ~options:
             { Profiler.default_options with Profiler.machine = config_off }
           w
       in
+      let base_off = Lab.check base_off in
+      let apt_on = Lab.aptget lab w in
       let apt_off =
         Lab.check
           (Pipeline.with_hints ~config:config_off

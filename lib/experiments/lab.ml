@@ -14,7 +14,8 @@ type t = {
   lock : Mutex.t;
       (* guards the three tables below; simulations run outside it *)
   measurements : (string, Pipeline.measurement) Hashtbl.t;
-  profiles : (string, Profiler.t) Hashtbl.t;
+  profiles : (string, Pipeline.measurement * Profiler.t) Hashtbl.t;
+      (* workload -> its profiling run and profile *)
   programs : (string, int) Hashtbl.t; (* workload -> program fingerprint *)
   cache_dir : string option;
 }
@@ -145,24 +146,30 @@ let memo t ~variant ?(options = "") (w : Workload.t) f =
     in
     add_memo t key m
 
-let baseline t w = memo t ~variant:"baseline" w (fun () -> Pipeline.baseline w)
-
 let aj t ?distance w =
   let d = Option.value ~default:Aptget_passes.Aj.default_distance distance in
   memo t ~variant:(Printf.sprintf "aj-%d" d) w (fun () ->
       Pipeline.aj ~distance:d w)
 
-let profiled t (w : Workload.t) =
+let profiled_run t (w : Workload.t) =
   match locked t (fun () -> Hashtbl.find_opt t.profiles w.Workload.name) with
-  | Some p -> p
+  | Some r -> r
   | None ->
-    let p = Pipeline.profile w in
+    let r = Pipeline.profiled w in
     locked t (fun () ->
         match Hashtbl.find_opt t.profiles w.Workload.name with
-        | Some p' -> p'
+        | Some r' -> r'
         | None ->
-          Hashtbl.add t.profiles w.Workload.name p;
-          p)
+          Hashtbl.add t.profiles w.Workload.name r;
+          r)
+
+let profiled t w = snd (profiled_run t w)
+
+(* The profiling run is the baseline of record: a workload's unhinted
+   kernel is simulated once, whichever of the two is asked for first.
+   The memo entry is still made only on request, so [summary] lists
+   exactly the workloads whose baseline something asked for. *)
+let baseline t w = memo t ~variant:"baseline" w (fun () -> fst (profiled_run t w))
 
 let aptget t w =
   memo t ~variant:"aptget" ~options:profile_options w (fun () ->
@@ -243,8 +250,8 @@ let job_options = function
   | Aptget _ | Static _ | Site _ -> profile_options
 
 let job_needs_profile = function
-  | Baseline _ | Aj _ -> false
-  | Aptget _ | Static _ | Site _ -> true
+  | Aj _ -> false
+  | Baseline _ | Aptget _ | Static _ | Site _ -> true
 
 let run_job t = function
   | Baseline w -> ignore (baseline t w)
@@ -259,11 +266,11 @@ let run_job t = function
    is measured at most once, by a deterministic simulation, and the
    persistent cache stores bit-identical records either way.
 
-   Two stages keep the workers from racing on shared inputs: profiles
-   (one per workload that any profile-guided job needs and neither the
-   memo nor the persistent cache can supply) are computed first, then
-   the measurements — each worker building its own memory, hierarchy
-   and sampler via the pipeline. *)
+   Two stages keep the workers from racing on shared inputs: profiling
+   runs (one per workload that a baseline or profile-guided job needs
+   and neither the memo nor the persistent cache can supply) come
+   first, then the measurements — each worker building its own memory,
+   hierarchy and sampler via the pipeline. *)
 let run_batch ?jobs t js =
   let seen = Hashtbl.create 16 in
   let todo =
@@ -310,10 +317,5 @@ let run_batch ?jobs t js =
         else None)
       todo
   in
-  List.iter
-    (fun ((w : Workload.t), p) ->
-      locked t (fun () ->
-          if not (Hashtbl.mem t.profiles w.Workload.name) then
-            Hashtbl.add t.profiles w.Workload.name p))
-    (Pool.run ?jobs (fun w -> (w, Pipeline.profile w)) profile_needed);
+  ignore (Pool.run ?jobs (fun w -> ignore (profiled_run t w)) profile_needed);
   ignore (Pool.run ?jobs (fun j -> run_job t j) todo)

@@ -26,6 +26,10 @@ val micro_params : t -> Aptget_workloads.Micro.params
 (** Microbenchmark sizing for §2 experiments. *)
 
 val baseline : t -> Aptget_workloads.Workload.t -> Aptget_core.Pipeline.measurement
+(** The workload's profiling run ({!Aptget_core.Pipeline.profiled}):
+    the unhinted kernel is simulated once for both {!baseline} and
+    {!profiled}. *)
+
 val aj : t -> ?distance:int -> Aptget_workloads.Workload.t -> Aptget_core.Pipeline.measurement
 val aptget : t -> Aptget_workloads.Workload.t -> Aptget_core.Pipeline.measurement
 val profiled : t -> Aptget_workloads.Workload.t -> Aptget_profile.Profiler.t
@@ -76,7 +80,8 @@ type job =
 val run_batch : ?jobs:int -> t -> job list -> unit
 (** Measure every not-yet-cached job, fanning across
     [jobs] domains (default {!Aptget_util.Pool.default_jobs}).
-    Duplicate jobs are deduplicated; profiles required by
-    profile-guided jobs are computed first (once per workload). The
+    Duplicate jobs are deduplicated; the profiling runs that baseline
+    and profile-guided jobs need are computed first (once per
+    workload). The
     first failing job's exception propagates in deterministic
     (submission) order. *)

@@ -28,9 +28,6 @@ type t = {
   cp_max_phis : int;  (** widest phi row, for scratch sizing *)
 }
 
-val no_phis : phi_moves
-(** The empty plan shared by phi-free blocks. *)
-
 val plan : Ir.func -> t
 (** Build the execution plan. O(function size); no runtime state. *)
 

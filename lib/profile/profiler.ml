@@ -297,7 +297,7 @@ let overhead_filter opts (f : Ir.func) profiles =
         | _ -> p)
       profiles
 
-(* Analysis half of [profile], reusable on any sampler that has already
+(* The analysis of a profile, on any sampler that has already
    observed an execution of [f] — the one-shot profile runs the clean
    kernel; online re-fitting feeds the sampler that rode along a hinted
    run (the PCs in the resulting hints then address the *observed*
@@ -334,25 +334,15 @@ let refit ?(options = default_options) ~baseline sampler (f : Ir.func) =
     fingerprint = Fingerprint.fingerprint f;
   }
 
-let profile ?(options = default_options) ?(args = []) ~mem (f : Ir.func) =
-  (* An all-zero fault config gets no fault model at all, so the
-     default profile path is bit-identical to the historical one. *)
+let sampler options =
+  (* An all-zero fault config gets no fault model at all, so a default
+     profiling run is bit-identical to a fault-free one. *)
   let faults =
     if Faults.enabled options.faults then Some (Faults.create options.faults)
     else None
   in
-  let sampler =
-    Sampler.create ~lbr_period:options.lbr_period
-      ~pebs_period:options.pebs_period ?faults ()
-  in
-  let baseline =
-    Trace.with_span ~name:"stage.profile" (fun () ->
-        let o = Machine.execute ~config:options.machine ~sampler ~args ~mem f in
-        Trace.set_cycles o.Machine.cycles;
-        o)
-  in
-  Sampler.export_metrics sampler;
-  refit ~options ~baseline sampler f
+  Sampler.create ~lbr_period:options.lbr_period
+    ~pebs_period:options.pebs_period ?faults ()
 
 let to_doc ?(options = default_options) t =
   let fp_at pc =

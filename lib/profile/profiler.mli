@@ -65,7 +65,8 @@ type t = {
   lbr_snapshots : int;
   pebs_samples : int;
   baseline : Aptget_machine.Machine.outcome;
-      (** the profiling run doubles as a baseline measurement *)
+      (** the profiling run's outcome: sampling never perturbs the
+          simulation, so it is also the unmodified kernel's baseline *)
   fault_stats : Aptget_pmu.Faults.stats option;
       (** fault counters when profiling ran under an active fault
           model; [None] on clean runs *)
@@ -84,15 +85,11 @@ val to_doc : ?options:options -> t -> Hints_file.doc
     (program hash, schema, [options_summary] of the options that
     produced it) plus each hint's structural fingerprint. *)
 
-val profile :
-  ?options:options ->
-  ?args:int list ->
-  mem:Aptget_mem.Memory.t ->
-  Ir.func ->
-  t
-(** Run the kernel once with sampling enabled and derive hints.
-    The memory is mutated by the run (workloads are expected to either
-    tolerate re-running or rebuild their data). *)
+val sampler : options -> Aptget_pmu.Sampler.t
+(** A fresh sampler with [options]' LBR and PEBS periods and, when
+    [options.faults] is enabled, its fault model. Riding along the
+    profiling run ({!Aptget_core.Pipeline.profiled}), it collects what
+    {!refit} analyses. *)
 
 val refit :
   ?options:options ->
@@ -100,13 +97,13 @@ val refit :
   Aptget_pmu.Sampler.t ->
   Ir.func ->
   t
-(** Incremental model re-fit: the analysis half of {!profile}, applied
-    to a sampler that already observed an execution of [f]. Online
-    re-optimization feeds the sampler that rode along a *hinted* run,
-    so the Eq. 1 peaks are re-solved from live iteration times without
-    a dedicated profiling run; the resulting hint PCs address the
-    observed (rewritten) program and must travel through {!Remap} to
-    reach a fresh build. [baseline] is recorded as the profile's
+(** The model fit, applied to a sampler that already observed an
+    execution of [f]. A profile is this analysis of a {!sampler} that
+    rode along the unmodified kernel. Online re-optimization feeds the
+    sampler that rode along a *hinted* run, so the Eq. 1 peaks are
+    re-solved from live iteration times without a dedicated profiling
+    run; the resulting hint PCs address the observed (rewritten)
+    program and must travel through {!Remap} to reach a fresh build. [baseline] is recorded as the profile's
     measurement of record (for re-fits, the observed hinted outcome). *)
 
 val validate_hints :

@@ -158,21 +158,16 @@ let execute ?crash config ~(tenant : Tenant.t) (req : Wire.request) =
         | None -> config.guard
       in
       try
-        let doc =
+        (* A cold request's profiling run is also its baseline. *)
+        let doc, baseline =
           match req.Wire.hints with
-          | Some doc -> doc
+          | Some doc -> (doc, None)
           | None ->
             let options =
               { Profiler.default_options with Profiler.machine = config.machine }
             in
-            let prof =
-              Watchdog.run ~config:watchdog ?crash ~machine:config.machine
-                Watchdog.Profile (fun capped ->
-                  Pipeline.profile
-                    ~options:{ options with Profiler.machine = capped }
-                    w)
-            in
-            Profiler.to_doc ~options prof
+            let base, prof = Pipeline.profiled ~options ~watchdog ?crash w in
+            (Profiler.to_doc ~options prof, Some base)
         in
         let program = fingerprint () in
         let measure_cache =
@@ -208,7 +203,7 @@ let execute ?crash config ~(tenant : Tenant.t) (req : Wire.request) =
           Pipeline.run_guarded ~config:config.machine ~guard
             ~quarantine:tenant.Tenant.quarantine
             ?remap:(if req.Wire.remap then Some Remap.default_config else None)
-            ~watchdog ?crash ?measure_cache ~program ~doc w
+            ~watchdog ?crash ?measure_cache ~program ?baseline ~doc w
         in
         match g.Pipeline.g_final.Pipeline.verified with
         | Error e ->

@@ -3,9 +3,10 @@
     This is the serve daemon's unit of work: resolve the workload
     (optionally substituting client-shipped program IR), obtain a
     hints document (the request's stale hints, or a fresh profiling
-    run), and run the guarded pipeline under the request's deadline —
-    with the tenant's quarantine store, measurement-cache scope and
-    circuit breaker plugged in.
+    run, which is then also the guard's baseline), and run the guarded
+    pipeline under the request's deadline — with the tenant's
+    quarantine store, measurement-cache scope and circuit breaker
+    plugged in.
 
     The result is a total {!outcome}: pipeline failures, blown
     deadlines and bad inputs all come back as structured statuses.
@@ -13,10 +14,9 @@
     {!Aptget_store.Crash.Crashed} from an armed crash plan — a dead
     process cannot respond.
 
-    Success bodies are rendered by {!render_guarded} with {e no}
-    wall-clock content, so the same request yields byte-identical
-    bytes from the daemon at any [--jobs] and from the one-shot
-    [aptget serve --once] path. *)
+    Success bodies carry {e no} wall-clock content, so the same request
+    yields byte-identical bytes from the daemon at any [--jobs] and
+    from the one-shot [aptget serve --once] path. *)
 
 type outcome = {
   h_status : Wire.status;
@@ -50,10 +50,3 @@ val run :
     Every executed request records its outcome with the breaker, so a
     tenant whose requests keep failing trips only its own breaker
     ([serve.breaker.opened]). *)
-
-val render_guarded :
-  tenant:string ->
-  guard:Aptget_core.Pipeline.guard_config ->
-  Aptget_core.Pipeline.guarded ->
-  string
-(** The canonical response body (exposed for the one-shot CLI path). *)

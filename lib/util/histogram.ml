@@ -21,7 +21,6 @@ let add t v =
   t.counts.(bin_of_value t v) <- t.counts.(bin_of_value t v) +. 1.;
   t.total <- t.total + 1
 
-let add_many t vs = Array.iter (add t) vs
 let counts t = Array.copy t.counts
 let total t = t.total
 let bin_center t i = t.lo +. ((float_of_int i +. 0.5) *. t.width)
@@ -33,5 +32,5 @@ let of_samples ?(bins = 128) xs =
   let mx = Array.fold_left max xs.(0) xs in
   let margin = Float.max 1.0 ((mx -. mn) *. 0.02) in
   let t = create ~lo:(mn -. margin) ~hi:(mx +. margin) ~bins in
-  add_many t xs;
+  Array.iter (add t) xs;
   t

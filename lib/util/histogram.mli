@@ -14,9 +14,6 @@ val create : lo:float -> hi:float -> bins:int -> t
 val add : t -> float -> unit
 (** Record one observation. *)
 
-val add_many : t -> float array -> unit
-(** Record a batch of observations. *)
-
 val counts : t -> float array
 (** Per-bin counts, index 0 = lowest bin. A fresh copy. *)
 

@@ -11,6 +11,7 @@ module Workload = Aptget_workloads.Workload
 module Micro = Aptget_workloads.Micro
 module Crash = Aptget_store.Crash
 module Journal = Aptget_store.Journal
+module Trace = Aptget_obs.Trace
 
 let micro_params =
   {
@@ -97,6 +98,53 @@ let test_watchdog_measure_timeout () =
     (List.exists
        (fun (d : Pipeline.degradation) -> d.Pipeline.stage = "run")
        r.Pipeline.r_degradations)
+
+(* The unmodified kernel is deterministic: when injection fails and its
+   fallback run blows the measure budget too, it is run once, not
+   rebuilt and run again to the same timeout. *)
+let test_watchdog_unmodified_runs_once () =
+  let w = micro_w () in
+  let pc = Micro.delinquent_load_pc (w.Workload.build ()) in
+  let hint distance =
+    {
+      Aptget_passes.Aptget_pass.load_pc = pc;
+      distance;
+      site = Aptget_passes.Inject.Inner;
+      sweep = 1;
+    }
+  in
+  let starved =
+    {
+      Watchdog.default with
+      Watchdog.inject_budget = { Watchdog.max_cycles = 0; max_steps = 1 };
+      measure_budget = { Watchdog.max_cycles = 500; max_steps = 0 };
+    }
+  in
+  Trace.reset ();
+  Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ())
+  @@ fun () ->
+  let r =
+    Pipeline.run_robust ~watchdog:starved ~hints:[ hint 4; hint 8 ] w
+  in
+  let stages =
+    List.map (fun (d : Pipeline.degradation) -> d.Pipeline.stage)
+      r.Pipeline.r_degradations
+  in
+  Alcotest.(check (list string)) "inject failed, then one run" [ "inject"; "run" ]
+    stages;
+  Alcotest.(check bool) "no measurement" true (r.Pipeline.r_measurement = None);
+  (* The failed injection never reaches the execute stage; the one
+     unmodified run does. *)
+  let executed =
+    List.filter
+      (fun (s : Trace.span) -> s.Trace.name = "stage.measure")
+      (Trace.spans ())
+  in
+  Alcotest.(check int) "one unmodified pipeline.run" 1 (List.length executed)
 
 let test_watchdog_caller_fuse_untouched () =
   (* A fuse the caller's own machine config carries must come back as
@@ -315,6 +363,8 @@ let () =
             test_watchdog_profile_timeout_degrades;
           Alcotest.test_case "measure timeout" `Quick
             test_watchdog_measure_timeout;
+          Alcotest.test_case "unmodified kernel runs once" `Quick
+            test_watchdog_unmodified_runs_once;
           Alcotest.test_case "caller fuse untouched" `Quick
             test_watchdog_caller_fuse_untouched;
           Alcotest.test_case "inject step budget" `Quick

@@ -30,17 +30,20 @@ let test_baseline_measurement () =
 
 let test_aptget_speeds_up_micro () =
   let w = micro_w () in
-  let base = Pipeline.verified_exn (Pipeline.baseline w) in
-  let apt, prof = Pipeline.aptget w in
-  let apt = Pipeline.verified_exn apt in
+  let base, prof = Pipeline.profiled w in
+  let base = Pipeline.verified_exn base in
+  let apt =
+    Pipeline.verified_exn (Pipeline.with_hints ~hints:prof.Profiler.hints w)
+  in
   Alcotest.(check bool) "hints produced" true (prof.Profiler.hints <> []);
   let s = Pipeline.speedup ~baseline:base apt in
   Alcotest.(check bool) (Printf.sprintf "speedup > 1.5 (got %.2f)" s) true (s > 1.5)
 
 let test_aptget_beats_or_matches_naive_distance () =
   let w = micro_w () in
-  let base = Pipeline.verified_exn (Pipeline.baseline w) in
-  let apt, _ = Pipeline.aptget w in
+  let base, prof = Pipeline.profiled w in
+  let base = Pipeline.verified_exn base in
+  let apt = Pipeline.with_hints ~hints:prof.Profiler.hints w in
   let d1 = Pipeline.verified_exn (Pipeline.aj ~distance:1 w) in
   Alcotest.(check bool) "timely beats distance-1" true
     (Pipeline.speedup ~baseline:base apt
@@ -48,8 +51,8 @@ let test_aptget_beats_or_matches_naive_distance () =
 
 let test_low_trip_count_needs_outer () =
   let w = micro_w ~inner:4 () in
-  let base = Pipeline.verified_exn (Pipeline.baseline w) in
-  let prof = Pipeline.profile w in
+  let base, prof = Pipeline.profiled w in
+  let base = Pipeline.verified_exn base in
   let inner =
     Pipeline.verified_exn
       (Pipeline.with_hints ~hints:(Pipeline.force_site Inject.Inner prof.Profiler.hints) w)
@@ -133,16 +136,88 @@ let test_verified_exn_raises () =
        false
      with Failure _ -> true)
 
-(* ---------------- run_robust ---------------- *)
+(* ---------------- the profiling run is the baseline ---------------- *)
 
 module Faults = Aptget_pmu.Faults
+module Trace = Aptget_obs.Trace
+
+(* Sampling never perturbs the simulation: the profiling run's outcome
+   is the unmodified kernel's, counters included, so it can stand in
+   for the baseline. Fault injection corrupts only what the sampler
+   records, and a denser LBR period only records more. *)
+let test_profiling_run_is_baseline () =
+  let graph_w =
+    Suite.bfs ~name:"bfs-test"
+      ~graph:(fun () ->
+        Aptget_graph.Datasets.synthetic ~nodes:4_000 ~degree:8 ())
+      ~input:"4K-d8"
+  in
+  let denser =
+    {
+      Profiler.default_options with
+      Profiler.lbr_period = Profiler.default_options.Profiler.lbr_period / 4;
+    }
+  in
+  List.iter
+    (fun (w : Workload.t) ->
+      let base = Pipeline.baseline w in
+      List.iter
+        (fun (label, options) ->
+          let m, _ = Pipeline.profiled ~options w in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s: same outcome" w.Workload.name label)
+            true
+            (m.Pipeline.outcome = base.Pipeline.outcome);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s: verified" w.Workload.name label)
+            true
+            (m.Pipeline.verified = Ok ()))
+        [
+          ("no faults", Profiler.default_options);
+          ( "default faults",
+            { Profiler.default_options with Profiler.faults = Faults.default_faulty }
+          );
+          ("4x denser LBR", denser);
+        ])
+    [ micro_w (); graph_w ]
+
+let simulation_spans () =
+  List.length
+    (List.filter
+       (fun (s : Trace.span) ->
+         s.Trace.name = "stage.measure" || s.Trace.name = "stage.profile")
+       (Trace.spans ()))
+
+(* The lab asks for a workload's baseline after its profile: the
+   profiling run answers both, so the unhinted kernel runs once. *)
+let test_lab_baseline_is_profiling_run () =
+  Trace.reset ();
+  Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.disable ();
+      Trace.reset ())
+  @@ fun () ->
+  let lab = Lab.create ~quick:true () in
+  let w = micro_w () in
+  ignore (Lab.aptget lab w);
+  Alcotest.(check int) "profiling run and hinted run" 2 (simulation_spans ());
+  let base = Lab.baseline lab w in
+  Alcotest.(check int) "the baseline simulates nothing more" 2
+    (simulation_spans ());
+  Alcotest.(check bool) "the profiling run's outcome" true
+    (base.Pipeline.outcome = (Pipeline.baseline w).Pipeline.outcome)
+
+(* ---------------- run_robust ---------------- *)
 
 let test_robust_no_faults_bit_identical () =
   (* With the fault model disabled, run_robust measures the same
      machine outcome as the plain pipeline: same cycles, same
      instruction count, same injections. *)
   let w = micro_w () in
-  let plain, _ = Pipeline.aptget w in
+  let plain =
+    Pipeline.with_hints ~hints:(Pipeline.profile w).Profiler.hints w
+  in
   let r = Pipeline.run_robust w in
   match r.Pipeline.r_measurement with
   | Some m ->
@@ -398,6 +473,8 @@ let () =
           Alcotest.test_case "train/test transfer" `Quick test_train_test_hints_transfer;
           Alcotest.test_case "verified_exn" `Quick test_verified_exn_raises;
           Alcotest.test_case "config rows" `Quick test_config_rows;
+          Alcotest.test_case "profiling run is the baseline" `Quick
+            test_profiling_run_is_baseline;
         ] );
       ( "robust",
         [
@@ -413,6 +490,8 @@ let () =
       ( "lab",
         [
           Alcotest.test_case "memoizes" `Quick test_lab_memoizes;
+          Alcotest.test_case "baseline is the profiling run" `Quick
+            test_lab_baseline_is_profiling_run;
           Alcotest.test_case "quick suite" `Quick test_lab_quick_suite;
           Alcotest.test_case "registry complete" `Quick test_registry_complete;
           Alcotest.test_case "static tables" `Quick test_static_tables_render;

@@ -529,6 +529,17 @@ let prop_doc_roundtrip =
 
 (* ---------------- Profiler end-to-end ---------------- *)
 
+(* One profiling run: the kernel once with a sampler riding along, then
+   the model fit on what it saw. *)
+let profile (inst : Aptget_workloads.Workload.instance) =
+  let sampler = Profiler.sampler Profiler.default_options in
+  let baseline =
+    Aptget_machine.Machine.execute ~sampler
+      ~args:inst.Aptget_workloads.Workload.args
+      ~mem:inst.Aptget_workloads.Workload.mem inst.Aptget_workloads.Workload.func
+  in
+  Profiler.refit ~baseline sampler inst.Aptget_workloads.Workload.func
+
 let micro_instance () =
   let p =
     {
@@ -542,8 +553,7 @@ let micro_instance () =
 let test_profiler_finds_delinquent_load () =
   let inst, _ = micro_instance () in
   let prof =
-    Profiler.profile ~args:inst.Aptget_workloads.Workload.args
-      ~mem:inst.Aptget_workloads.Workload.mem inst.Aptget_workloads.Workload.func
+    profile inst
   in
   Alcotest.(check bool) "snapshots collected" true (prof.Profiler.lbr_snapshots > 0);
   Alcotest.(check bool) "pebs samples" true (prof.Profiler.pebs_samples > 0);
@@ -563,8 +573,7 @@ let test_profiler_finds_delinquent_load () =
 let test_profiler_skips_direct_loads () =
   let inst, _ = micro_instance () in
   let prof =
-    Profiler.profile ~args:inst.Aptget_workloads.Workload.args
-      ~mem:inst.Aptget_workloads.Workload.mem inst.Aptget_workloads.Workload.func
+    profile inst
   in
   List.iter
     (fun (p : Profiler.load_profile) ->
@@ -584,8 +593,7 @@ let test_profiler_low_trip_chooses_outer () =
   in
   let inst = Aptget_workloads.Micro.build p in
   let prof =
-    Profiler.profile ~args:inst.Aptget_workloads.Workload.args
-      ~mem:inst.Aptget_workloads.Workload.mem inst.Aptget_workloads.Workload.func
+    profile inst
   in
   match prof.Profiler.hints with
   | h :: _ ->
@@ -596,8 +604,7 @@ let test_profiler_to_doc () =
   let inst, _ = micro_instance () in
   let func = inst.Aptget_workloads.Workload.func in
   let prof =
-    Profiler.profile ~args:inst.Aptget_workloads.Workload.args
-      ~mem:inst.Aptget_workloads.Workload.mem func
+    profile inst
   in
   let doc = Profiler.to_doc prof in
   (match doc.Hints_file.prov with
@@ -626,8 +633,7 @@ let test_profiler_to_doc () =
 let test_profiler_baseline_outcome_sane () =
   let inst, p = micro_instance () in
   let prof =
-    Profiler.profile ~args:inst.Aptget_workloads.Workload.args
-      ~mem:inst.Aptget_workloads.Workload.mem inst.Aptget_workloads.Workload.func
+    profile inst
   in
   Alcotest.(check bool) "ran the kernel" true
     (prof.Profiler.baseline.Aptget_machine.Machine.instructions

@@ -5,6 +5,8 @@
 module Machine = Aptget_machine.Machine
 module Pipeline = Aptget_core.Pipeline
 module Quarantine = Aptget_core.Quarantine
+module Watchdog = Aptget_core.Watchdog
+module Trace = Aptget_obs.Trace
 module Workload = Aptget_workloads.Workload
 module Micro = Aptget_workloads.Micro
 module Profiler = Aptget_profile.Profiler
@@ -398,7 +400,7 @@ let test_guard_baseline_fallback_when_aj_disabled () =
   (match g.Pipeline.g_outcome with
   | Pipeline.Quarantined { fallback; _ } ->
     Alcotest.(check bool) "pinned to the baseline" true
-      (String.length fallback > 0 && fallback.[0] = 'b')
+      (fallback = Pipeline.Pinned_baseline)
   | o -> Alcotest.fail (Pipeline.guard_outcome_to_string o));
   Alcotest.(check int) "exactly the baseline cycle count"
     g.Pipeline.g_baseline.Pipeline.outcome.Machine.cycles
@@ -435,6 +437,71 @@ let test_guard_program_argument_is_transparent () =
         true
         (run () = run ~program ()))
     [ ("fresh", w); ("collide", mutated w ~tag:"collide" collide) ]
+
+(* A caller's baseline (the profiling run) stands in for the guard's
+   own: same record, wall time aside, one simulation fewer. *)
+let test_guard_baseline_argument_is_transparent () =
+  let strip (g : Pipeline.guarded) =
+    let m (x : Pipeline.measurement) = { x with Pipeline.wall_seconds = 0. } in
+    {
+      g with
+      Pipeline.g_baseline = m g.Pipeline.g_baseline;
+      g_candidate = Option.map m g.Pipeline.g_candidate;
+      g_final = m g.Pipeline.g_final;
+    }
+  in
+  let executed () =
+    List.length
+      (List.filter
+         (fun (s : Trace.span) -> s.Trace.name = "stage.measure")
+         (Trace.spans ()))
+  in
+  let w = micro_w () in
+  let doc, _ = profile_doc w in
+  List.iter
+    (fun (tag, w) ->
+      let baseline, _ = Pipeline.profiled w in
+      let run ?baseline () =
+        Trace.reset ();
+        Trace.enable ();
+        Fun.protect
+          ~finally:(fun () ->
+            Trace.disable ();
+            Trace.reset ())
+        @@ fun () ->
+        let g =
+          Pipeline.run_guarded ~remap:Remap.default_config
+            ~quarantine:(Quarantine.create ()) ?baseline ~doc w
+        in
+        (strip g, executed ())
+      in
+      let g, n = run () and g', n' = run ~baseline () in
+      Alcotest.(check bool) (tag ^ ": same guarded record") true (g = g');
+      Alcotest.(check int) (tag ^ ": one simulation fewer") (n - 1) n')
+    [ ("fresh", w); ("collide", mutated w ~tag:"collide" collide) ]
+
+(* A baseline that would blow the measure budget is simulated anyway,
+   so the guard times out exactly as without it. *)
+let test_guard_baseline_over_budget_times_out () =
+  let w = micro_w () in
+  let doc, _ = profile_doc w in
+  let baseline, _ = Pipeline.profiled w in
+  let watchdog =
+    {
+      Watchdog.default with
+      Watchdog.measure_budget =
+        {
+          Watchdog.max_cycles = baseline.Pipeline.outcome.Machine.cycles - 1;
+          max_steps = 0;
+        };
+    }
+  in
+  let timeout ?baseline () =
+    match Pipeline.run_guarded ~watchdog ?baseline ~doc w with
+    | (_ : Pipeline.guarded) -> Alcotest.fail "the baseline must time out"
+    | exception Watchdog.Timed_out t -> Watchdog.timeout_to_string t
+  in
+  Alcotest.(check string) "same timeout" (timeout ()) (timeout ~baseline ())
 
 let test_guard_with_remap_recovers_mutations () =
   (* Acceptance: across the layout mutations, remapping recovers at
@@ -514,5 +581,9 @@ let () =
           Alcotest.test_case "remap recovers mutations" `Quick test_guard_with_remap_recovers_mutations;
           Alcotest.test_case "program argument is transparent" `Quick
             test_guard_program_argument_is_transparent;
+          Alcotest.test_case "baseline argument is transparent" `Quick
+            test_guard_baseline_argument_is_transparent;
+          Alcotest.test_case "baseline over budget times out" `Quick
+            test_guard_baseline_over_budget_times_out;
         ] );
     ]
