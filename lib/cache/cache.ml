@@ -1,13 +1,11 @@
 type t = {
-  n_sets : int;
   assoc : int;
   set_mask : int;
-  tags : int array; (* n_sets * assoc, [no_line] = invalid; full line id *)
-  lru : int array;
-      (* recency stamp per way; larger = more recent. Invalid ways hold
-         0 and valid ways at least 1 (the clock is bumped before every
-         stamp), which is what lets [choose_victim] be a single argmin. *)
-  mutable clock : int;
+  tags : int array;
+      (* sets * assoc full line ids, each set most recent first with
+         its invalid ways ([no_line]) at the tail *)
+  marks : int array;  (* per way, moved with its tag; 0 on invalid ways *)
+  mutable evicted_mark : int;
   mutable valid : int;
 }
 
@@ -23,30 +21,23 @@ let create ~size_bytes ~assoc ~line_bytes =
   if not (is_pow2 n_sets) then
     invalid_arg "Cache.create: number of sets must be a power of two";
   {
-    n_sets;
     assoc;
     set_mask = n_sets - 1;
     tags = Array.make (n_sets * assoc) no_line;
-    lru = Array.make (n_sets * assoc) 0;
-    clock = 0;
+    marks = Array.make (n_sets * assoc) 0;
+    evicted_mark = 0;
     valid = 0;
   }
 
-let sets t = t.n_sets
-let assoc t = t.assoc
-let set_of t line = line land t.set_mask
+let base_of t line = (line land t.set_mask) * t.assoc
 
-(* The way scans below run several times per simulated load (L1/L2/LLC
-   probes, installs, invalidations), so they use unsafe accesses behind
-   indices that are in bounds by construction: [set_of] masks the line
-   into [0, n_sets) and ways stay below [assoc], so [base + w] is
-   always within the [n_sets * assoc] backing arrays. A negative line
-   is never present: without the guard, [no_line] would match every
-   invalid way. *)
-let slot t line =
+(* Scans and shifts run several times per simulated load, so they use
+   unsafe accesses, in bounds by construction: [base] is a set's first
+   way and ways stay below [base + assoc]. A negative line is never
+   present: without the guard, [no_line] would match an invalid way. *)
+let find t ~base line =
   if line < 0 then -1
   else begin
-    let base = set_of t line * t.assoc in
     let tags = t.tags in
     let stop = base + t.assoc in
     let w = ref base in
@@ -56,66 +47,69 @@ let slot t line =
     if !w < stop then !w else -1
   end
 
-let probe t line = slot t line >= 0
+(* Shift ways [base, i) down one, overwriting way [i], and put [line]
+   with [mark] first. *)
+let push_front t ~base i line mark =
+  let tags = t.tags and marks = t.marks in
+  for w = i downto base + 1 do
+    Array.unsafe_set tags w (Array.unsafe_get tags (w - 1));
+    Array.unsafe_set marks w (Array.unsafe_get marks (w - 1))
+  done;
+  Array.unsafe_set tags base line;
+  Array.unsafe_set marks base mark
+
+let probe t line = find t ~base:(base_of t line) line >= 0
 
 let touch t line =
-  let i = slot t line in
-  if i >= 0 then begin
-    t.clock <- t.clock + 1;
-    Array.unsafe_set t.lru i t.clock;
-    true
-  end
-  else false
+  let base = base_of t line in
+  let i = find t ~base line in
+  if i > base then push_front t ~base i line (Array.unsafe_get t.marks i);
+  i >= 0
 
-(* The least recently used way of [line]'s set, ties to the lowest way.
-   Invalid ways have stamp 0 and valid ones at least 1, so the first
-   invalid way wins whenever there is one. *)
-let choose_victim t line =
-  let base = set_of t line * t.assoc in
-  let lru = t.lru in
-  let v = ref base in
-  let stamp = ref (Array.unsafe_get lru base) in
-  for w = base + 1 to base + t.assoc - 1 do
-    let s = Array.unsafe_get lru w in
-    if s < !stamp then begin
-      v := w;
-      stamp := s
-    end
-  done;
-  !v
-
+(* The last way is invalid whenever the set has an invalid way, else it
+   holds the least recently used line: the way an argmin over LRU
+   stamps picks, up to which invalid way, which nothing observes. *)
 let insert_absent t line =
   if line < 0 then invalid_arg "Cache.insert: negative line";
-  let victim = choose_victim t line in
-  let evicted = Array.unsafe_get t.tags victim in
+  let base = base_of t line in
+  let last = base + t.assoc - 1 in
+  let evicted = Array.unsafe_get t.tags last in
+  t.evicted_mark <- Array.unsafe_get t.marks last;
+  push_front t ~base last line 0;
   if evicted = no_line then t.valid <- t.valid + 1;
-  t.clock <- t.clock + 1;
-  Array.unsafe_set t.tags victim line;
-  Array.unsafe_set t.lru victim t.clock;
   evicted
 
 let insert t line =
-  let i = slot t line in
-  if i >= 0 then begin
-    t.clock <- t.clock + 1;
-    Array.unsafe_set t.lru i t.clock;
-    no_line
-  end
-  else insert_absent t line
+  if touch t line then (t.evicted_mark <- 0; no_line) else insert_absent t line
 
 let invalidate t line =
-  let i = slot t line in
+  let base = base_of t line in
+  let i = find t ~base line in
   if i >= 0 then begin
-    t.tags.(i) <- no_line;
-    t.lru.(i) <- 0;
+    let tags = t.tags and marks = t.marks in
+    let last = base + t.assoc - 1 in
+    for w = i to last - 1 do
+      Array.unsafe_set tags w (Array.unsafe_get tags (w + 1));
+      Array.unsafe_set marks w (Array.unsafe_get marks (w + 1))
+    done;
+    Array.unsafe_set tags last no_line;
+    Array.unsafe_set marks last 0;
     t.valid <- t.valid - 1
   end
 
 let clear t =
   Array.fill t.tags 0 (Array.length t.tags) no_line;
-  Array.fill t.lru 0 (Array.length t.lru) 0;
-  t.clock <- 0;
+  Array.fill t.marks 0 (Array.length t.marks) 0;
+  t.evicted_mark <- 0;
   t.valid <- 0
 
 let occupancy t = t.valid
-let slots t = t.n_sets * t.assoc
+let evicted_mark t = t.evicted_mark
+
+let mark t line =
+  let i = find t ~base:(base_of t line) line in
+  if i >= 0 then Array.unsafe_get t.marks i else 0
+
+let set_mark t line m =
+  let i = find t ~base:(base_of t line) line in
+  if i >= 0 then Array.unsafe_set t.marks i m

@@ -3,7 +3,9 @@
     Keys are cache-line indices (word address / 8); the data itself
     lives in {!Aptget_mem.Memory}, so a cache only tracks presence.
     Line ids are non-negative: a negative line is never present, and
-    inserting one is an error. Nothing here allocates. *)
+    inserting one is an error. Each present line carries an int
+    {e mark} for its owner's bookkeeping: it enters with mark 0 and
+    the mark leaves with it. Nothing here allocates. *)
 
 type t
 
@@ -15,19 +17,6 @@ val create : size_bytes:int -> assoc:int -> line_bytes:int -> t
 (** [create ~size_bytes ~assoc ~line_bytes] builds an empty cache.
     [size_bytes] must be divisible by [assoc * line_bytes]; the number
     of sets must be a power of two. *)
-
-val sets : t -> int
-val assoc : t -> int
-
-val slots : t -> int
-(** [sets * assoc]: the number of ways in the whole cache. {!slot}
-    returns indices in [[0, slots)]. *)
-
-val slot : t -> int -> int
-(** [slot t line] is the index of the way holding [line], or [-1] when
-    it is absent. The index is stable until the line is evicted, so a
-    caller can keep per-way metadata beside the cache. Does not update
-    recency. *)
 
 val probe : t -> int -> bool
 (** [probe t line] is [true] iff [line] is present. Does not update
@@ -49,6 +38,16 @@ val insert_absent : t -> int -> int
 (** [insert] for a line the caller knows is absent (it just missed
     here): skips the presence scan. Inserting a present line this way
     would hold it twice. *)
+
+val evicted_mark : t -> int
+(** The mark of the line the last {!insert} evicted, 0 if none. *)
+
+val mark : t -> int -> int
+(** [mark t line] is [line]'s mark, 0 when it is absent. *)
+
+val set_mark : t -> int -> int -> unit
+(** [set_mark t line m] marks a present line; no-op when absent. Both
+    lookups start at the most recently used line of the set. *)
 
 val invalidate : t -> int -> unit
 (** Drop a line if present. *)

@@ -172,25 +172,21 @@ type t = {
          lets [line_of] shift instead of running an integer division on
          every access *)
   owner_tag : int;
-      (* 1 + this stream's index in [shared.streams]: its mark in
-         [sw_owner] *)
+      (* 1 + this stream's index in [shared.streams]: the LLC mark of
+         its SW-prefetch fills *)
 }
 
 and shared = {
   s_cfg : config;
   llc : Cache.t;
+      (* A line's mark is the [owner_tag] of the stream whose
+         SW-prefetch fill installed it, until a demand load uses it.
+         Evicting a marked line is a too-early prefetch charged to that
+         stream: to the stream, not its counters record, so the charge
+         survives [reset_counters], which swaps the record out. *)
   mutable next_dram_slot : int;
       (* earliest cycle the DRAM channel can start another fill *)
-  sw_owner : int array;
-      (* per LLC way ([Cache.slot]): the [owner_tag] of the stream whose
-         SW-prefetch fill installed the line there, while no demand
-         load has used it yet; 0 otherwise. An LLC eviction of a marked
-         line is a too-early prefetch charged to that stream. The mark
-         names the stream, not its counters record, so attribution
-         survives [reset_counters], which swaps the record out. A
-         marked line is always in the LLC: marks are set right after
-         the fill installs the line and cleared when it is evicted. *)
-  mutable n_pending : int;  (* marked ways; 0 skips every mark lookup *)
+  mutable n_pending : int;  (* marked LLC lines; 0 skips every mark lookup *)
   mutable streams : t array;
       (* in attach order; inclusion victims invalidate every stream's
          private levels *)
@@ -210,7 +206,6 @@ let create_shared cfg =
     s_cfg = cfg;
     llc;
     next_dram_slot = 0;
-    sw_owner = Array.make (Cache.slots llc) 0;
     n_pending = 0;
     streams = [||];
   }
@@ -248,12 +243,11 @@ let set_prefetch_limit t ~words =
   let lines = if words <= 0 then 0 else (words + wpl - 1) / wpl in
   Hwpf.set_line_limit t.hwpf ~lines
 
-(* [line] has just been installed in the LLC and evicted [victim] from
-   the same way. Inclusion: the victim leaves the inner levels of every
-   attached stream (line ids are per-stream disjoint, so at most one
-   stream's private levels actually hold it). A pending SW-prefetch
-   mark on the way was the victim's: charge its owner. *)
-let evicted t ~line victim =
+(* An LLC insert just evicted [victim]. Inclusion: the victim leaves
+   the inner levels of every attached stream (line ids are per-stream
+   disjoint, so at most one stream's private levels actually hold it).
+   A pending SW-prefetch mark left with it: charge its owner. *)
+let evicted t victim =
   if victim <> Cache.no_line then begin
     let sh = t.shared in
     let streams = sh.streams in
@@ -262,10 +256,8 @@ let evicted t ~line victim =
       Cache.invalidate streams.(i).l1 victim
     done;
     if sh.n_pending > 0 then begin
-      let w = Cache.slot sh.llc line in
-      let owner = sh.sw_owner.(w) in
+      let owner = Cache.evicted_mark sh.llc in
       if owner > 0 then begin
-        sh.sw_owner.(w) <- 0;
         sh.n_pending <- sh.n_pending - 1;
         let o = streams.(owner - 1) in
         o.c.sw_prefetch_early_evict <- o.c.sw_prefetch_early_evict + 1
@@ -275,26 +267,27 @@ let evicted t ~line victim =
 
 (* Install a line everywhere (inclusive hierarchy). *)
 let install_all t line =
-  evicted t ~line (Cache.insert t.shared.llc line);
+  evicted t (Cache.insert t.shared.llc line);
   ignore (Cache.insert t.l2 line);
   ignore (Cache.insert t.l1 line)
 
 (* [install_all] for a line that just missed at all three levels. *)
 let install_absent t line =
-  evicted t ~line (Cache.insert_absent t.shared.llc line);
+  evicted t (Cache.insert_absent t.shared.llc line);
   ignore (Cache.insert_absent t.l2 line);
   ignore (Cache.insert_absent t.l1 line)
 
+(* Just installed, [line] leads its LLC set: each lookup is one
+   comparison. *)
 let mark_sw_fill t line =
   let sh = t.shared in
-  let w = Cache.slot sh.llc line in
-  if sh.sw_owner.(w) = 0 then sh.n_pending <- sh.n_pending + 1;
-  sh.sw_owner.(w) <- t.owner_tag
+  if Cache.mark sh.llc line = 0 then sh.n_pending <- sh.n_pending + 1;
+  Cache.set_mark sh.llc line t.owner_tag
 
+(* A demand load of [line] uses its prefetch. *)
 let clear_sw_mark sh line =
-  let w = Cache.slot sh.llc line in
-  if w >= 0 && sh.sw_owner.(w) <> 0 then begin
-    sh.sw_owner.(w) <- 0;
+  if sh.n_pending <> 0 && Cache.mark sh.llc line <> 0 then begin
+    Cache.set_mark sh.llc line 0;
     sh.n_pending <- sh.n_pending - 1
   end
 
@@ -325,7 +318,7 @@ let line_of t addr =
 let dram_start t ~cycle =
   if t.cfg.dram_min_gap <= 0 then cycle
   else begin
-    let start = max cycle t.shared.next_dram_slot in
+    let start = Int.max cycle t.shared.next_dram_slot in
     t.shared.next_dram_slot <- start + t.cfg.dram_min_gap;
     start
   end
@@ -373,16 +366,17 @@ let demand_load t ~pc ~addr ~cycle =
   if addr < 0 then uncached_load t
   else begin
     let line = line_of t addr in
-    if t.shared.n_pending <> 0 then clear_sw_mark t.shared line;
     t.c.demand_loads <- t.c.demand_loads + 1;
     let m = Mshr.find t.mshr line in
     if m >= 0 then begin
       (* Fill in flight: wait out the remainder, then it behaves like
          an L1 hit. The real counter treats this as a cache miss. *)
-      let wait = max 0 (Mshr.ready_at t.mshr m - cycle) in
+      let wait = Int.max 0 (Mshr.ready_at t.mshr m - cycle) in
       let late_sw = Mshr.origin t.mshr m = Mshr.Sw_prefetch in
       Mshr.remove_at t.mshr m;
       install_all t line;
+      (* installed, it leads its LLC set: one comparison finds it *)
+      clear_sw_mark t.shared line;
       if late_sw then t.c.load_hit_pre_sw_pf <- t.c.load_hit_pre_sw_pf + 1;
       t.c.offcore_all_data_rd <- t.c.offcore_all_data_rd + 1;
       t.c.offcore_demand_data_rd <- t.c.offcore_demand_data_rd + 1;
@@ -393,11 +387,13 @@ let demand_load t ~pc ~addr ~cycle =
         (code_dram lor fill_buffer_bit lor if late_sw then late_sw_bit else 0)
     end
     else if Cache.touch t.l1 line then begin
+      clear_sw_mark t.shared line;
       t.c.hits_l1 <- t.c.hits_l1 + 1;
       hw_prefetch_lines t ~pc ~addr ~miss:false ~cycle;
       pack ~latency:t.cfg.l1_latency code_l1
     end
     else if Cache.touch t.l2 line then begin
+      clear_sw_mark t.shared line;
       ignore (Cache.insert_absent t.l1 line);
       t.c.hits_l2 <- t.c.hits_l2 + 1;
       t.c.stall_cycles_l2 <-
@@ -406,6 +402,7 @@ let demand_load t ~pc ~addr ~cycle =
       pack ~latency:t.cfg.l2_latency code_l2
     end
     else if Cache.touch t.shared.llc line then begin
+      clear_sw_mark t.shared line;
       ignore (Cache.insert_absent t.l2 line);
       ignore (Cache.insert_absent t.l1 line);
       t.c.hits_llc <- t.c.hits_llc + 1;
@@ -415,6 +412,7 @@ let demand_load t ~pc ~addr ~cycle =
       pack ~latency:t.cfg.llc_latency code_llc
     end
     else begin
+      (* A line absent from the LLC carries no mark. *)
       install_absent t line;
       let start = dram_start t ~cycle in
       let latency = start - cycle + t.cfg.dram_latency in
@@ -454,6 +452,5 @@ let flush t =
   Cache.clear t.shared.llc;
   Mshr.clear t.mshr;
   t.shared.next_dram_slot <- 0;
-  Array.fill t.shared.sw_owner 0 (Array.length t.shared.sw_owner) 0;
   t.shared.n_pending <- 0;
   reset_counters t

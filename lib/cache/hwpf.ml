@@ -38,7 +38,12 @@ let disabled () = { (create ()) with enabled = false }
 let set_line_limit t ~lines =
   t.line_limit <- (if lines <= 0 then max_int else lines)
 
-let line_of addr = addr / Aptget_mem.Memory.words_per_line
+(* [addr / Memory.words_per_line] for [addr >= 0], as a shift: the
+   cross-module constant does not fold under [-opaque], so dividing by
+   it is a runtime division, several per trained access. *)
+let line_shift = Float.(to_int (log2 (of_int Aptget_mem.Memory.words_per_line)))
+let () = assert (1 lsl line_shift = Aptget_mem.Memory.words_per_line)
+let line_of addr = addr lsr line_shift
 
 (* Insertion into the sorted, duplicate-free target buffer. *)
 let emit t line =
@@ -63,7 +68,7 @@ let on_demand_access t ~pc ~addr ~miss =
     if slot.tag = pc then begin
       let stride = addr - slot.last_addr in
       if stride = slot.stride && stride <> 0 then
-        slot.confidence <- min 4 (slot.confidence + 1)
+        slot.confidence <- Int.min 4 (slot.confidence + 1)
       else begin
         slot.stride <- stride;
         slot.confidence <- if stride <> 0 then 1 else 0

@@ -25,7 +25,7 @@ val set_line_limit : t -> lines:int -> unit
 
 val on_demand_access : t -> pc:int -> addr:int -> miss:bool -> int
 (** [on_demand_access t ~pc ~addr ~miss] trains the prefetcher with a
-    demand load of word address [addr] issued by instruction [pc] and
+    demand load of word address [addr >= 0] issued by instruction [pc] and
     returns how many cache lines to prefetch; {!target} reads them.
     Next-line fires on misses; the stride prefetcher fires once a PC
     has shown the same word-stride twice in a row. Allocates nothing:

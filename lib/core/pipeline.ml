@@ -177,17 +177,24 @@ let aj ?config ?distance w = (measure ?config ~transform:(aj_pass ?distance) w).
 let with_hints ?config ?cse ?veto ~hints w =
   (measure ?config ~transform:(apply_hints ?cse ?veto ~hints) w).tenant
 
-let profiled ?(options = Profiler.default_options) ?watchdog ?crash
-    (w : Workload.t) =
-  Trace.with_span ~name:"pipeline.profile"
-    ~attrs:[ ("workload", w.Workload.name) ]
-  @@ fun () ->
+let profile_span (w : Workload.t) =
+  Trace.with_span ~name:"pipeline.profile" ~attrs:[ ("workload", w.Workload.name) ]
+
+let sample ~options ?watchdog ?crash w =
   let sampler = Profiler.sampler options in
   let r =
     measure_as Watchdog.Profile ~config:options.Profiler.machine ?watchdog
       ?crash ~sampler w
   in
   Sampler.export_metrics sampler;
+  (r, sampler)
+
+let sampled ?(options = Profiler.default_options) ?watchdog ?crash w =
+  profile_span w (fun () -> sample ~options ?watchdog ?crash w)
+
+let profiled ?(options = Profiler.default_options) ?watchdog ?crash w =
+  profile_span w @@ fun () ->
+  let r, sampler = sample ~options ?watchdog ?crash w in
   ( r.tenant,
     Profiler.refit ~options ~baseline:r.tenant.outcome sampler
       r.instance.Workload.func )

@@ -143,6 +143,17 @@ val profile :
   Aptget_profile.Profiler.t
 (** [snd] of {!profiled}. *)
 
+val sampled :
+  ?options:Aptget_profile.Profiler.options ->
+  ?watchdog:Watchdog.config ->
+  ?crash:Aptget_store.Crash.t ->
+  Aptget_workloads.Workload.t ->
+  run * Aptget_pmu.Sampler.t
+(** {!profiled}'s run and the sampler that rode along it, before any
+    analysis: a study of analysis-only options ([finder], [k],
+    [max_overhead_frac]) {!refit}s the one run once per option value
+    instead of simulating it again. *)
+
 val with_hints :
   ?config:Aptget_machine.Machine.config ->
   ?cse:bool ->

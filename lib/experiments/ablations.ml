@@ -27,12 +27,20 @@ let hj_w lab =
       ~name:"HJ8-abl" ()
   else Hashjoin.workload ~params:Hashjoin.hj8_params ~name:"HJ8-abl" ()
 
-(* Only the analysis options vary, so every profiling run is also the
-   default machine's baseline. *)
-let speedup_with_options w options =
-  let base, prof = Pipeline.profiled ~options w in
-  let m = Lab.check (Pipeline.with_hints ~hints:prof.Profiler.hints w) in
-  (Pipeline.speedup ~baseline:(Lab.check base) m, prof)
+(* Only the analysis options vary, so one sampled run per workload,
+   also the default machine's baseline, is re-fitted once per option
+   value; [row v speedup profile] renders value [v]'s row. *)
+let refit_sweep w ~options values row =
+  let r, sampler = Pipeline.sampled w in
+  let base = Lab.check r.Pipeline.tenant in
+  List.iter
+    (fun v ->
+      match Pipeline.refit ~options:(options v) ~sampler r with
+      | None -> failwith (w.Workload.name ^ ": profile analysis failed")
+      | Some prof ->
+        let m = Lab.check (Pipeline.with_hints ~hints:prof.Profiler.hints w) in
+        row v (Pipeline.speedup ~baseline:base m) prof)
+    values
 
 let peak_finder lab =
   let t =
@@ -44,18 +52,17 @@ let peak_finder lab =
   let ws = [ micro_w lab ~inner:256; hj_w lab ] in
   List.iter
     (fun w ->
-      List.iter
-        (fun (label, finder) ->
-          let options = { Profiler.default_options with Profiler.finder } in
-          let s, prof = speedup_with_options w options in
+      refit_sweep w
+        ~options:(fun (_, finder) -> { Profiler.default_options with Profiler.finder })
+        [ ("cwt", Model.Cwt); ("naive", Model.Naive) ]
+        (fun (label, _) s prof ->
           let ds =
             String.concat ","
               (List.map
                  (fun (h : Aptget_pass.hint) -> string_of_int h.Aptget_pass.distance)
                  prof.Profiler.hints)
           in
-          Table.add_row t [ w.Workload.name; label; ds; Table.fmt_speedup s ])
-        [ ("cwt", Model.Cwt); ("naive", Model.Naive) ])
+          Table.add_row t [ w.Workload.name; label; ds; Table.fmt_speedup s ]))
     ws;
   [ t ]
 
@@ -68,10 +75,10 @@ let k_constant lab =
   let ws = [ micro_w lab ~inner:4; hj_w lab ] in
   List.iter
     (fun w ->
-      List.iter
-        (fun k ->
-          let options = { Profiler.default_options with Profiler.k } in
-          let s, prof = speedup_with_options w options in
+      refit_sweep w
+        ~options:(fun k -> { Profiler.default_options with Profiler.k })
+        [ 1; 3; 5; 8 ]
+        (fun k s prof ->
           let sites =
             String.concat ","
               (List.map
@@ -80,8 +87,7 @@ let k_constant lab =
                  prof.Profiler.hints)
           in
           Table.add_row t
-            [ w.Workload.name; string_of_int k; sites; Table.fmt_speedup s ])
-        [ 1; 3; 5; 8 ])
+            [ w.Workload.name; string_of_int k; sites; Table.fmt_speedup s ]))
     ws;
   [ t ]
 

@@ -93,7 +93,11 @@ let overhead_filter lab =
       let options =
         { Profiler.default_options with Profiler.max_overhead_frac = 1.0 }
       in
-      let prof = Pipeline.profile ~options w in
+      (* the filter re-analyses the lab's profile: no second run *)
+      let prof =
+        Profiler.filter_overhead options (w.Workload.build ()).Workload.func
+          (Lab.profiled lab w)
+      in
       let filtered =
         Lab.check (Pipeline.with_hints ~hints:prof.Profiler.hints w)
       in

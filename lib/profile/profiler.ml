@@ -297,6 +297,10 @@ let overhead_filter opts (f : Ir.func) profiles =
         | _ -> p)
       profiles
 
+let filter_overhead opts f prof =
+  let profiles = overhead_filter opts f prof.profiles in
+  { prof with profiles; hints = List.filter_map (fun p -> p.hint) profiles }
+
 (* The analysis of a profile, on any sampler that has already
    observed an execution of [f] — the one-shot profile runs the clean
    kernel; online re-fitting feeds the sampler that rode along a hinted

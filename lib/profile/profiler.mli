@@ -106,6 +106,12 @@ val refit :
     program and must travel through {!Remap} to reach a fresh build. [baseline] is recorded as the profile's
     measurement of record (for re-fits, the observed hinted outcome). *)
 
+val filter_overhead : options -> Ir.func -> t -> t
+(** [filter_overhead options f p] applies [options.max_overhead_frac]
+    to [p], a profile of [f] fitted with the filter off: the {!refit}
+    under [options] of [p]'s run when every other analysis option is
+    the same, without its sampler. *)
+
 val validate_hints :
   Ir.func ->
   Aptget_passes.Aptget_pass.hint list ->

@@ -89,6 +89,207 @@ let prop_inserted_line_present_or_evicted =
       List.iter (fun l -> ignore (Cache.insert c l)) lines;
       Cache.probe c (List.nth lines (List.length lines - 1)))
 
+(* The stamp-LRU cache the recency-ordered one replaced, kept as the
+   reference model: every way holds a tag, an LRU stamp and a mark;
+   invalid ways have stamp 0 and valid ones at least 1, so the victim
+   is one argmin over the set, ties to the lowest way. *)
+module Stamp_lru = struct
+  type t = {
+    sets : int;
+    assoc : int;
+    tags : int array;
+    lru : int array;
+    marks : int array;
+    mutable clock : int;
+    mutable evicted_mark : int;
+    mutable valid : int;
+  }
+
+  let create ~sets ~assoc =
+    {
+      sets;
+      assoc;
+      tags = Array.make (sets * assoc) Cache.no_line;
+      lru = Array.make (sets * assoc) 0;
+      marks = Array.make (sets * assoc) 0;
+      clock = 0;
+      evicted_mark = 0;
+      valid = 0;
+    }
+
+  let slot t line =
+    if line < 0 then -1
+    else begin
+      let base = (line land (t.sets - 1)) * t.assoc in
+      let rec go w =
+        if w = base + t.assoc then -1 else if t.tags.(w) = line then w else go (w + 1)
+      in
+      go base
+    end
+
+  let probe t line = slot t line >= 0
+
+  let stamp t w =
+    t.clock <- t.clock + 1;
+    t.lru.(w) <- t.clock
+
+  let touch t line =
+    let w = slot t line in
+    if w >= 0 then stamp t w;
+    w >= 0
+
+  let insert_absent t line =
+    if line < 0 then invalid_arg "Stamp_lru.insert";
+    let base = (line land (t.sets - 1)) * t.assoc in
+    let v = ref base in
+    for w = base + 1 to base + t.assoc - 1 do
+      if t.lru.(w) < t.lru.(!v) then v := w
+    done;
+    let evicted = t.tags.(!v) in
+    if evicted = Cache.no_line then t.valid <- t.valid + 1;
+    t.evicted_mark <- t.marks.(!v);
+    t.tags.(!v) <- line;
+    t.marks.(!v) <- 0;
+    stamp t !v;
+    evicted
+
+  let insert t line =
+    let w = slot t line in
+    if w >= 0 then begin
+      stamp t w;
+      t.evicted_mark <- 0;
+      Cache.no_line
+    end
+    else insert_absent t line
+
+  let invalidate t line =
+    let w = slot t line in
+    if w >= 0 then begin
+      t.tags.(w) <- Cache.no_line;
+      t.lru.(w) <- 0;
+      t.marks.(w) <- 0;
+      t.valid <- t.valid - 1
+    end
+
+  let clear t =
+    Array.fill t.tags 0 (Array.length t.tags) Cache.no_line;
+    Array.fill t.lru 0 (Array.length t.lru) 0;
+    Array.fill t.marks 0 (Array.length t.marks) 0;
+    t.clock <- 0;
+    t.evicted_mark <- 0;
+    t.valid <- 0
+
+  let mark t line =
+    let w = slot t line in
+    if w >= 0 then t.marks.(w) else 0
+
+  let set_mark t line m =
+    let w = slot t line in
+    if w >= 0 then t.marks.(w) <- m
+end
+
+type cache_op =
+  | Insert of int
+  | Insert_absent of int
+  | Touch of int
+  | Probe of int
+  | Invalidate of int
+  | Clear
+  | Get_mark of int
+  | Set_mark of int * int
+
+let cache_op_print = function
+  | Insert l -> Printf.sprintf "insert %d" l
+  | Insert_absent l -> Printf.sprintf "insert_absent %d" l
+  | Touch l -> Printf.sprintf "touch %d" l
+  | Probe l -> Printf.sprintf "probe %d" l
+  | Invalidate l -> Printf.sprintf "invalidate %d" l
+  | Clear -> "clear"
+  | Get_mark l -> Printf.sprintf "mark %d" l
+  | Set_mark (l, m) -> Printf.sprintf "set_mark %d %d" l m
+
+(* Four sets; lines over three times the capacity, so sets fill, evict
+   and collide, plus the negative line for the lookups. Clears are
+   rare enough that sets get full between them. *)
+let diff_sets = 4
+
+let diff_case_gen =
+  let open QCheck.Gen in
+  oneofl [ 1; 2; 8; 16 ] >>= fun assoc ->
+  let line = int_bound ((diff_sets * assoc * 3) - 1) in
+  let any_line = frequency [ (15, line); (1, return (-1)) ] in
+  let op =
+    frequency
+      [
+        (6, map (fun l -> Insert l) line);
+        (6, map (fun l -> Insert_absent l) line);
+        (5, map (fun l -> Touch l) any_line);
+        (2, map (fun l -> Probe l) any_line);
+        (2, map (fun l -> Invalidate l) any_line);
+        (1, map (fun l -> Get_mark l) any_line);
+        (2, map2 (fun l m -> Set_mark (l, m)) any_line (int_bound 3));
+        (1, return Clear);
+      ]
+  in
+  map (fun ops -> (assoc, ops)) (list_size (int_range 1 400) op)
+
+let diff_case =
+  QCheck.make
+    ~print:(fun (assoc, ops) ->
+      Printf.sprintf "assoc=%d [%s]" assoc
+        (String.concat "; " (List.map cache_op_print ops)))
+    diff_case_gen
+
+(* Drives both caches with the same operations; [insert_absent] only
+   ever gets an absent line. Every answer, eviction (and its mark),
+   occupancy and, at the end, every line's presence and mark agree. *)
+let prop_matches_stamp_lru =
+  QCheck.Test.make ~name:"recency order matches stamp LRU" ~count:300
+    ~long_factor:20 diff_case (fun (assoc, ops) ->
+      let c = Cache.create ~size_bytes:(diff_sets * assoc * 64) ~assoc ~line_bytes:64 in
+      let r = Stamp_lru.create ~sets:diff_sets ~assoc in
+      let agree what a b =
+        if a <> b then
+          QCheck.Test.fail_reportf "%s: cache %d, reference %d" what a b
+      in
+      let evicted what a b =
+        agree what a b;
+        agree (what ^ " mark") (Cache.evicted_mark c) r.Stamp_lru.evicted_mark
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Insert l -> evicted "insert" (Cache.insert c l) (Stamp_lru.insert r l)
+          | Insert_absent l ->
+            if not (Stamp_lru.probe r l) then
+              evicted "insert_absent" (Cache.insert_absent c l)
+                (Stamp_lru.insert_absent r l)
+          | Touch l ->
+            agree "touch" (Bool.to_int (Cache.touch c l))
+              (Bool.to_int (Stamp_lru.touch r l))
+          | Probe l ->
+            agree "probe" (Bool.to_int (Cache.probe c l))
+              (Bool.to_int (Stamp_lru.probe r l))
+          | Invalidate l ->
+            Cache.invalidate c l;
+            Stamp_lru.invalidate r l
+          | Clear ->
+            Cache.clear c;
+            Stamp_lru.clear r
+          | Get_mark l -> agree "mark" (Cache.mark c l) (Stamp_lru.mark r l)
+          | Set_mark (l, m) ->
+            Cache.set_mark c l m;
+            Stamp_lru.set_mark r l m);
+          agree "occupancy" (Cache.occupancy c) r.Stamp_lru.valid)
+        ops;
+      for l = -1 to diff_sets * assoc * 3 do
+        agree (Printf.sprintf "line %d present" l)
+          (Bool.to_int (Cache.probe c l))
+          (Bool.to_int (Stamp_lru.probe r l));
+        agree (Printf.sprintf "line %d mark" l) (Cache.mark c l) (Stamp_lru.mark r l)
+      done;
+      true)
+
 (* ---------------- MSHR ---------------- *)
 
 (* Lines of every fill completed by [now], in the order the hierarchy
@@ -419,6 +620,35 @@ let test_hier_early_evict_corun_owner () =
   Alcotest.(check int) "owner charged" 1 (early_evicts a);
   Alcotest.(check int) "evicting stream not charged" 0 (early_evicts b)
 
+(* The mark travels with its line inside the LLC: [owner] SW-prefetches
+   line 0 into LLC set 0 behind three older lines of [other]'s; an LLC
+   hit on one of them and four new lines then move it down the set.
+   Only its own eviction, the third, is charged, once, to [owner]. *)
+let mark_follows_line ~owner ~other =
+  let load h line ~cycle = ignore (Hierarchy.demand_load h ~pc:1 ~addr:(line * 8) ~cycle) in
+  List.iteri (fun i line -> load other line ~cycle:(i * 1000)) [ 16; 32; 48 ];
+  Hierarchy.sw_prefetch owner ~addr:0 ~cycle:3000;
+  (* installs the fill; line 1 is in LLC set 1 *)
+  load owner 1 ~cycle:4000;
+  (* 16 is in [other]'s LLC only: an LLC hit moves it above line 0 *)
+  load other 16 ~cycle:5000;
+  List.mapi
+    (fun i line ->
+      load other line ~cycle:(6000 + (1000 * i));
+      early_evicts owner)
+    [ 64; 80; 96; 112 ]
+
+let test_hier_mark_follows_line () =
+  let h = Hierarchy.create tiny in
+  Alcotest.(check (list int)) "solo: charged at the marked line's eviction"
+    [ 0; 0; 1; 1 ] (mark_follows_line ~owner:h ~other:h);
+  let shared = Hierarchy.create_shared tiny in
+  let a = Hierarchy.attach shared ~stream:0 in
+  let b = Hierarchy.attach shared ~stream:1 in
+  Alcotest.(check (list int)) "co-run: charged at the marked line's eviction"
+    [ 0; 0; 1; 1 ] (mark_follows_line ~owner:a ~other:b);
+  Alcotest.(check int) "not to the evicting stream" 0 (early_evicts b)
+
 (* ROADMAP's zero-allocation target as an exact check: after warm-up,
    demand loads served at each level and software prefetches allocate
    no minor-heap words at all. *)
@@ -502,7 +732,12 @@ let prop_inclusive =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_occupancy_bounded; prop_inserted_line_present_or_evicted; prop_inclusive ]
+    [
+      prop_occupancy_bounded;
+      prop_inserted_line_present_or_evicted;
+      prop_matches_stamp_lru;
+      prop_inclusive;
+    ]
 
 let () =
   Alcotest.run "cache"
@@ -557,6 +792,8 @@ let () =
             test_hier_demand_use_clears_mark;
           Alcotest.test_case "early evict co-run owner" `Quick
             test_hier_early_evict_corun_owner;
+          Alcotest.test_case "mark follows its line" `Quick
+            test_hier_mark_follows_line;
           Alcotest.test_case "allocation free" `Quick test_hier_allocation_free;
         ] );
       ("properties", qsuite);

@@ -208,6 +208,46 @@ let test_lab_baseline_is_profiling_run () =
   Alcotest.(check bool) "the profiling run's outcome" true
     (base.Pipeline.outcome = (Pipeline.baseline w).Pipeline.outcome)
 
+(* An analysis-only option sweep refits one sampled run: each value's
+   profile equals a fresh profiling run under that value, and the
+   overhead filter applied to the unfiltered profile equals a filtered
+   refit. *)
+let test_sampled_run_refits () =
+  let w = micro_w ~inner:4 () in
+  let r, sampler = Pipeline.sampled w in
+  let f = r.Pipeline.instance.Workload.func in
+  let default = Option.get (Pipeline.refit ~sampler r) in
+  let same what (a : Profiler.t) (b : Profiler.t) =
+    Alcotest.(check bool) (what ^ ": same profile") true (a = b)
+  in
+  let base, prof = Pipeline.profiled w in
+  Alcotest.(check bool) "the run is the profiling run" true
+    (base.Pipeline.outcome = r.Pipeline.tenant.Pipeline.outcome);
+  same "default" prof default;
+  Alcotest.(check bool) "hints to sweep" true (default.Profiler.hints <> []);
+  List.iter
+    (fun (what, options) ->
+      same what (snd (Pipeline.profiled ~options w))
+        (Option.get (Pipeline.refit ~options ~sampler r)))
+    [
+      ("k 1", { Profiler.default_options with Profiler.k = 1 });
+      ("naive finder", { Profiler.default_options with Profiler.finder = Aptget_profile.Model.Naive });
+    ];
+  List.iter
+    (fun frac ->
+      let options = { Profiler.default_options with Profiler.max_overhead_frac = frac } in
+      let refit = Option.get (Pipeline.refit ~options ~sampler r) in
+      same (Printf.sprintf "filter %g" frac) refit
+        (Profiler.filter_overhead options f default))
+    [ 0.01; 1.0; infinity ];
+  Alcotest.(check bool) "a filter that drops hints" true
+    (List.length
+       (Profiler.filter_overhead
+          { Profiler.default_options with Profiler.max_overhead_frac = 0.01 }
+          f default)
+         .Profiler.hints
+    < List.length default.Profiler.hints)
+
 (* ---------------- run_robust ---------------- *)
 
 let test_robust_no_faults_bit_identical () =
@@ -490,6 +530,7 @@ let () =
       ( "lab",
         [
           Alcotest.test_case "memoizes" `Quick test_lab_memoizes;
+          Alcotest.test_case "sampled run refits" `Quick test_sampled_run_refits;
           Alcotest.test_case "baseline is the profiling run" `Quick
             test_lab_baseline_is_profiling_run;
           Alcotest.test_case "quick suite" `Quick test_lab_quick_suite;
