@@ -238,39 +238,9 @@ let workload_conv =
 let workload_arg =
   Arg.(required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD")
 
-let print_outcome label (m : Pipeline.measurement) =
-  Printf.printf
-    "%-10s cycles=%-12d instrs=%-10d IPC=%.3f MPKI=%.2f mem-stall=%s \
-     prefetches=%d verified=%s\n"
-    label m.Pipeline.outcome.Machine.cycles
-    m.Pipeline.outcome.Machine.instructions
-    (Machine.ipc m.Pipeline.outcome)
-    (Machine.mpki m.Pipeline.outcome)
-    (Table.fmt_pct (Machine.memory_stall_fraction m.Pipeline.outcome))
-    m.Pipeline.outcome.Machine.dyn_prefetches
-    (match m.Pipeline.verified with Ok () -> "ok" | Error e -> "FAILED: " ^ e)
+let print_outcome label m = print_string (Pipeline.render_measurement label m)
 
 let run_cmd =
-  let load_hints ~lenient path =
-    if lenient then begin
-      match Aptget_profile.Hints_file.load_lenient ~path with
-      | Ok (hints, errors) ->
-        List.iter
-          (fun (lineno, e) ->
-            Printf.eprintf "%s:%d: skipped: %s\n" path lineno e)
-          errors;
-        hints
-      | Error e ->
-        Printf.eprintf "cannot load hints from %s: %s\n" path e;
-        exit 1
-    end
-    else
-      match Aptget_profile.Hints_file.load ~path with
-      | Ok hints -> hints
-      | Error e ->
-        Printf.eprintf "cannot load hints from %s: %s\n" path e;
-        exit 1
-  in
   let load_doc ~lenient path =
     if lenient then begin
       match Hints_file.load_doc_lenient ~path with
@@ -320,17 +290,16 @@ let run_cmd =
     let quarantine =
       Option.map (fun path -> Quarantine.create ~path ()) quarantine_path
     in
-    let guard = { Pipeline.default_guard with Pipeline.floor = guard_floor } in
     let g =
       Pipeline.run_guarded ?quarantine
         ?remap:(if remap then Some Remap.default_config else None)
-        ~guard ~baseline ~doc w
+        ~floor:guard_floor ~baseline ~doc w
     in
     print_outcome "APT-GET" g.Pipeline.g_final;
     Option.iter print_remap g.Pipeline.g_remap;
     Printf.printf "guard: %s (floor %.2fx)\n"
       (Pipeline.guard_outcome_to_string g.Pipeline.g_outcome)
-      guard.Pipeline.floor;
+      guard_floor;
     print_quarantine quarantine;
     g
   in
@@ -390,7 +359,7 @@ let run_cmd =
       {
         Adapt.default_config with
         Adapt.drift;
-        guard = { Pipeline.default_guard with Pipeline.floor = guard_floor };
+        floor = guard_floor;
         options = { Profiler.default_options with Profiler.faults };
       }
     in
@@ -510,7 +479,11 @@ let run_cmd =
         Result.is_error final_verified
       end
       else
-      let file_hints = Option.map (load_hints ~lenient) hints_path in
+      let file_hints =
+        Option.map
+          (fun path -> Hints_file.hints_of_doc (load_doc ~lenient path))
+          hints_path
+      in
       if robust then begin
         let r = Pipeline.run_robust ~faults ?hints:file_hints w in
         match r.Pipeline.r_measurement with
@@ -595,7 +568,7 @@ let run_cmd =
   let guard_floor_flag =
     Arg.(
       value
-      & opt float Pipeline.default_guard.Pipeline.floor
+      & opt float Pipeline.default_floor
       & info [ "guard-floor" ] ~docv:"RATIO"
           ~doc:"Minimum admissible speedup for $(b,--guard), in (0, 1.5]")
   in

@@ -11,27 +11,25 @@ module Workload = Aptget_workloads.Workload
 module Stats = Aptget_util.Stats
 module Trace = Aptget_obs.Trace
 module Metrics = Aptget_obs.Metrics
-module Crash = Aptget_store.Crash
+module Sampler = Aptget_pmu.Sampler
 
 type config = {
   drift : Drift.config;
   window_cycles : int;
-  guard : Pipeline.guard_config;
+  floor : float;
   watchdog : Watchdog.config;
   breaker : Breaker.config;
   options : Profiler.options;
-  machine : Machine.config;
 }
 
 let default_config =
   {
     drift = Drift.default_config;
     window_cycles = 100_000;
-    guard = Pipeline.default_guard;
+    floor = Pipeline.default_floor;
     watchdog = Watchdog.default;
     breaker = Breaker.default_config;
     options = Profiler.default_options;
-    machine = Machine.default_config;
   }
 
 (* The plan is what the loop currently stands behind for the next
@@ -84,11 +82,51 @@ let rung_of_action = function
 
 let retune_ok = function Retuned _ | Remapped _ -> true | _ -> false
 
+type epoch = {
+  e_measurement : Pipeline.measurement;
+  e_windows : Machine.window_report list;  (** in execution order *)
+  e_refit : Profiler.t option;
+  e_hints_dropped : (Aptget_pass.hint * string) list;
+}
+
+(* One supervised hinted run with the sampler re-profiling it and
+   counter windows collected: the loop's epoch. *)
+let epoch cfg ~sampler ?veto ~hints (w : Workload.t) =
+  Trace.with_span ~name:"pipeline.run-adaptive"
+    ~attrs:[ ("workload", w.Workload.name) ]
+  @@ fun () ->
+  Sampler.reset sampler;
+  let windows = ref [] in
+  let dropped = ref [] in
+  (* An empty (or fully stale) hint list takes the injection pass's
+     Algorithm-2 static fallback — the bottom rung of the degradation
+     ladder runs A&J's fixed distance, not an unprefetched kernel. *)
+  let transform (inst : Workload.instance) =
+    let used, d = Profiler.validate_hints inst.Workload.func hints in
+    dropped := d;
+    Pipeline.apply_hints ?veto ~hints:used inst
+  in
+  let r =
+    Pipeline.measure ~config:cfg.options.Profiler.machine
+      ~watchdog:cfg.watchdog ~sampler ~window_cycles:cfg.window_cycles
+      ~on_window:(fun wr -> windows := wr :: !windows)
+      ~transform w
+  in
+  {
+    e_measurement = r.Pipeline.tenant;
+    e_windows = List.rev !windows;
+    (* The re-fit analyses the *rewritten* kernel the sampler just
+       observed; its hint PCs must travel through the remap path to
+       reach a fresh build. *)
+    e_refit = Pipeline.refit ~options:cfg.options ~sampler r;
+    e_hints_dropped = !dropped;
+  }
+
 type segment_result = {
   s_index : int;  (** 1-based position in the segment list *)
   s_workload : string;
   s_plan : string;  (** plan the epoch ran under, rendered *)
-  s_epoch : Pipeline.epoch;
+  s_epoch : epoch;
   s_eval : Drift.epoch_eval;
   s_verdict : Drift.verdict;
   s_action : action;
@@ -130,7 +168,7 @@ let plan_of_profile ~options (p : Profiler.t) =
    degradation ladder through the regression guard. Returns the new
    plan, the action taken, the simulator cycles spent on supervised
    guard runs, and the measurement the adopted plan stands behind. *)
-let retune cfg ?quarantine ?crash ~plan ~refit w =
+let retune cfg ?quarantine ~plan ~refit w =
   Trace.with_span ~name:"adapt.retune"
     ~attrs:[ ("workload", w.Workload.name) ]
   @@ fun () ->
@@ -149,9 +187,9 @@ let retune cfg ?quarantine ?crash ~plan ~refit w =
         m
   in
   let guarded ~program doc =
-    Pipeline.run_guarded ~config:cfg.machine ~guard:cfg.guard ?quarantine
-      ~remap:Remap.default_config ~watchdog:cfg.watchdog ?crash ~measure_cache
-      ~program ~doc w
+    Pipeline.run_guarded ~config:cfg.options.Profiler.machine ~floor:cfg.floor
+      ?quarantine ~remap:Remap.default_config ~watchdog:cfg.watchdog
+      ~measure_cache ~program ~doc w
   in
   let last_doc =
     match plan with Hinted (d, _) | Pinned (d, _) -> Some d | Aj_static -> None
@@ -222,7 +260,7 @@ let log_line (s : segment_result) =
     (Drift.verdict_to_string s.s_verdict)
     (action_to_string s.s_action) s.s_cycles s.s_retune_cycles
 
-let run ?(config = default_config) ?quarantine ?crash ~profile ~name segments =
+let run ?(config = default_config) ?quarantine ~profile ~name segments =
   Trace.with_span ~name:"adapt.run" ~attrs:[ ("workload", name) ]
   @@ fun () ->
   let cfg = config in
@@ -247,22 +285,18 @@ let run ?(config = default_config) ?quarantine ?crash ~profile ~name segments =
       in
       let plan_used = plan_to_string !plan in
       Drift.begin_epoch det;
-      let epoch =
-        Pipeline.run_adaptive ~config:cfg.machine ~watchdog:cfg.watchdog
-          ?crash ~options:cfg.options ~sampler
-          ~window_cycles:cfg.window_cycles ?veto ~hints:hints_arg w
-      in
-      (match epoch.Pipeline.e_measurement.Pipeline.verified with
+      let epoch = epoch cfg ~sampler ?veto ~hints:hints_arg w in
+      (match epoch.e_measurement.Pipeline.verified with
       | Ok () -> ()
       | Error e ->
           failwith
             (Printf.sprintf "adapt: segment %s failed verification: %s"
                w.Workload.name e));
-      List.iter (Drift.observe_window det) epoch.Pipeline.e_windows;
-      let iter_med = Option.bind epoch.Pipeline.e_refit iter_median in
+      List.iter (Drift.observe_window det) epoch.e_windows;
+      let iter_med = Option.bind epoch.e_refit iter_median in
       let stale =
         match !plan with
-        | Hinted _ -> epoch.Pipeline.e_hints_dropped <> []
+        | Hinted _ -> epoch.e_hints_dropped <> []
         | _ -> false
       in
       let verdict, eval =
@@ -271,7 +305,7 @@ let run ?(config = default_config) ?quarantine ?crash ~profile ~name segments =
       let epoch_reference =
         {
           Drift.ref_mpki =
-            Machine.mpki epoch.Pipeline.e_measurement.Pipeline.outcome;
+            Machine.mpki epoch.e_measurement.Pipeline.outcome;
           ref_iter = iter_med;
         }
       in
@@ -284,8 +318,7 @@ let run ?(config = default_config) ?quarantine ?crash ~profile ~name segments =
             | Breaker.Refuse _ -> (Breaker_refused, 0)
             | Breaker.Run | Breaker.Probe ->
                 let plan', act, cycles, final =
-                  retune cfg ?quarantine ?crash ~plan:!plan
-                    ~refit:epoch.Pipeline.e_refit w
+                  retune cfg ?quarantine ~plan:!plan ~refit:epoch.e_refit w
                 in
                 Breaker.record breaker ~ok:(retune_ok act);
                 plan := plan';
@@ -330,7 +363,7 @@ let run ?(config = default_config) ?quarantine ?crash ~profile ~name segments =
           s_verdict = verdict;
           s_action = action;
           s_cycles =
-            epoch.Pipeline.e_measurement.Pipeline.outcome.Machine.cycles;
+            epoch.e_measurement.Pipeline.outcome.Machine.cycles;
           s_retune_cycles = retune_cycles;
         }
       in

@@ -1,7 +1,7 @@
 (** Online re-optimization: notice an aging profile and retune mid-run.
 
-    The loop drives one {!Aptget_core.Pipeline.run_adaptive} epoch per
-    program segment (phase): the hinted program runs while the PMU
+    The loop runs one {!epoch} per program segment (phase): a
+    {!Aptget_core.Pipeline.measure} of the hinted program while the PMU
     sampler re-profiles it {e inside the simulator} and the cache
     hierarchy streams counter-delta windows. The {!Drift} detector
     scores each window; when hysteresis worth of consecutive windows
@@ -33,12 +33,14 @@
 type config = {
   drift : Drift.config;
   window_cycles : int;  (** counter-window size (default 100_000) *)
-  guard : Aptget_core.Pipeline.guard_config;
+  floor : float;
+      (** the regression guard's floor for retunes (default
+          {!Aptget_core.Pipeline.default_floor}) *)
   watchdog : Aptget_core.Watchdog.config;
   breaker : Aptget_core.Breaker.config;  (** per-run retune breaker *)
   options : Aptget_profile.Profiler.options;
-      (** sampler construction (periods, faults) and re-fit shaping *)
-  machine : Aptget_machine.Machine.config;
+      (** sampler construction (periods, faults), re-fit shaping, and
+          the machine every epoch and guard run simulates *)
 }
 
 val default_config : config
@@ -66,11 +68,36 @@ val rung_of_action : action -> (int * string) option
 (** Ladder rung (0 = retuned .. 3 = pinned) of an executed retune;
     [None] for non-retune actions. *)
 
+(** One epoch: a supervised hinted run of a segment, built fresh, its
+    hints validated and injected (an empty or fully stale list takes
+    the pass's A&J static fallback — the bottom rung of the ladder, not
+    an unprefetched run; a pinned plan's hints are fully vetoed, so the
+    unmodified kernel runs), executed under the watchdog's measure
+    budget with the loop's sampler {!Aptget_pmu.Sampler.reset} and
+    riding along (its fault model keeps its state) and
+    [window_cycles]-sized counter windows collected. Deterministic:
+    same seed and config in, same epoch out (modulo [wall_seconds]). *)
+type epoch = {
+  e_measurement : Aptget_core.Pipeline.measurement;
+      (** the hinted run of this segment *)
+  e_windows : Aptget_machine.Machine.window_report list;
+      (** periodic counter-delta windows, in execution order *)
+  e_refit : Aptget_profile.Profiler.t option;
+      (** incremental Eq. 1 re-fit from the sampler's observations of
+          the {e rewritten} kernel ([None] when the analysis failed).
+          Its hint PCs address the rewritten program, so a retune
+          routes them through the remap path
+          ({!Aptget_core.Pipeline.run_guarded} with [remap]) to reach a
+          fresh build. *)
+  e_hints_dropped : (Aptget_passes.Aptget_pass.hint * string) list;
+      (** stale hints rejected before injection, with reasons *)
+}
+
 type segment_result = {
   s_index : int;
   s_workload : string;
   s_plan : string;  (** ["hints:<n>"], ["aj"] or ["pinned:<n>"] *)
-  s_epoch : Aptget_core.Pipeline.epoch;
+  s_epoch : epoch;
   s_eval : Drift.epoch_eval;
   s_verdict : Drift.verdict;
   s_action : action;
@@ -103,17 +130,14 @@ val prime : ?config:config -> Aptget_workloads.Workload.t -> Aptget_profile.Prof
 val run :
   ?config:config ->
   ?quarantine:Aptget_core.Quarantine.t ->
-  ?crash:Aptget_store.Crash.t ->
   profile:Aptget_profile.Profiler.t ->
   name:string ->
   Aptget_workloads.Workload.t list ->
   report
 (** Drive one epoch per segment, in order, starting from [profile]'s
     hints and evidence reference. [quarantine] persists guard verdicts
-    across retunes; [crash] threads a deterministic kill plan through
-    every supervised run. A segment that fails semantic verification
-    raises [Failure] (the campaign runner treats it as a retryable
-    trial failure). *)
+    across retunes. A segment that fails semantic verification raises
+    [Failure]. *)
 
 val replicate : int -> Aptget_workloads.Workload.t -> Aptget_workloads.Workload.t list
 (** [n] copies named ["<name>@<i>"] — segments for workloads without

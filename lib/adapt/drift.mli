@@ -94,8 +94,5 @@ val note_retune : t -> reference -> unit
 (** A retune was executed (whether or not it improved the plan): adopt
     the new reference, clear the streak, arm the dwell guard. *)
 
-val window_mpki : Aptget_machine.Machine.window_report -> float
-(** LLC demand-miss MPKI of one window's delta. *)
-
 val verdict_to_string : verdict -> string
 (** ["stable"] or ["drift:<cause>"]. *)

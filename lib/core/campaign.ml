@@ -54,10 +54,6 @@ let default_config =
    {!Breaker} (the serve daemon reuses it per tenant); the campaign
    keeps one per workload group. *)
 
-type breaker_state = Breaker.state = Closed | Open of int | Half_open
-
-let breaker_state_to_string = Breaker.state_to_string
-
 (* ------------------------------------------------------------------ *)
 (* Results *)
 
@@ -172,11 +168,10 @@ let failure_reason (r : Pipeline.robust) =
 type group_outcome = {
   g_rows : (int * trial_result) list; (* (plan index, result) *)
   g_opened : int;
-  g_final : breaker_state;
+  g_final : Breaker.state;
 }
 
-let run_group ~config ~mconfig ~crash ~append ~done_tbl ~runner wname
-    indexed_trials =
+let run_group ~config ~crash ~append ~done_tbl wname indexed_trials =
   let b =
     Breaker.create
       ~config:
@@ -197,7 +192,7 @@ let run_group ~config ~mconfig ~crash ~append ~done_tbl ~runner wname
     | Some b -> Ok b
     | None -> (
       match
-        (Pipeline.measure ?config:mconfig ~watchdog:config.watchdog ?crash w)
+        (Pipeline.measure ~watchdog:config.watchdog ?crash w)
           .Pipeline.tenant
       with
       | m ->
@@ -209,28 +204,17 @@ let run_group ~config ~mconfig ~crash ~append ~done_tbl ~runner wname
         Error ("baseline failed: " ^ Printexc.to_string e))
   in
   let run_once (w : Workload.t) =
-    match runner with
-    | Some f -> (
-      (* Custom trial runner (e.g. the online-adaptive loop): it owns
-         its own baseline accounting, but stays under the campaign's
-         retry/breaker/journal supervision. A simulated crash must
-         still propagate. *)
-      match f w with
-      | r -> r
-      | exception e when not (Crash.is_crashed e) ->
-        Error (Printexc.to_string e))
-    | None -> (
-      match baseline_of w with
-      | Error why -> Error why
-      | Ok base -> (
-        let r =
-          Pipeline.run_robust ?config:mconfig ~faults:config.faults
-            ~watchdog:config.watchdog ?crash w
-        in
-        match r.Pipeline.r_measurement with
-        | Some m when m.Pipeline.verified = Ok () ->
-          Ok (Pipeline.speedup ~baseline:base m)
-        | _ -> Error (failure_reason r)))
+    match baseline_of w with
+    | Error why -> Error why
+    | Ok base -> (
+      let r =
+        Pipeline.run_robust ~faults:config.faults ~watchdog:config.watchdog
+          ?crash w
+      in
+      match r.Pipeline.r_measurement with
+      | Some m when m.Pipeline.verified = Ok () ->
+        Ok (Pipeline.speedup ~baseline:base m)
+      | _ -> Error (failure_reason r))
   in
   (* Retry with capped exponential backoff. The simulator has no
      wall-clock to sleep on, so the backoff factor is recorded rather
@@ -327,8 +311,7 @@ let run_group ~config ~mconfig ~crash ~append ~done_tbl ~runner wname
   in
   { g_rows = rows; g_opened = Breaker.opened_count b; g_final = Breaker.state b }
 
-let run ?(config = default_config) ?mconfig ?crash ?jobs ?runner ~store trials
-    =
+let run ?(config = default_config) ?crash ~store trials =
   let journal, recovery = Journal.open_ ?crash ~path:store () in
   if recovery.Journal.dropped > 0 then
     Metrics.incr ~by:recovery.Journal.dropped "store.salvage.journal";
@@ -361,14 +344,14 @@ let run ?(config = default_config) ?mconfig ?crash ?jobs ?runner ~store trials
       !order
   in
   let process (wname, its) =
-    run_group ~config ~mconfig ~crash ~append ~done_tbl ~runner wname its
+    run_group ~config ~crash ~append ~done_tbl wname its
   in
   (* A crash plan arms a deterministic kill at the k-th store write;
      that ordering only exists serially, so an armed plan forces the
      sequential path. *)
   let outcomes =
     if crash <> None then List.map process group_list
-    else Pool.run ?jobs process group_list
+    else Pool.run process group_list
   in
   let results =
     List.concat_map (fun g -> g.g_rows) outcomes
@@ -398,7 +381,7 @@ let run ?(config = default_config) ?mconfig ?crash ?jobs ?runner ~store trials
     c_breakers_opened = opened;
     c_breaker_final =
       List.map
-        (fun ((wname, _), g) -> (wname, breaker_state_to_string g.g_final))
+        (fun ((wname, _), g) -> (wname, Breaker.state_to_string g.g_final))
         (List.combine group_list outcomes)
       |> List.sort compare;
     c_store_recovery = recovery;

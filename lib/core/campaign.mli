@@ -50,13 +50,6 @@ type config = {
 
 val default_config : config
 
-type breaker_state = Breaker.state = Closed | Open of int | Half_open
-(** Alias of {!Breaker.state}: the campaign keeps one {!Breaker} per
-    workload group; the serve daemon reuses the same policy per
-    tenant. *)
-
-val breaker_state_to_string : breaker_state -> string
-
 type status =
   | Completed of { speedup : float }
       (** verified measurement; speedup vs the memoized baseline *)
@@ -98,10 +91,7 @@ val ok : report -> bool
 
 val run :
   ?config:config ->
-  ?mconfig:Aptget_machine.Machine.config ->
   ?crash:Aptget_store.Crash.t ->
-  ?jobs:int ->
-  ?runner:(Aptget_workloads.Workload.t -> (float, string) result) ->
   store:string ->
   trial list ->
   report
@@ -112,8 +102,8 @@ val run :
     writes and the supervised simulations; when it fires,
     {!Aptget_store.Crash.Crashed} escapes this function by design.
 
-    [jobs] (default {!Aptget_util.Pool.default_jobs}) fans independent
-    workloads across domains: trials are grouped by workload name —
+    Independent workloads fan out across {!Aptget_util.Pool.default_jobs}
+    domains: trials are grouped by workload name —
     breaker and baseline state are per-workload, so groups share
     nothing — and journal appends are serialized through one writer.
     The report is identical to a serial run's (results in plan order,
@@ -121,9 +111,6 @@ val run :
     execution, since its deterministic kill point counts store writes
     in order.
 
-    [runner] replaces the per-trial robust pipeline with a custom
-    execution (e.g. {!Aptget_adapt}'s online loop, which owns its own
-    baseline accounting and returns the online speedup): it runs under
-    the same retry/breaker/checkpoint supervision, [Ok speedup]
-    checkpointing the trial and [Error reason] (or any non-crash
-    exception) counting as a retryable failure. *)
+    Every trial runs {!Pipeline.run_robust} on the default machine and
+    its speedup is taken against the workload's memoized unmodified
+    run. *)

@@ -36,6 +36,16 @@ let mpki_reduction ~baseline m =
   let b = Machine.mpki baseline.outcome in
   if b = 0. then 0. else 1. -. (Machine.mpki m.outcome /. b)
 
+let render_measurement label m =
+  Printf.sprintf
+    "%-10s cycles=%-12d instrs=%-10d IPC=%.3f MPKI=%.2f mem-stall=%s \
+     prefetches=%d verified=%s\n"
+    label m.outcome.Machine.cycles m.outcome.Machine.instructions
+    (Machine.ipc m.outcome) (Machine.mpki m.outcome)
+    (Aptget_util.Table.fmt_pct (Machine.memory_stall_fraction m.outcome))
+    m.outcome.Machine.dyn_prefetches
+    (match m.verified with Ok () -> "ok" | Error e -> "FAILED: " ^ e)
+
 (* ------------------------------------------------------------------ *)
 (* The measure stage: every measured run, solo or co-run, is built,    *)
 (* transformed, IR-verified, executed and semantically verified here.  *)
@@ -170,17 +180,17 @@ let aj_pass ?distance (inst : Workload.instance) =
   let r = Aj.run ?distance inst.Workload.func in
   (r.Aj.injected, r.Aj.skipped)
 
-let baseline ?config w = (measure ?config w).tenant
+let baseline w = (measure w).tenant
 
-let aj ?config ?distance w = (measure ?config ~transform:(aj_pass ?distance) w).tenant
+let aj ?distance w = (measure ~transform:(aj_pass ?distance) w).tenant
 
-let with_hints ?config ?cse ?veto ~hints w =
-  (measure ?config ~transform:(apply_hints ?cse ?veto ~hints) w).tenant
+let with_hints ?config ?cse ~hints w =
+  (measure ?config ~transform:(apply_hints ?cse ~hints) w).tenant
 
 let profile_span (w : Workload.t) =
   Trace.with_span ~name:"pipeline.profile" ~attrs:[ ("workload", w.Workload.name) ]
 
-let sample ~options ?watchdog ?crash w =
+let sample ?watchdog ?crash options w =
   let sampler = Profiler.sampler options in
   let r =
     measure_as Watchdog.Profile ~config:options.Profiler.machine ?watchdog
@@ -189,12 +199,11 @@ let sample ~options ?watchdog ?crash w =
   Sampler.export_metrics sampler;
   (r, sampler)
 
-let sampled ?(options = Profiler.default_options) ?watchdog ?crash w =
-  profile_span w (fun () -> sample ~options ?watchdog ?crash w)
+let sampled w = profile_span w (fun () -> sample Profiler.default_options w)
 
 let profiled ?(options = Profiler.default_options) ?watchdog ?crash w =
   profile_span w @@ fun () ->
-  let r, sampler = sample ~options ?watchdog ?crash w in
+  let r, sampler = sample ?watchdog ?crash options w in
   ( r.tenant,
     Profiler.refit ~options ~baseline:r.tenant.outcome sampler
       r.instance.Workload.func )
@@ -238,8 +247,7 @@ let profile_too_thin (p : Profiler.t) =
    injection failure from a build or run failure. *)
 exception Inject_failed of exn
 
-let run_robust ?(options = Profiler.default_options) ?config
-    ?(faults = Faults.none) ?hints ?watchdog ?crash (w : Workload.t) =
+let run_robust ?(faults = Faults.none) ?hints ?watchdog ?crash (w : Workload.t) =
   let degradations = ref [] in
   let add stage cause fallback =
     Metrics.incr ("robust.degradation." ^ stage);
@@ -254,7 +262,7 @@ let run_robust ?(options = Profiler.default_options) ?config
     | e -> Printexc.to_string e
   in
   let go () =
-    let options = { options with Profiler.faults } in
+    let options = { Profiler.default_options with Profiler.faults } in
     let try_profile options =
       match profiled ~options ?watchdog ?crash w with
       | _, p -> Some p
@@ -354,7 +362,7 @@ let run_robust ?(options = Profiler.default_options) ?config
     (* The unmodified kernel is the last resort. Its run is
        deterministic, so a failed one is not tried again. *)
     let unmodified () =
-      match measure ?config ?watchdog ?crash w with
+      match measure ?watchdog ?crash w with
       | r -> measured r
       | exception e when not (Crash.is_crashed e) ->
         add "run" (cause_of e) "no measurement for this workload";
@@ -362,7 +370,7 @@ let run_robust ?(options = Profiler.default_options) ?config
     in
     let discarded = "discarding injections; rebuilding the unmodified kernel" in
     let measurement =
-      match measure ?config ?watchdog ?crash ~transform w with
+      match measure ?watchdog ?crash ~transform w with
       | r -> measured r
       | exception Inject_failed e ->
         add "inject" (cause_of e) discarded;
@@ -414,9 +422,7 @@ let run_robust ?(options = Profiler.default_options) ?config
 module Remap = Aptget_profile.Remap
 module Hints_file = Aptget_profile.Hints_file
 
-type guard_config = { floor : float; try_aj : bool }
-
-let default_guard = { floor = 0.98; try_aj = true }
+let default_floor = 0.98
 
 type fallback = Aj_static | Pinned_baseline
 
@@ -454,7 +460,7 @@ let no_measure_cache ~variant f =
   ignore (variant : string);
   f ()
 
-let run_guarded ?config ?(guard = default_guard) ?quarantine ?remap ?watchdog
+let run_guarded ?config ?(floor = default_floor) ?quarantine ?remap ?watchdog
     ?crash ?(measure_cache = no_measure_cache) ?program ?baseline
     ~(doc : Hints_file.doc) (w : Workload.t) =
   Trace.with_span ~name:"pipeline.run-guarded"
@@ -515,15 +521,10 @@ let run_guarded ?config ?(guard = default_guard) ?quarantine ?remap ?watchdog
       | _ :: _ ->
         measure ~transform:(apply_hints ~veto:(fun _ -> Some reason) ~hints) ()
     in
-    if guard.try_aj then begin
-      match
-        measure_cache ~variant:"guard-aj" (measure ~transform:aj_pass)
-      with
-      | m when speedup ~baseline:base m >= guard.floor -> (m, Aj_static)
-      | _ -> (pinned_m (), Pinned_baseline)
-      | exception Watchdog.Timed_out _ -> (pinned_m (), Pinned_baseline)
-    end
-    else (pinned_m (), Pinned_baseline)
+    match measure_cache ~variant:"guard-aj" (measure ~transform:aj_pass) with
+    | m when speedup ~baseline:base m >= floor -> (m, Aj_static)
+    | _ -> (pinned_m (), Pinned_baseline)
+    | exception Watchdog.Timed_out _ -> (pinned_m (), Pinned_baseline)
   in
   let known =
     Option.bind quarantine (fun q ->
@@ -561,14 +562,14 @@ let run_guarded ?config ?(guard = default_guard) ?quarantine ?remap ?watchdog
       with
       | m ->
         let s = speedup ~baseline:base m in
-        if s >= guard.floor then (Some m, m, Admitted)
+        if s >= floor then (Some m, m, Admitted)
         else begin
           quarantine_at s;
           let final, fallback =
             fall_back
               ~reason:
                 (Printf.sprintf "hint set quarantined (measured %.3fx < %.3fx)"
-                   s guard.floor)
+                   s floor)
           in
           (Some m, final, Quarantined { speedup = s; fallback })
         end
@@ -600,52 +601,6 @@ let run_guarded ?config ?(guard = default_guard) ?quarantine ?remap ?watchdog
     g_outcome = outcome;
     g_hints = hints;
     g_remap = remap_result;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Adaptive epoch: one supervised hinted run with concurrent           *)
-(* re-sampling and execution windows — the primitive the online loop   *)
-(* (Aptget_adapt) drives once per program phase/segment.               *)
-(* ------------------------------------------------------------------ *)
-
-type epoch = {
-  e_measurement : measurement;
-  e_windows : Machine.window_report list;  (** in execution order *)
-  e_refit : Profiler.t option;
-  e_hints_dropped : (Aptget_pass.hint * string) list;
-}
-
-let run_adaptive ?config ?watchdog ?crash ?options ?sampler ?window_cycles ?veto
-    ~hints (w : Workload.t) =
-  Trace.with_span ~name:"pipeline.run-adaptive"
-    ~attrs:[ ("workload", w.Workload.name) ]
-  @@ fun () ->
-  Option.iter (fun s -> Sampler.reset s) sampler;
-  let windows = ref [] in
-  let on_window =
-    Option.map (fun _ wr -> windows := wr :: !windows) window_cycles
-  in
-  let dropped = ref [] in
-  (* An empty (or fully stale) hint list takes the injection pass's
-     Algorithm-2 static fallback — the bottom rung of the degradation
-     ladder runs A&J's fixed distance, not an unprefetched kernel. *)
-  let transform (inst : Workload.instance) =
-    let used, d = Profiler.validate_hints inst.Workload.func hints in
-    dropped := d;
-    apply_hints ?veto ~hints:used inst
-  in
-  let r =
-    measure ?config ?watchdog ?crash ?sampler ?window_cycles ?on_window
-      ~transform w
-  in
-  {
-    e_measurement = r.tenant;
-    e_windows = List.rev !windows;
-    (* The re-fit analyses the *rewritten* kernel the sampler just
-       observed; its hint PCs must travel through the remap path to
-       reach a fresh build. *)
-    e_refit = Option.bind sampler (fun sampler -> refit ?options ~sampler r);
-    e_hints_dropped = !dropped;
   }
 
 let force_distance d hints =

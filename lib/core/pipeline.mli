@@ -17,8 +17,10 @@
 
     Its executor is {!Solo} ({!Aptget_machine.Machine.execute}) or
     {!Corun} ({!Aptget_machine.Corun.run} against a freshly built
-    co-runner on the shared LLC/DRAM). The plain, robust, guarded and
-    adaptive entry points below, the experiments and the CLI are
+    co-runner on the shared LLC/DRAM). The three entry points below —
+    plain ({!profiled}, {!with_hints}, {!aj}), robust ({!run_robust})
+    and guarded ({!run_guarded}) — the online loop's epochs
+    ({!Aptget_adapt.Adapt}), the experiments and the CLI are
     compositions of that stage. Every run gets a freshly built workload
     instance, so measured runs never see a previous run's memory side
     effects, and every run's semantic verifier is checked: a prefetch
@@ -51,6 +53,13 @@ val instruction_overhead : baseline:measurement -> measurement -> float
 
 val mpki_reduction : baseline:measurement -> measurement -> float
 (** 1 - mpki/mpki_baseline (Fig. 7, higher is better). *)
+
+val render_measurement : string -> measurement -> string
+(** One outcome line: [label], cycles, instructions, IPC, MPKI, memory
+    stall share, prefetches and the verification result, newline
+    terminated. Wall time is deliberately absent, it is the one
+    nondeterministic field; [aptget run] and the serve daemon's
+    responses print through this. *)
 
 (** {2 The measure stage} *)
 
@@ -118,11 +127,11 @@ val refit :
 
 (** {2 Plain entry points} *)
 
-val baseline : ?config:Aptget_machine.Machine.config -> Aptget_workloads.Workload.t -> measurement
+val baseline : Aptget_workloads.Workload.t -> measurement
 (** Unmodified kernel. A caller that profiles anyway has this run as
     {!profiled}'s measurement. *)
 
-val aj : ?config:Aptget_machine.Machine.config -> ?distance:int -> Aptget_workloads.Workload.t -> measurement
+val aj : ?distance:int -> Aptget_workloads.Workload.t -> measurement
 (** Ainsworth & Jones static injection, then run. *)
 
 val profiled :
@@ -143,21 +152,15 @@ val profile :
   Aptget_profile.Profiler.t
 (** [snd] of {!profiled}. *)
 
-val sampled :
-  ?options:Aptget_profile.Profiler.options ->
-  ?watchdog:Watchdog.config ->
-  ?crash:Aptget_store.Crash.t ->
-  Aptget_workloads.Workload.t ->
-  run * Aptget_pmu.Sampler.t
-(** {!profiled}'s run and the sampler that rode along it, before any
-    analysis: a study of analysis-only options ([finder], [k],
+val sampled : Aptget_workloads.Workload.t -> run * Aptget_pmu.Sampler.t
+(** {!profiled}'s run under {!Aptget_profile.Profiler.default_options}
+    and the sampler that rode along it, before any analysis: a study of analysis-only options ([finder], [k],
     [max_overhead_frac]) {!refit}s the one run once per option value
     instead of simulating it again. *)
 
 val with_hints :
   ?config:Aptget_machine.Machine.config ->
   ?cse:bool ->
-  ?veto:(Aptget_passes.Aptget_pass.hint -> string option) ->
   hints:Aptget_passes.Aptget_pass.hint list ->
   Aptget_workloads.Workload.t ->
   measurement
@@ -165,8 +168,7 @@ val with_hints :
     APT-GET pipeline; with externally supplied ones, the distance/site
     studies and cross-input evaluation (Fig. 8–10, 12). [cse] (default
     false) runs the local CSE cleanup after injection, as LLVM's scalar
-    optimisations would. [veto] (default: veto nothing) is forwarded to
-    {!Aptget_passes.Aptget_pass.run}. *)
+    optimisations would. *)
 
 (** {2 Robust pipeline}
 
@@ -203,8 +205,6 @@ type robust = {
 }
 
 val run_robust :
-  ?options:Aptget_profile.Profiler.options ->
-  ?config:Aptget_machine.Machine.config ->
   ?faults:Aptget_pmu.Faults.config ->
   ?hints:Aptget_passes.Aptget_pass.hint list ->
   ?watchdog:Watchdog.config ->
@@ -214,7 +214,9 @@ val run_robust :
 (** Full pipeline that never raises — with one deliberate exception:
     an armed [crash] plan that fires raises
     {!Aptget_store.Crash.Crashed} through every handler, modelling the
-    process dying mid-run (a dead process cannot degrade). [faults]
+    process dying mid-run (a dead process cannot degrade). Profiling
+    uses {!Aptget_profile.Profiler.default_options}; every run is on
+    the default machine. [faults]
     (default {!Aptget_pmu.Faults.none}) injects PMU faults into the
     profiling run; with the default config the measured outcome is
     bit-identical to {!profiled} composed with {!with_hints}. Supplying [hints] skips profiling and
@@ -239,16 +241,9 @@ val run_robust :
     runs recognise the quarantined set and skip its candidate
     simulation entirely. *)
 
-type guard_config = {
-  floor : float;
-      (** minimum admissible speedup over baseline (default 0.98 —
-          up to 2% regression tolerated as measurement slack) *)
-  try_aj : bool;
-      (** on rejection, try the static A&J pass before pinning to the
-          baseline (default true) *)
-}
-
-val default_guard : guard_config
+val default_floor : float
+(** Minimum admissible speedup over baseline: 0.98, up to 2%
+    regression tolerated as measurement slack. *)
 
 type fallback =
   | Aj_static  (** the static Ainsworth & Jones pass cleared the floor *)
@@ -284,7 +279,7 @@ type guarded = {
 
 val run_guarded :
   ?config:Aptget_machine.Machine.config ->
-  ?guard:guard_config ->
+  ?floor:float ->
   ?quarantine:Quarantine.t ->
   ?remap:Aptget_profile.Remap.config ->
   ?watchdog:Watchdog.config ->
@@ -298,7 +293,8 @@ val run_guarded :
 (** Guarded run of [doc]'s hints on [w]. Supplying [remap] enables
     fingerprint remapping with that configuration; omitting it applies
     the document's hints as-is (the historical blind behaviour, but
-    still guarded). [quarantine] both consults and records; omitting it
+    still guarded). [floor] defaults to {!default_floor}. [quarantine]
+    both consults and records; omitting it
     makes every verdict run-local. Every simulator run is supervised by
     [watchdog]: a candidate that blows its measure budget is
     quarantined at 0.0x speedup (so later runs skip it), while a
@@ -329,54 +325,6 @@ val run_guarded :
     [measure_cache] as ["guard-baseline"], and the baseline is
     simulated anyway when the given run does not fit the measure budget
     (an armed crash cycle included), so a budget that fires still does. *)
-
-(** {2 Adaptive epoch}
-
-    One supervised hinted run with concurrent re-sampling and periodic
-    execution windows — the primitive the online re-optimization loop
-    ({!Aptget_adapt}) drives once per program phase. The loop itself
-    (drift scoring, hysteresis, the retune ladder) lives above core so
-    it can reuse {!run_guarded} without a dependency cycle. *)
-
-type epoch = {
-  e_measurement : measurement;  (** the hinted run of this segment *)
-  e_windows : Aptget_machine.Machine.window_report list;
-      (** periodic counter-delta windows, in execution order; empty
-          when windowing was off *)
-  e_refit : Aptget_profile.Profiler.t option;
-      (** incremental Eq. 1 re-fit from the concurrent sampler's
-          observations of the {e rewritten} kernel ([None] when no
-          sampler rode along or the analysis failed). Its hint PCs
-          address the rewritten program: route them through the remap
-          path ({!run_guarded} with [remap]) to reach a fresh build. *)
-  e_hints_dropped : (Aptget_passes.Aptget_pass.hint * string) list;
-      (** stale hints rejected before injection, with reasons *)
-}
-
-val run_adaptive :
-  ?config:Aptget_machine.Machine.config ->
-  ?watchdog:Watchdog.config ->
-  ?crash:Aptget_store.Crash.t ->
-  ?options:Aptget_profile.Profiler.options ->
-  ?sampler:Aptget_pmu.Sampler.t ->
-  ?window_cycles:int ->
-  ?veto:(Aptget_passes.Aptget_pass.hint -> string option) ->
-  hints:Aptget_passes.Aptget_pass.hint list ->
-  Aptget_workloads.Workload.t ->
-  epoch
-(** Build a fresh instance, validate and inject [hints] (an empty or
-    fully-stale list falls back to A&J static injection — the bottom
-    rung of the degradation ladder, not an unprefetched run; a
-    non-empty list fully suppressed by [veto] runs unmodified — how the
-    loop's pinned-baseline plan holds a hint set without applying it),
-    then
-    execute under the watchdog's measure budget with [sampler] riding
-    along (it is {!Aptget_pmu.Sampler.reset} first, keeping its fault
-    model's accumulated state) and [window_cycles]-sized counter
-    windows collected. Deterministic: same seed/config in, byte-same
-    epoch out (modulo [wall_seconds]). Raises {!Watchdog.Timed_out}
-    when the measure budget fires and {!Aptget_store.Crash.Crashed}
-    when an armed crash plan does. *)
 
 val force_distance :
   int -> Aptget_passes.Aptget_pass.hint list -> Aptget_passes.Aptget_pass.hint list

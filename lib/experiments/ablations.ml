@@ -66,6 +66,7 @@ let peak_finder lab =
     ws;
   [ t ]
 
+(* Sweep of Equation (2)'s k over {1, 3, 5, 8}. *)
 let k_constant lab =
   let t =
     Table.create
@@ -128,6 +129,7 @@ let mshr lab =
     [ 2; 4; 8; 16; 32 ];
   [ t ]
 
+(* Bound-clamped vs unclamped prefetch indices. *)
 let clamping lab =
   let t =
     Table.create

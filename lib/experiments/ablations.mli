@@ -3,14 +3,8 @@
 val peak_finder : Lab.t -> Aptget_util.Table.t list
 (** CWT ridge-line peak detection vs the naive smoothed-argmax. *)
 
-val k_constant : Lab.t -> Aptget_util.Table.t list
-(** Sweep of Equation (2)'s k over {1, 3, 5, 8}. *)
-
 val mshr : Lab.t -> Aptget_util.Table.t list
 (** Sensitivity of prefetching gains to fill-buffer capacity. *)
-
-val clamping : Lab.t -> Aptget_util.Table.t list
-(** Bound-clamped vs unclamped prefetch indices. *)
 
 val sweep : Lab.t -> Aptget_util.Table.t list
 (** Outer-site inner-iteration sweep width on the hash join. *)

@@ -95,7 +95,7 @@ let all lab =
     sum_measurements ~workload:"phased-online"
       (List.map
          (fun (s : Adapt.segment_result) ->
-           s.Adapt.s_epoch.Pipeline.e_measurement)
+           s.Adapt.s_epoch.Adapt.e_measurement)
          online.Adapt.a_segments)
   in
   (* Charge the online arm for its retune overhead: the recorded cycle

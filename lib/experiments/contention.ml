@@ -161,11 +161,15 @@ let study lab (pair : pair) =
      describe the *hinted* program running alone). *)
   let solo_base, prof = Pipeline.profiled ~options:profile_options pair.tenant in
   let solo_base = Lab.check solo_base in
-  let solo_epoch =
-    Pipeline.run_adaptive ~config ~options:profile_options ~window_cycles:wc
-      ~hints:prof.Profiler.hints pair.tenant
+  let solo_windows = ref [] in
+  let solo_tuned =
+    Lab.check
+      (Pipeline.measure ~config ~window_cycles:wc
+         ~on_window:(fun w -> solo_windows := w :: !solo_windows)
+         ~transform:(Pipeline.apply_hints ~hints:prof.Profiler.hints)
+         pair.tenant)
+        .Pipeline.tenant
   in
-  let solo_tuned = Lab.check solo_epoch.Pipeline.e_measurement in
   (* Co-run baseline, with a sampler riding on the unhinted tenant:
      its LBR sees iteration times inflated by the shared DRAM queue,
      which is exactly the evidence the Eq. 1 re-fit needs. *)
@@ -192,14 +196,14 @@ let study lab (pair : pair) =
       }
   in
   Drift.begin_epoch det;
-  List.iter (Drift.observe_window det) solo_epoch.Pipeline.e_windows;
+  List.iter (Drift.observe_window det) (List.rev !solo_windows);
   ignore (Drift.end_epoch det ());
   Drift.begin_epoch det;
   List.iter (Drift.observe_window det) corun_windows;
   let verdict, eval = Drift.end_epoch det () in
   (* Retune: re-fit hints, measured under the co-runner, admitted by a
      regression guard against the co-run baseline (floor as in
-     Pipeline.default_guard). *)
+     Pipeline.default_floor). *)
   let retuned_hints =
     match refit with Some r -> r.Profiler.hints | None -> []
   in
@@ -210,7 +214,7 @@ let study lab (pair : pair) =
       Some
         (Lab.check (corun ~hints pair).Pipeline.tenant)
   in
-  let floor = Pipeline.default_guard.Pipeline.floor in
+  let floor = Pipeline.default_floor in
   let final, action =
     match corun_retuned with
     | Some m

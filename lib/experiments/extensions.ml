@@ -115,6 +115,9 @@ let overhead_filter lab =
     (Lab.suite lab);
   [ t ]
 
+(* Baseline and APT-GET with the hardware prefetchers on and off: how
+   much of each app's gain is contested between HW and SW prefetching
+   (left as future work in §4.4). *)
 let hw_sw_interplay lab =
   let t =
     Table.create

@@ -13,9 +13,4 @@ val overhead_filter : Lab.t -> Aptget_util.Table.t list
 (** APT-GET with and without the predicted-overhead hint filter
     (§4.8 "conditional prefetch slice injection"). *)
 
-val hw_sw_interplay : Lab.t -> Aptget_util.Table.t list
-(** Baseline and APT-GET with the hardware prefetchers on and off:
-    how much of each app's gain is contested between HW and SW
-    prefetching (left as future work in §4.4). *)
-
 val all : Lab.t -> Aptget_util.Table.t list

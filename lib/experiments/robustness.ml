@@ -80,6 +80,10 @@ let knobs =
         [ 0; 64; 16; 4 ] );
   ]
 
+(* One sweep per fault knob (LBR snapshot drops, cycle-stamp jitter,
+   ring truncation, PEBS skid, adaptive throttling): speedup, hint
+   counts and degradation counts per fault rate, on a reduced workload
+   pair. *)
 let fault_knobs lab =
   let ws = [ micro_w lab ~inner:256; hj_w lab ] in
   List.map
@@ -104,6 +108,9 @@ let fault_knobs lab =
       t)
     knobs
 
+(* The whole evaluation suite under [Faults.default_faulty]: per
+   workload, the clean vs faulted speedup and the degradation report
+   size. *)
 let suite_under_default_faults lab =
   let t =
     Table.create

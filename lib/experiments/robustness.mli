@@ -8,16 +8,4 @@
     corrupted profile degrades the plan instead of crashing the
     harness. *)
 
-val fault_knobs : Lab.t -> Aptget_util.Table.t list
-(** One sweep per fault knob (LBR snapshot drops, cycle-stamp jitter,
-    ring truncation, PEBS skid, adaptive throttling): speedup, hint
-    counts and degradation counts per fault rate, on a reduced workload
-    pair. *)
-
-val suite_under_default_faults : Lab.t -> Aptget_util.Table.t list
-(** The whole evaluation suite under {!Aptget_pmu.Faults.default_faulty}:
-    per workload, the clean vs faulted speedup and the degradation
-    report size — the headline "how much corruption can APT-GET
-    absorb" table. *)
-
 val all : Lab.t -> Aptget_util.Table.t list

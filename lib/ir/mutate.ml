@@ -43,6 +43,8 @@ let insert_dead (f : Ir.func) ~block ~index ~count =
         Array.sub blk.Ir.instrs index (n - index) ];
   f
 
+(* Move a block's instruction tail (from [at]) plus its terminator into
+   a fresh block appended at the end, rewriting successor phis. *)
 let split_block (f : Ir.func) ~block ~at =
   let f = Ir.copy_func f in
   let blk = f.Ir.blocks.(block) in

@@ -18,15 +18,12 @@ val insert_dead : Ir.func -> block:Ir.label -> index:int -> count:int -> Ir.func
     a block at [index]: PCs of that block's later instructions slide by
     [count]. Models small edits above a load. *)
 
-val split_block : Ir.func -> block:Ir.label -> at:int -> Ir.func
-(** Move a block's instruction tail (from [at]) plus its terminator
-    into a fresh block appended at the end, rewriting successor phis.
+val split_all : ?min_instrs:int -> Ir.func -> Ir.func
+(** Split every original block holding at least [min_instrs] (default
+    4) instructions at its midpoint: the tail and the terminator move
+    into a fresh block appended at the end, successor phis rewritten.
     Splitting a loop's latch or body block models loop splitting /
     peeling: the loop gains a block and its latch PC moves. *)
-
-val split_all : ?min_instrs:int -> Ir.func -> Ir.func
-(** {!split_block} at the midpoint of every original block holding at
-    least [min_instrs] (default 4) instructions. *)
 
 val collide_load : Ir.func -> pc:int -> Ir.func option
 (** Adversarial staleness: slide an {e earlier} load of the same block

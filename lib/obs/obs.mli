@@ -5,13 +5,6 @@
     only ever talks to {!Trace} / {!Metrics} directly (both of which
     are no-ops until enabled here). *)
 
-val enable_tracing : unit -> unit
-(** Turn span collection on. *)
-
-val enable_metrics : unit -> unit
-(** Turn the metrics registry on and install the {!Aptget_util.Pool}
-    monitor so queued tasks report queue-wait/run-time/help counters. *)
-
 val install : ?trace:string -> ?metrics:string -> unit -> unit
 (** Enable the subsystems whose sidecar path is given and register
     [at_exit] exporters writing to those paths (atomic temp+rename), so

@@ -16,9 +16,6 @@ type config = {
 
 val default_config : config
 
-val instr_cost : config -> Ir.instr -> int
-(** Cost of a single instruction under the model's assumptions. *)
-
 val loop_iteration_cost : ?config:config -> Ir.func -> Loops.loop -> int
 (** Estimated cycles per iteration: the sum of instruction costs over
     every block of the loop body (nested-loop blocks excluded are NOT

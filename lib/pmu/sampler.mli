@@ -82,8 +82,6 @@ val current_lbr_period : t -> int
 (** The effective LBR period: the configured one stretched by any
     adaptive-throttling backoff. *)
 
-val current_pebs_period : t -> int
-
 val fault_stats : t -> Faults.stats option
 (** Fault counters, when a fault model is attached. *)
 

@@ -262,22 +262,12 @@ let doc_of_string s =
 
 let doc_of_string_lenient = parse
 
-let of_string s =
-  match doc_of_string s with
-  | Ok doc -> Ok (hints_of_doc doc)
-  | Error _ as e -> e
-
-let of_string_lenient s =
-  let doc, errors = parse s in
-  (hints_of_doc doc, errors)
-
 (* Atomic replace (temp + rename): [open_out] would truncate in place,
    so a crash mid-write could destroy the only copy of a hints file.
    After the rename the file is either the old version or the new one,
    never a torn mixture. *)
 let write_file path contents = Aptget_store.Atomic_file.write ~path contents
 
-let save ~path hints = write_file path (to_string hints)
 let save_doc ~path doc = write_file path (doc_to_string doc)
 
 let read_file path =
@@ -286,11 +276,6 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load ~path =
-  match read_file path with
-  | contents -> of_string contents
-  | exception Sys_error e -> Error e
-
 (* Lenient loads salvage what they can; the lines they drop are bit-rot
    an operator should be able to see, so the count also lands on the
    obs registry (a no-op when metrics are off). *)
@@ -298,14 +283,6 @@ let count_salvage errors =
   match List.length errors with
   | 0 -> ()
   | n -> Aptget_obs.Metrics.incr ~by:n "store.salvage.hints_file"
-
-let load_lenient ~path =
-  match read_file path with
-  | contents ->
-    let hints, errors = of_string_lenient contents in
-    count_salvage errors;
-    Ok (hints, errors)
-  | exception Sys_error e -> Error e
 
 let load_doc ~path =
   match read_file path with

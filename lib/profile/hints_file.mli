@@ -67,7 +67,10 @@ val doc_to_string : doc -> string
 
 val doc_of_string : string -> (doc, string) result
 (** Strict parse of either format version; reports the first offending
-    line (with its line number) on error. *)
+    line (with its line number) on error. Accepts fields in any order;
+    [sweep] defaults to 1 when omitted. A v1 file is a document with no
+    provenance and no fingerprints; {!hints_of_doc} gives its plain
+    hints. *)
 
 val doc_of_string_lenient : string -> doc * (int * string) list
 (** Lenient parse: all well-formed entries (plus the provenance block
@@ -75,38 +78,22 @@ val doc_of_string_lenient : string -> doc * (int * string) list
     malformed or unsupported line. *)
 
 val save_doc : path:string -> doc -> unit
-val load_doc : path:string -> (doc, string) result
-val load_doc_lenient : path:string -> (doc * (int * string) list, string) result
+(** Write {!doc_to_string} to a file atomically (write-to-temp + rename
+    in the same directory): a crash mid-save leaves the previous file
+    contents intact. *)
 
-(** {2 Plain-hint API (v1 files; byte-compatible with earlier releases)} *)
+val load_doc : path:string -> (doc, string) result
+(** Read and strictly parse a file; I/O problems are reported as
+    [Error]. *)
+
+val load_doc_lenient : path:string -> (doc * (int * string) list, string) result
+(** Read and leniently parse a file; only I/O problems are [Error].
+    Dropped lines are counted on the [store.salvage.hints_file]
+    metric. *)
+
+(** {2 v1 text (byte-compatible with earlier releases)} *)
 
 val to_string : Aptget_passes.Aptget_pass.hint list -> string
 (** Serialise, one hint per line, with the v1 version header (no
     provenance, no fingerprints — byte-identical to the historical
     writer). *)
-
-val of_string : string -> (Aptget_passes.Aptget_pass.hint list, string) result
-(** Strict parse; reports the first offending line (with its line
-    number) on error. Accepts fields in any order; [sweep] defaults to
-    1 when omitted. Fingerprints and provenance are accepted and
-    dropped. *)
-
-val of_string_lenient :
-  string -> Aptget_passes.Aptget_pass.hint list * (int * string) list
-(** Lenient parse: all well-formed hints, plus a [(line_no, error)]
-    record for every malformed or unsupported line. Equal to
-    [of_string] composed with [Ok] when the error list is empty. *)
-
-val save : path:string -> Aptget_passes.Aptget_pass.hint list -> unit
-(** Write to a file, atomically (write-to-temp + rename in the same
-    directory, like {!save_doc}): a crash mid-save leaves the previous
-    file contents intact. *)
-
-val load : path:string -> (Aptget_passes.Aptget_pass.hint list, string) result
-(** Read and strictly parse a file; I/O problems are reported as
-    [Error]. *)
-
-val load_lenient :
-  path:string ->
-  (Aptget_passes.Aptget_pass.hint list * (int * string) list, string) result
-(** Read and leniently parse a file; only I/O problems are [Error]. *)

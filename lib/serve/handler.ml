@@ -17,7 +17,7 @@ type outcome = { h_status : Wire.status; h_reason : string; h_body : string }
 type config = {
   machine : Machine.config;
   watchdog : Watchdog.config;
-  guard : Pipeline.guard_config;
+  floor : float;
   resolve : string -> Workload.t option;
 }
 
@@ -25,7 +25,7 @@ let default_config =
   {
     machine = Machine.default_config;
     watchdog = Watchdog.default;
-    guard = Pipeline.default_guard;
+    floor = Pipeline.default_floor;
     resolve = Suite.find;
   }
 
@@ -105,28 +105,15 @@ let tighten (wd : Watchdog.config) = function
       measure_budget = cap wd.Watchdog.measure_budget;
     }
 
-let render_measurement label (m : Pipeline.measurement) =
-  (* Same shape as the one-shot CLI's outcome lines; wall time is
-     deliberately absent, it is the one nondeterministic field. *)
-  Printf.sprintf
-    "%-10s cycles=%-12d instrs=%-10d IPC=%.3f MPKI=%.2f mem-stall=%s \
-     prefetches=%d verified=%s\n"
-    label m.Pipeline.outcome.Machine.cycles
-    m.Pipeline.outcome.Machine.instructions
-    (Machine.ipc m.Pipeline.outcome)
-    (Machine.mpki m.Pipeline.outcome)
-    (Table.fmt_pct (Machine.memory_stall_fraction m.Pipeline.outcome))
-    m.Pipeline.outcome.Machine.dyn_prefetches
-    (match m.Pipeline.verified with Ok () -> "ok" | Error e -> "FAILED: " ^ e)
-
-let render_guarded ~tenant ~guard (g : Pipeline.guarded) =
+let render_guarded ~tenant ~floor (g : Pipeline.guarded) =
   let b = Buffer.create 512 in
   Buffer.add_string b
     (Printf.sprintf "workload=%s tenant=%s program=%s\n" g.Pipeline.g_workload
        tenant
        (Fingerprint.hex g.Pipeline.g_program));
-  Buffer.add_string b (render_measurement "baseline" g.Pipeline.g_baseline);
-  Buffer.add_string b (render_measurement "APT-GET" g.Pipeline.g_final);
+  Buffer.add_string b
+    (Pipeline.render_measurement "baseline" g.Pipeline.g_baseline);
+  Buffer.add_string b (Pipeline.render_measurement "APT-GET" g.Pipeline.g_final);
   (match g.Pipeline.g_remap with
   | Some r ->
     Buffer.add_string b
@@ -136,7 +123,7 @@ let render_guarded ~tenant ~guard (g : Pipeline.guarded) =
   Buffer.add_string b
     (Printf.sprintf "guard: %s (floor %.2fx)\n"
        (Pipeline.guard_outcome_to_string g.Pipeline.g_outcome)
-       guard.Pipeline.floor);
+       floor);
   Buffer.add_string b
     (Printf.sprintf "speedup: %s (%d hint(s))\n"
        (Table.fmt_speedup g.Pipeline.g_speedup)
@@ -152,11 +139,7 @@ let execute ?crash config ~(tenant : Tenant.t) (req : Wire.request) =
     | Error e -> rejected ("program: " ^ e)
     | Ok (w, fingerprint) -> (
       let watchdog = tighten config.watchdog req.Wire.deadline_cycles in
-      let guard =
-        match req.Wire.guard_floor with
-        | Some floor -> { config.guard with Pipeline.floor = floor }
-        | None -> config.guard
-      in
+      let floor = Option.value req.Wire.guard_floor ~default:config.floor in
       try
         (* A cold request's profiling run is also its baseline. *)
         let doc, baseline =
@@ -200,7 +183,7 @@ let execute ?crash config ~(tenant : Tenant.t) (req : Wire.request) =
                   ~options f)
         in
         let g =
-          Pipeline.run_guarded ~config:config.machine ~guard
+          Pipeline.run_guarded ~config:config.machine ~floor
             ~quarantine:tenant.Tenant.quarantine
             ?remap:(if req.Wire.remap then Some Remap.default_config else None)
             ~watchdog ?crash ?measure_cache ~program ?baseline ~doc w
@@ -212,7 +195,7 @@ let execute ?crash config ~(tenant : Tenant.t) (req : Wire.request) =
           {
             h_status = Wire.Ok_;
             h_reason = "";
-            h_body = render_guarded ~tenant:tenant.Tenant.id ~guard g;
+            h_body = render_guarded ~tenant:tenant.Tenant.id ~floor g;
           }
       with
       | Watchdog.Timed_out t -> timed_out (Watchdog.timeout_to_string t)

@@ -31,7 +31,9 @@ type config = {
   watchdog : Aptget_core.Watchdog.config;
       (** base per-stage budgets; a request deadline tightens the
           cycle budgets of the simulated stages *)
-  guard : Aptget_core.Pipeline.guard_config;
+  floor : float;
+      (** the regression guard's floor when a request names none
+          ({!Aptget_core.Pipeline.default_floor} by default) *)
   resolve : string -> Aptget_workloads.Workload.t option;
       (** workload lookup, {!Aptget_workloads.Suite.find} by default
           (tests inject synthetic workloads here). The program

@@ -113,7 +113,6 @@ type report = {
   s_salvaged : int;  (** corrupt journal records dropped at recovery *)
 }
 
-val empty_report : report
 val combine : report -> report -> report
 
 val exit_code : report -> Exit_code.t

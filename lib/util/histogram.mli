@@ -23,9 +23,6 @@ val total : t -> int
 val bin_center : t -> int -> float
 (** [bin_center t i] is the representative value of bin [i]. *)
 
-val bin_of_value : t -> float -> int
-(** Index of the (clamped) bin a value falls into. *)
-
 val bin_width : t -> float
 
 val of_samples : ?bins:int -> float array -> t

@@ -67,26 +67,3 @@ let percentile xs p =
   end
 
 let median xs = percentile xs 50.
-
-type running = {
-  mutable n : int;
-  mutable m : float;
-  mutable s : float;
-}
-
-let running_create () = { n = 0; m = 0.; s = 0. }
-
-let running_add r x =
-  r.n <- r.n + 1;
-  let delta = x -. r.m in
-  r.m <- r.m +. (delta /. float_of_int r.n);
-  r.s <- r.s +. (delta *. (x -. r.m))
-
-let running_count r = r.n
-let running_mean r = r.m
-
-let running_stddev r =
-  if r.n < 2 then 0. else sqrt (r.s /. float_of_int r.n)
-
-let running_stddev_sample r =
-  if r.n < 2 then 0. else sqrt (r.s /. float_of_int (r.n - 1))

@@ -35,20 +35,3 @@ val percentile : float array -> float -> float
 
 val median : float array -> float
 (** 50th percentile. *)
-
-type running
-(** Online mean/variance accumulator (Welford). *)
-
-val running_create : unit -> running
-val running_add : running -> float -> unit
-val running_count : running -> int
-val running_mean : running -> float
-
-val running_stddev : running -> float
-(** {b Population} standard deviation (divides by n), matching
-    {!summary.stddev}; 0 when fewer than two values were added. *)
-
-val running_stddev_sample : running -> float
-(** {b Sample} (Bessel-corrected, divides by n-1) standard deviation,
-    matching {!summary.stddev_sample}; 0 when fewer than two values
-    were added. *)

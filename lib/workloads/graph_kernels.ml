@@ -1,6 +1,7 @@
 module Memory = Aptget_mem.Memory
 module Csr = Aptget_graph.Csr
 
+(* Allocate and fill the (offsets, cols, weights) regions. *)
 let layout_csr mem (g : Csr.t) =
   let offsets = Memory.alloc mem ~name:"offsets" ~words:(g.Csr.n + 1) in
   let cols = Memory.alloc mem ~name:"cols" ~words:(max 1 g.Csr.m) in

@@ -5,12 +5,6 @@
     Verification mirrors the kernel host-side with identical integer
     arithmetic and compares results. *)
 
-val layout_csr :
-  Aptget_mem.Memory.t ->
-  Aptget_graph.Csr.t ->
-  Aptget_mem.Memory.region * Aptget_mem.Memory.region * Aptget_mem.Memory.region
-(** Allocate and fill (offsets, cols, weights) regions. *)
-
 val row_bounds :
   Builder.t -> off_base:Ir.operand -> Ir.operand -> Ir.operand * Ir.operand
 (** Emit the CSR row-bound loads [offsets[v]], [offsets[v+1]]. *)

@@ -21,8 +21,6 @@
 
 type kind = Hot | Cold
 
-val kind_to_string : kind -> string
-
 type params = {
   inner : int;  (** inner trip count *)
   complexity : int;  (** extra per-iteration work ops *)

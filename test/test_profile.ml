@@ -136,6 +136,15 @@ let prop_model_distance_positive =
 
 module Hints_file = Aptget_profile.Hints_file
 
+(* Plain hints read through the document reader, the one reader the
+   CLI and the daemon use. *)
+let hints_of_string s =
+  Result.map Hints_file.hints_of_doc (Hints_file.doc_of_string s)
+
+let hints_of_string_lenient s =
+  let doc, errors = Hints_file.doc_of_string_lenient s in
+  (Hints_file.hints_of_doc doc, errors)
+
 let test_hints_roundtrip () =
   let hints =
     [
@@ -143,13 +152,13 @@ let test_hints_roundtrip () =
       { Aptget_pass.load_pc = 11265; distance = 3; site = Inject.Outer; sweep = 7 };
     ]
   in
-  match Hints_file.of_string (Hints_file.to_string hints) with
+  match hints_of_string (Hints_file.to_string hints) with
   | Ok parsed -> Alcotest.(check bool) "roundtrip" true (parsed = hints)
   | Error e -> Alcotest.fail e
 
 let test_hints_parse_flexible () =
   let text = "\n# comment\n  site=outer pc=5 distance=9  \n" in
-  match Hints_file.of_string text with
+  match hints_of_string text with
   | Ok [ h ] ->
     Alcotest.(check int) "pc" 5 h.Aptget_pass.load_pc;
     Alcotest.(check int) "default sweep" 1 h.Aptget_pass.sweep;
@@ -160,7 +169,7 @@ let test_hints_parse_flexible () =
 let test_hints_parse_errors () =
   List.iter
     (fun bad ->
-      match Hints_file.of_string bad with
+      match hints_of_string bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail ("accepted: " ^ bad))
     [
@@ -176,12 +185,14 @@ let test_hints_file_io () =
   let hints =
     [ { Aptget_pass.load_pc = 7; distance = 4; site = Inject.Inner; sweep = 1 } ]
   in
-  Hints_file.save ~path hints;
-  (match Hints_file.load ~path with
-  | Ok parsed -> Alcotest.(check bool) "load = save" true (parsed = hints)
+  Hints_file.save_doc ~path
+    { Hints_file.prov = None; entries = Hints_file.entries_of_hints hints };
+  (match Hints_file.load_doc ~path with
+  | Ok doc ->
+    Alcotest.(check bool) "load = save" true (Hints_file.hints_of_doc doc = hints)
   | Error e -> Alcotest.fail e);
   Sys.remove path;
-  match Hints_file.load ~path:"/nonexistent/aptget" with
+  match Hints_file.load_doc ~path:"/nonexistent/aptget" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "loaded a nonexistent file"
 
@@ -192,14 +203,14 @@ let contains ~sub s =
 
 let test_hints_bad_header_version () =
   let text = "# aptget prefetch hints v3\npc=1 distance=2 site=inner\n" in
-  (match Hints_file.of_string text with
+  (match hints_of_string text with
   | Error e ->
     Alcotest.(check bool) "mentions the version" true
       (String.length e > 0
       && contains ~sub:"version" e)
   | Ok _ -> Alcotest.fail "accepted an unknown header version");
   (* A free-form comment that is not a version announcement is fine. *)
-  match Hints_file.of_string "# just a note\npc=1 distance=2 site=inner\n" with
+  match hints_of_string "# just a note\npc=1 distance=2 site=inner\n" with
   | Ok [ _ ] -> ()
   | Ok _ -> Alcotest.fail "expected one hint"
   | Error e -> Alcotest.fail e
@@ -207,7 +218,7 @@ let test_hints_bad_header_version () =
 let test_hints_negative_and_overflow_ints () =
   List.iter
     (fun bad ->
-      match Hints_file.of_string bad with
+      match hints_of_string bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail ("accepted: " ^ bad))
     [
@@ -225,7 +236,7 @@ let test_hints_lenient_int_literals_rejected () =
      them. *)
   List.iter
     (fun bad ->
-      match Hints_file.of_string bad with
+      match hints_of_string bad with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail ("accepted: " ^ bad))
     [
@@ -266,13 +277,13 @@ let prop_hints_lenient_literals_rejected =
     QCheck.(int_bound 100_000)
     (fun pc ->
       let rejected line =
-        match Hints_file.of_string line with Error _ -> true | Ok _ -> false
+        match hints_of_string line with Error _ -> true | Ok _ -> false
       in
       rejected (Printf.sprintf "pc=+%d distance=2 site=inner" pc)
       && rejected (Printf.sprintf "pc=0x%x distance=2 site=inner" pc)
       && rejected (Printf.sprintf "pc=%d distance=2_0 site=inner" pc)
       (* and the canonical spelling of the same values still parses *)
-      && Hints_file.of_string
+      && hints_of_string
            (Printf.sprintf "pc=%d distance=20 site=inner" pc)
          = Ok
              [
@@ -285,7 +296,7 @@ let prop_hints_lenient_literals_rejected =
              ])
 
 let test_hints_duplicate_fields () =
-  match Hints_file.of_string "pc=1 pc=2 distance=3 site=inner" with
+  match hints_of_string "pc=1 pc=2 distance=3 site=inner" with
   | Error e ->
     Alcotest.(check bool) "names the duplicated key" true
       (contains ~sub:"duplicate" e
@@ -298,10 +309,10 @@ let test_hints_truncated_file () =
   let text =
     "# aptget prefetch hints v1\npc=2051 distance=12 site=inner\npc=11265 dis"
   in
-  (match Hints_file.of_string text with
+  (match hints_of_string text with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "strict parse accepted a truncated file");
-  let hints, errors = Hints_file.of_string_lenient text in
+  let hints, errors = hints_of_string_lenient text in
   Alcotest.(check int) "complete lines kept" 1 (List.length hints);
   match errors with
   | [ (3, _) ] -> ()
@@ -319,7 +330,7 @@ let test_hints_lenient_collects_all_errors () =
         "pc=1 distance=2 site=middle";     (* line 6: bad site *)
       ]
   in
-  let hints, errors = Hints_file.of_string_lenient text in
+  let hints, errors = hints_of_string_lenient text in
   Alcotest.(check (list int)) "good hints, in order" [ 5; 7 ]
     (List.map (fun h -> h.Aptget_pass.load_pc) hints);
   Alcotest.(check (list int)) "error line numbers" [ 1; 3; 6 ]
@@ -327,10 +338,10 @@ let test_hints_lenient_collects_all_errors () =
 
 let test_hints_lenient_agrees_with_strict () =
   let text = "# aptget prefetch hints v1\npc=5 distance=9 site=outer sweep=2\n" in
-  let hints, errors = Hints_file.of_string_lenient text in
+  let hints, errors = hints_of_string_lenient text in
   Alcotest.(check int) "no errors on a clean file" 0 (List.length errors);
   Alcotest.(check bool) "same hints as strict" true
-    (Hints_file.of_string text = Ok hints)
+    (hints_of_string text = Ok hints)
 
 let test_hints_roundtrip_stable () =
   (* Serialise -> parse -> serialise reproduces the exact same bytes:
@@ -342,7 +353,7 @@ let test_hints_roundtrip_stable () =
     ]
   in
   let once = Hints_file.to_string hints in
-  match Hints_file.of_string once with
+  match hints_of_string once with
   | Ok parsed ->
     Alcotest.(check string) "stable" once (Hints_file.to_string parsed)
   | Error e -> Alcotest.fail e
@@ -364,7 +375,7 @@ let prop_hints_roundtrip =
             })
           raw
       in
-      Hints_file.of_string (Hints_file.to_string hints) = Ok hints)
+      hints_of_string (Hints_file.to_string hints) = Ok hints)
 
 (* ---------------- Hints_file v2 documents ---------------- *)
 
@@ -409,7 +420,7 @@ let test_doc_roundtrip () =
 
 let test_doc_reads_v1 () =
   (* A v1 file parses as a document without provenance/fingerprints,
-     and of_string accepts a v2 document, dropping the extras. *)
+     and the plain-hints view of a v2 document drops the extras. *)
   let hints =
     [ { Aptget_pass.load_pc = 7; distance = 4; site = Inject.Inner; sweep = 2 } ]
   in
@@ -419,7 +430,7 @@ let test_doc_reads_v1 () =
     Alcotest.(check bool) "hints preserved" true
       (Hints_file.hints_of_doc doc = hints)
   | Error e -> Alcotest.fail e);
-  match Hints_file.of_string (Hints_file.doc_to_string sample_doc) with
+  match hints_of_string (Hints_file.doc_to_string sample_doc) with
   | Ok hints ->
     Alcotest.(check (list int)) "v1 view of a v2 file" [ 2051; 11265 ]
       (List.map (fun h -> h.Aptget_pass.load_pc) hints)

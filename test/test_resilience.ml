@@ -338,7 +338,7 @@ let test_veto_skips_without_static_fallback () =
 
 (* ---------------- Regression guard ---------------- *)
 
-let floor_ = Pipeline.default_guard.Pipeline.floor
+let floor_ = Pipeline.default_floor
 
 let test_guard_admits_fresh_profile () =
   let w = micro_w () in
@@ -388,15 +388,19 @@ let test_guard_quarantines_and_remembers () =
   Alcotest.(check bool) "still clears the floor" true
     (g2.Pipeline.g_speedup >= floor_)
 
-let test_guard_baseline_fallback_when_aj_disabled () =
+let test_guard_baseline_fallback_when_aj_misses_floor () =
   let w = micro_w () in
   let doc, _ = profile_doc w in
   let mw = mutated w ~tag:"collide" collide in
-  let g =
-    Pipeline.run_guarded
-      ~guard:{ Pipeline.floor = floor_; try_aj = false }
-      ~doc mw
+  (* A floor above A&J's speedup and above 1.0, so above the regressing
+     stale candidate's too: neither clears it, and the guard pins the
+     baseline. *)
+  let floor =
+    1.01
+    *. Float.max 1.0
+         (Pipeline.speedup ~baseline:(Pipeline.baseline mw) (Pipeline.aj mw))
   in
+  let g = Pipeline.run_guarded ~floor ~doc mw in
   (match g.Pipeline.g_outcome with
   | Pipeline.Quarantined { fallback; _ } ->
     Alcotest.(check bool) "pinned to the baseline" true
@@ -577,7 +581,7 @@ let () =
           Alcotest.test_case "admits fresh profile" `Quick test_guard_admits_fresh_profile;
           Alcotest.test_case "blind stale hints regress" `Quick test_blind_stale_hints_regress;
           Alcotest.test_case "quarantines and remembers" `Quick test_guard_quarantines_and_remembers;
-          Alcotest.test_case "baseline fallback" `Quick test_guard_baseline_fallback_when_aj_disabled;
+          Alcotest.test_case "baseline fallback" `Quick test_guard_baseline_fallback_when_aj_misses_floor;
           Alcotest.test_case "remap recovers mutations" `Quick test_guard_with_remap_recovers_mutations;
           Alcotest.test_case "program argument is transparent" `Quick
             test_guard_program_argument_is_transparent;

@@ -1254,9 +1254,10 @@ let test_salvage_metrics () =
   let hp = Filename.concat dir "hints" in
   write_file hp
     "# aptget prefetch hints v1\npc=1 distance=2 site=inner sweep=1\nnot a hint\n";
-  (match Hints_file.load_lenient ~path:hp with
-  | Ok (hints, errors) ->
-    Alcotest.(check int) "kept the good hint" 1 (List.length hints);
+  (match Hints_file.load_doc_lenient ~path:hp with
+  | Ok (doc, errors) ->
+    Alcotest.(check int) "kept the good hint" 1
+      (List.length (Hints_file.hints_of_doc doc));
     Alcotest.(check int) "reported the bad line" 1 (List.length errors)
   | Error e -> Alcotest.fail e);
   Alcotest.(check int) "store.salvage.hints_file" 1

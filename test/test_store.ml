@@ -299,7 +299,7 @@ let some_hints =
 
 let test_hints_save_atomic_under_crash () =
   with_temp (fun path ->
-      Hints_file.save ~path some_hints;
+      Atomic_file.write ~path (Hints_file.to_string some_hints);
       let before = read_all path in
       (* Tear the temp-file write of an overwriting save by hand: the
          destination must be the old version, never a mixture. *)
@@ -311,23 +311,25 @@ let test_hints_save_atomic_under_crash () =
       | () -> Alcotest.fail "crash plan did not fire"
       | exception Crash.Crashed _ -> ());
       Alcotest.(check string) "old hints intact" before (read_all path);
-      match Hints_file.load ~path with
-      | Ok hints ->
-        Alcotest.(check int) "still parses" 2 (List.length hints)
+      match Hints_file.load_doc ~path with
+      | Ok doc ->
+        Alcotest.(check int) "still parses" 2
+          (List.length (Hints_file.hints_of_doc doc))
       | Error e -> Alcotest.failf "load after crash: %s" e)
 
 let test_hints_torn_tail_lenient () =
   with_temp (fun path ->
-      Hints_file.save ~path some_hints;
+      Atomic_file.write ~path (Hints_file.to_string some_hints);
       let contents = read_all path in
       (* Simulate a non-atomic writer crashing mid-append: the final
          line is torn. The lenient loader keeps every whole hint and
          counts the fragment. *)
       Atomic_file.write ~path
         (String.sub contents 0 (String.length contents - 4));
-      match Hints_file.load_lenient ~path with
-      | Ok (hints, errors) ->
-        Alcotest.(check int) "whole hints kept" 1 (List.length hints);
+      match Hints_file.load_doc_lenient ~path with
+      | Ok (doc, errors) ->
+        Alcotest.(check int) "whole hints kept" 1
+          (List.length (Hints_file.hints_of_doc doc));
         Alcotest.(check int) "torn line counted" 1 (List.length errors)
       | Error e -> Alcotest.failf "lenient load: %s" e)
 

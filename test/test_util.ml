@@ -106,12 +106,6 @@ let test_percentile () =
   check_float "median" 3. (Stats.median xs);
   check_float "p25" 2. (Stats.percentile xs 25.)
 
-let test_running () =
-  let r = Stats.running_create () in
-  List.iter (Stats.running_add r) [ 2.; 4.; 6. ];
-  Alcotest.(check int) "count" 3 (Stats.running_count r);
-  check_float "mean" 4. (Stats.running_mean r)
-
 (* A single NaN must fail loudly: under polymorphic compare it would
    silently mis-sort and corrupt every order statistic downstream. *)
 let test_nan_rejected () =
@@ -135,25 +129,6 @@ let test_stddev_population_vs_sample () =
   check_float "singleton population" 0. s1.Stats.stddev;
   check_float "singleton sample" 0. s1.Stats.stddev_sample
 
-(* summarize and the Welford accumulator must agree on both estimators
-   for the same data (the cross-check the divide-by-n bug hid). *)
-let test_running_stddev_agrees_with_summarize () =
-  let xs = [| 2.; 4.; 6.; 9.; 12.5; 0.25 |] in
-  let r = Stats.running_create () in
-  Array.iter (Stats.running_add r) xs;
-  let s = Stats.summarize xs in
-  Alcotest.(check (float 1e-9))
-    "population agrees" s.Stats.stddev (Stats.running_stddev r);
-  Alcotest.(check (float 1e-9))
-    "sample agrees" s.Stats.stddev_sample
-    (Stats.running_stddev_sample r);
-  Alcotest.(check bool) "sample > population for n > 1" true
-    (Stats.running_stddev_sample r > Stats.running_stddev r);
-  let one = Stats.running_create () in
-  Stats.running_add one 3.;
-  check_float "n=1 population" 0. (Stats.running_stddev one);
-  check_float "n=1 sample" 0. (Stats.running_stddev_sample one)
-
 let prop_percentile_bounds =
   QCheck.Test.make ~name:"percentile within min/max" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 50) (float_bound_inclusive 1000.)) (float_bound_inclusive 100.))
@@ -163,15 +138,6 @@ let prop_percentile_bounds =
       let mn = Array.fold_left min xs.(0) xs in
       let mx = Array.fold_left max xs.(0) xs in
       v >= mn -. 1e-9 && v <= mx +. 1e-9)
-
-let prop_mean_matches_running =
-  QCheck.Test.make ~name:"running mean = batch mean" ~count:200
-    QCheck.(list_of_size Gen.(1 -- 50) (float_bound_inclusive 100.))
-    (fun l ->
-      let xs = Array.of_list l in
-      let r = Stats.running_create () in
-      Array.iter (Stats.running_add r) xs;
-      abs_float (Stats.running_mean r -. Stats.mean xs) < 1e-6)
 
 (* ---------------- Histogram ---------------- *)
 
@@ -269,7 +235,7 @@ let test_table_fmt () =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_permutation; prop_shuffle_preserves; prop_percentile_bounds;
-      prop_mean_matches_running; prop_histogram_total ]
+      prop_histogram_total ]
 
 (* ---------------- Backoff ---------------- *)
 
@@ -370,12 +336,9 @@ let () =
           Alcotest.test_case "geomean" `Quick test_geomean;
           Alcotest.test_case "geomean non-positive" `Quick test_geomean_nonpositive;
           Alcotest.test_case "percentile" `Quick test_percentile;
-          Alcotest.test_case "running" `Quick test_running;
           Alcotest.test_case "NaN rejected" `Quick test_nan_rejected;
           Alcotest.test_case "stddev population vs sample" `Quick
             test_stddev_population_vs_sample;
-          Alcotest.test_case "running stddev agrees with summarize" `Quick
-            test_running_stddev_agrees_with_summarize;
         ] );
       ( "histogram",
         [
