@@ -240,74 +240,59 @@ let workload_arg =
 
 let print_outcome label m = print_string (Pipeline.render_measurement label m)
 
+(* Where [aptget run]'s hints come from: a profiling run made here, or
+   a hints file and its (lazily read) document. *)
+type source =
+  | Fresh of (Pipeline.measurement * Profiler.t) Lazy.t
+  | File of string * Hints_file.doc Lazy.t
+
+(* How the hints are applied: as they are, re-keyed by fingerprint,
+   behind the regression guard, or by the never-raising robust
+   pipeline. *)
+type stage = Plain | Remapped | Guarded | Robust
+
 let run_cmd =
   let load_doc ~lenient path =
-    if lenient then begin
-      match Hints_file.load_doc_lenient ~path with
-      | Ok (doc, errors) ->
-        List.iter
-          (fun (lineno, e) ->
-            Printf.eprintf "%s:%d: skipped: %s\n" path lineno e)
-          errors;
-        doc
-      | Error e ->
-        Printf.eprintf "cannot load hints from %s: %s\n" path e;
-        exit 1
-    end
-    else
-      match Hints_file.load_doc ~path with
-      | Ok doc -> doc
-      | Error e ->
-        Printf.eprintf "cannot load hints from %s: %s\n" path e;
-        exit 1
+    let skip (doc, errors) =
+      List.iter
+        (fun (lineno, e) -> Printf.eprintf "%s:%d: skipped: %s\n" path lineno e)
+        errors;
+      doc
+    in
+    match
+      if lenient then Result.map skip (Hints_file.load_doc_lenient ~path)
+      else Hints_file.load_doc ~path
+    with
+    | Ok doc -> doc
+    | Error e ->
+      Printf.eprintf "cannot load hints from %s: %s\n" path e;
+      exit 1
   in
   let print_remap (r : Remap.t) =
-    Printf.printf
-      "remap: %d kept, %d remapped, %d rescaled, %d dropped\n" r.Remap.kept
-      r.Remap.remapped r.Remap.rescaled r.Remap.dropped;
+    print_string (Remap.render_summary r);
     List.iter
       (fun ((h : Aptget_pass.hint), d) ->
         Printf.printf "  pc=%d: %s\n" h.Aptget_pass.load_pc
           (Remap.decision_to_string d))
       r.Remap.report
   in
-  let print_quarantine = function
-    | None -> ()
-    | Some q ->
-      let entries = Quarantine.entries q in
-      Printf.printf "quarantine store%s: %d entry(ies)\n"
-        (match Quarantine.path q with Some p -> " " ^ p | None -> "")
-        (List.length entries);
-      List.iter
-        (fun (e : Quarantine.entry) ->
-          Printf.printf "  %s: hint set %s measured %s\n"
-            e.Quarantine.q_workload
-            (Aptget_ir.Fingerprint.hex e.Quarantine.q_hints)
-            (Table.fmt_speedup e.Quarantine.q_speedup))
-        entries
-  in
-  let run_guarded ~baseline w ~doc ~remap ~guard_floor ~quarantine_path =
-    let quarantine =
-      Option.map (fun path -> Quarantine.create ~path ()) quarantine_path
-    in
-    let g =
-      Pipeline.run_guarded ?quarantine
-        ?remap:(if remap then Some Remap.default_config else None)
-        ~floor:guard_floor ~baseline ~doc w
-    in
-    print_outcome "APT-GET" g.Pipeline.g_final;
-    Option.iter print_remap g.Pipeline.g_remap;
-    Printf.printf "guard: %s (floor %.2fx)\n"
-      (Pipeline.guard_outcome_to_string g.Pipeline.g_outcome)
-      guard_floor;
-    print_quarantine quarantine;
-    g
+  let print_quarantine q =
+    let entries = Quarantine.entries q in
+    Printf.printf "quarantine store%s: %d entry(ies)\n"
+      (match Quarantine.path q with Some p -> " " ^ p | None -> "")
+      (List.length entries);
+    List.iter
+      (fun (e : Quarantine.entry) ->
+        Printf.printf "  %s: hint set %s measured %s\n" e.Quarantine.q_workload
+          (Aptget_ir.Fingerprint.hex e.Quarantine.q_hints)
+          (Table.fmt_speedup e.Quarantine.q_speedup))
+      entries
   in
   (* --corun: interleave the workload with a co-runner on the shared
      LLC/DRAM hierarchy and report how the solo-tuned hints fare under
      contention. Four runs: solo baseline, solo APT-GET, co-run
      baseline, co-run with the (now stale) solo hints. *)
-  let run_corun w (co : Workload.t) ~policy ~faults =
+  let run_corun w (co : Workload.t) ~policy ~options =
     let policy =
       match Corun.policy_of_string policy with
       | Some p -> p
@@ -322,7 +307,6 @@ let run_cmd =
     Printf.printf "co-runner %s (%s on %s), policy %s\n\n" co.Workload.name
       co.Workload.app co.Workload.input
       (Corun.policy_to_string policy);
-    let options = { Profiler.default_options with Profiler.faults } in
     let solo_base, prof = Pipeline.profiled ~options w in
     print_outcome "solo base" solo_base;
     print_fault_stats prof.Profiler.fault_stats;
@@ -354,14 +338,9 @@ let run_cmd =
      phases for the phased workload, [--epochs] replicas otherwise —
      with the drift detector, dwell guard, retune breaker and the
      guarded degradation ladder between epochs. *)
-  let run_online w ~faults ~guard_floor ~quarantine_path ~epochs ~drift =
+  let run_online w ~options ~guard_floor ?quarantine ~epochs ~drift () =
     let config =
-      {
-        Adapt.default_config with
-        Adapt.drift;
-        floor = guard_floor;
-        options = { Profiler.default_options with Profiler.faults };
-      }
+      { Adapt.default_config with Adapt.drift; floor = guard_floor; options }
     in
     let segments =
       if w.Workload.name = "phased" then
@@ -374,9 +353,6 @@ let run_cmd =
       w.Workload.name
       (List.length profile.Profiler.hints)
       (List.length segments);
-    let quarantine =
-      Option.map (fun path -> Quarantine.create ~path ()) quarantine_path
-    in
     match Adapt.run ~config ?quarantine ~profile ~name:w.Workload.name segments with
     | report -> print_string (Adapt.render report)
     | exception Failure e ->
@@ -416,113 +392,130 @@ let run_cmd =
       ];
     Printf.printf "workload %s (%s on %s)\n\n" w.Workload.name w.Workload.app
       w.Workload.input;
+    let options = { Profiler.default_options with Profiler.faults } in
+    let quarantine =
+      Option.map (fun path -> Quarantine.create ~path ()) quarantine_path
+    in
     match corun with
     | Some co ->
-      run_corun w co ~policy:(Option.value corun_policy ~default:"rr") ~faults
+      run_corun w co ~policy:(Option.value corun_policy ~default:"rr") ~options
     | None ->
     if online then
-      run_online w ~faults ~guard_floor ~quarantine_path ~epochs ~drift
+      run_online w ~options ~guard_floor ?quarantine ~epochs ~drift ()
     else
-    (* Without a hints file (and outside --robust, which profiles on its
-       own) the run profiles, and the profiling run is the baseline. *)
-    let options = { Profiler.default_options with Profiler.faults } in
-    let base, fresh =
-      if hints_path = None && not robust then
-        let base, prof = Pipeline.profiled ~options w in
-        (base, Some prof)
-      else (Pipeline.baseline w, None)
+    (* Source -> apply -> report. The source yields the hints doc and
+       the baseline of record: a fresh profiling run is both, and under
+       --robust Pipeline.run_robust profiles and hands its run back. A
+       hints file is read once the baseline and A&J lines are out, so a
+       bad one still reports them. *)
+    let stage =
+      if guard then Guarded
+      else if remap then Remapped
+      else if robust then Robust
+      else Plain
+    in
+    let source =
+      match hints_path with
+      | Some path -> File (path, lazy (load_doc ~lenient path))
+      | None -> Fresh (lazy (Pipeline.profiled ~options w))
+    in
+    let from, doc =
+      match source with
+      | Fresh p ->
+        ( " from a fresh profile",
+          lazy (Profiler.to_doc ~options (snd (Lazy.force p))) )
+      | File (path, d) -> (" from " ^ path, d)
+    in
+    let robust_run =
+      lazy
+        (Pipeline.run_robust ~faults
+           ?hints:
+             (Option.map (fun _ -> Hints_file.hints_of_doc (Lazy.force doc))
+                hints_path)
+           w)
+    in
+    let base, fault_stats =
+      match (source, stage) with
+      | Fresh _, Robust -> (
+        match (Lazy.force robust_run).Pipeline.r_baseline with
+        | Some b -> (b, None)
+        | None -> (Pipeline.baseline w, None))
+      | Fresh p, _ ->
+        let b, prof = Lazy.force p in
+        (b, Some prof.Profiler.fault_stats)
+      | File _, _ -> (Pipeline.baseline w, None)
     in
     print_outcome "baseline" base;
     let aj = Pipeline.aj w in
     print_outcome "A&J" aj;
-    Option.iter (fun p -> print_fault_stats p.Profiler.fault_stats) fresh;
-    (* Unified exit codes: 0 = ok, 1 = degraded (the command completed
-       but the final measurement is missing or unverified). *)
-    let degraded =
-      if remap || guard then begin
-        let doc =
-          match hints_path with
-          | Some path -> load_doc ~lenient path
-          | None -> Profiler.to_doc ~options (Option.get fresh)
-        in
-        let speedup_final, n_hints, final_verified =
-          if guard then begin
-            let g =
-              run_guarded ~baseline:base w ~doc ~remap ~guard_floor
-                ~quarantine_path
-            in
-            ( g.Pipeline.g_speedup,
-              List.length g.Pipeline.g_hints,
-              g.Pipeline.g_final.Pipeline.verified )
-          end
+    Option.iter print_fault_stats fault_stats;
+    (* Apply: print the hinted run and what the stage reports about it;
+       return that run, when there is one, and the hint count of the
+       speedup line. *)
+    let final, hint_count =
+      match stage with
+      | Plain | Remapped ->
+        (* --remap without --guard re-keys the hints, then applies them
+           unguarded (the historical pipeline, just with fresh PCs). *)
+        let hints =
+          if stage = Plain then Hints_file.hints_of_doc (Lazy.force doc)
           else begin
-            (* --remap without --guard: re-key the hints, then apply them
-               unguarded (the historical pipeline, just with fresh PCs). *)
             let current =
-              Aptget_ir.Fingerprint.fingerprint (w.Workload.build ()).Workload.func
+              Aptget_ir.Fingerprint.fingerprint
+                (w.Workload.build ()).Workload.func
             in
-            let r = Remap.run ~current doc in
+            let r = Remap.run ~current (Lazy.force doc) in
             print_remap r;
-            let apt = Pipeline.with_hints ~hints:r.Remap.hints w in
-            print_outcome "APT-GET" apt;
-            ( Pipeline.speedup ~baseline:base apt,
-              List.length r.Remap.hints,
-              apt.Pipeline.verified )
+            r.Remap.hints
           end
         in
-        Printf.printf "\nspeedup: A&J %s, APT-GET %s (%d hint(s)%s)\n"
-          (Table.fmt_speedup (Pipeline.speedup ~baseline:base aj))
-          (Table.fmt_speedup speedup_final) n_hints
-          (match hints_path with
-          | Some p -> " from " ^ p
-          | None -> " from a fresh profile");
-        Result.is_error final_verified
-      end
-      else
-      let file_hints =
-        Option.map
-          (fun path -> Hints_file.hints_of_doc (load_doc ~lenient path))
-          hints_path
-      in
-      if robust then begin
-        let r = Pipeline.run_robust ~faults ?hints:file_hints w in
-        match r.Pipeline.r_measurement with
-        | None ->
-          Printf.printf "APT-GET (robust): no measurement\n";
-          print_degradations r;
-          true
+        let apt = Pipeline.with_hints ~hints w in
+        print_outcome "APT-GET" apt;
+        ( Some apt,
+          Printf.sprintf
+            (if stage = Plain then "%d hints%s" else "%d hint(s)%s")
+            (List.length hints) from )
+      | Guarded ->
+        (* The guard's A&J fallback is the run printed above. *)
+        let measure_cache ~variant run =
+          if variant = "guard-aj" then aj else run ()
+        in
+        let g =
+          Pipeline.run_guarded ?quarantine ~remap ~floor:guard_floor
+            ~measure_cache ~baseline:base ~doc:(Lazy.force doc) w
+        in
+        print_outcome "APT-GET" g.Pipeline.g_final;
+        Option.iter print_remap g.Pipeline.g_remap;
+        print_string
+          (Pipeline.render_guard ~floor:guard_floor g.Pipeline.g_outcome);
+        Option.iter print_quarantine quarantine;
+        ( Some g.Pipeline.g_final,
+          Printf.sprintf "%d hint(s)%s" (List.length g.Pipeline.g_hints) from )
+      | Robust ->
+        let r = Lazy.force robust_run in
+        (match r.Pipeline.r_measurement with
+        | None -> Printf.printf "APT-GET (robust): no measurement\n"
         | Some apt ->
           print_outcome "APT-GET" apt;
           Option.iter
             (fun (p : Profiler.t) -> print_fault_stats p.Profiler.fault_stats)
-            r.Pipeline.r_profile;
-          print_degradations r;
-          Printf.printf "\nspeedup: A&J %s, APT-GET %s (%d hints used, %d dropped)\n"
-            (Table.fmt_speedup (Pipeline.speedup ~baseline:base aj))
-            (Table.fmt_speedup (Pipeline.speedup ~baseline:base apt))
+            r.Pipeline.r_profile);
+        print_degradations r;
+        ( r.Pipeline.r_measurement,
+          Printf.sprintf "%d hints used, %d dropped"
             (List.length r.Pipeline.r_hints_used)
-            (List.length r.Pipeline.r_hints_dropped);
-          Result.is_error apt.Pipeline.verified
-      end
-      else begin
-        let hints =
-          match file_hints with
-          | Some hints -> hints
-          | None -> (Option.get fresh).Profiler.hints
-        in
-        let apt = Pipeline.with_hints ~hints w in
-        print_outcome "APT-GET" apt;
-        Printf.printf "\nspeedup: A&J %s, APT-GET %s (%d hints%s)\n"
-          (Table.fmt_speedup (Pipeline.speedup ~baseline:base aj))
-          (Table.fmt_speedup (Pipeline.speedup ~baseline:base apt))
-          (List.length hints)
-          (match hints_path with
-          | Some p -> " from " ^ p
-          | None -> " from a fresh profile");
-        Result.is_error apt.Pipeline.verified
-      end
+            (List.length r.Pipeline.r_hints_dropped) )
     in
-    if degraded then exit 1
+    (* Report. Unified exit codes: 0 = ok, 1 = degraded (the command
+       completed but the final measurement is missing or unverified). *)
+    match final with
+    | None -> exit 1
+    | Some apt ->
+      Printf.printf "\nspeedup: A&J %s, APT-GET %s (%s)\n"
+        (Table.fmt_speedup (Pipeline.speedup ~baseline:base aj))
+        (Table.fmt_speedup (Pipeline.speedup ~baseline:base apt))
+        hint_count;
+      if Result.is_error apt.Pipeline.verified then exit 1
   in
   let hints_flag =
     Arg.(

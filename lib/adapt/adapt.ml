@@ -188,7 +188,7 @@ let retune cfg ?quarantine ~plan ~refit w =
   in
   let guarded ~program doc =
     Pipeline.run_guarded ~config:cfg.options.Profiler.machine ~floor:cfg.floor
-      ?quarantine ~remap:Remap.default_config ~watchdog:cfg.watchdog
+      ?quarantine ~remap:true ~watchdog:cfg.watchdog
       ~measure_cache ~program ~doc w
   in
   let last_doc =

@@ -220,6 +220,7 @@ type degradation = { stage : string; cause : string; fallback : string }
 type robust = {
   r_workload : string;
   r_measurement : measurement option;
+  r_baseline : measurement option;
   r_profile : Profiler.t option;
   r_hints_used : Aptget_pass.hint list;
   r_hints_dropped : (Aptget_pass.hint * string) list;
@@ -249,6 +250,9 @@ exception Inject_failed of exn
 
 let run_robust ?(faults = Faults.none) ?hints ?watchdog ?crash (w : Workload.t) =
   let degradations = ref [] in
+  (* The first profiling run that completes is the baseline of record;
+     a thin-profile retry runs the same unmodified kernel again. *)
+  let baseline = ref None in
   let add stage cause fallback =
     Metrics.incr ("robust.degradation." ^ stage);
     degradations := { stage; cause; fallback } :: !degradations
@@ -265,7 +269,9 @@ let run_robust ?(faults = Faults.none) ?hints ?watchdog ?crash (w : Workload.t) 
     let options = { Profiler.default_options with Profiler.faults } in
     let try_profile options =
       match profiled ~options ?watchdog ?crash w with
-      | _, p -> Some p
+      | m, p ->
+        if Option.is_none !baseline then baseline := Some m;
+        Some p
       | exception e when not (Crash.is_crashed e) ->
         add "profile" (cause_of e) "continuing without a fresh profile";
         None
@@ -407,6 +413,7 @@ let run_robust ?(faults = Faults.none) ?hints ?watchdog ?crash (w : Workload.t) 
   {
     r_workload = w.Workload.name;
     r_measurement = measurement;
+    r_baseline = !baseline;
     r_profile = prof;
     r_hints_used = hints_used;
     r_hints_dropped = hints_dropped;
@@ -456,12 +463,16 @@ let guard_outcome_to_string = function
     Printf.sprintf "known bad (%.3fx on record); fell back to %s"
       k.prior_speedup (fallback_to_string k.fallback)
 
+let render_guard ~floor outcome =
+  Printf.sprintf "guard: %s (floor %.2fx)\n" (guard_outcome_to_string outcome)
+    floor
+
 let no_measure_cache ~variant f =
   ignore (variant : string);
   f ()
 
-let run_guarded ?config ?(floor = default_floor) ?quarantine ?remap ?watchdog
-    ?crash ?(measure_cache = no_measure_cache) ?program ?baseline
+let run_guarded ?config ?(floor = default_floor) ?quarantine ?(remap = false)
+    ?watchdog ?crash ?(measure_cache = no_measure_cache) ?program ?baseline
     ~(doc : Hints_file.doc) (w : Workload.t) =
   Trace.with_span ~name:"pipeline.run-guarded"
     ~attrs:[ ("workload", w.Workload.name) ]
@@ -472,9 +483,7 @@ let run_guarded ?config ?(floor = default_floor) ?quarantine ?remap ?watchdog
     | None ->
       Aptget_ir.Fingerprint.fingerprint (w.Workload.build ()).Workload.func
   in
-  let remap_result =
-    Option.map (fun rc -> Remap.run ~config:rc ~current doc) remap
-  in
+  let remap_result = if remap then Some (Remap.run ~current doc) else None in
   let hints =
     match remap_result with
     | Some r -> r.Remap.hints
@@ -508,23 +517,24 @@ let run_guarded ?config ?(floor = default_floor) ?quarantine ?remap ?watchdog
   let program = current.Aptget_ir.Fingerprint.program in
   let hkey = Quarantine.hints_key hints in
   let fall_back ~reason =
-    (* The pinned fallback embeds [reason] in its per-hint skip records,
-       so it is never cached — two different reasons must not alias. It
-       still goes through the injection pass, vetoing every hint: the
-       measurement is the unmodified kernel (the simulator is
-       deterministic), and the skip records show exactly what the guard
-       suppressed. An empty candidate would instead trip the pass's
-       Algorithm-2 static fallback, so it runs the plain baseline. *)
-    let pinned_m () =
-      match hints with
-      | [] -> measure ()
-      | _ :: _ ->
-        measure ~transform:(apply_hints ~veto:(fun _ -> Some reason) ~hints) ()
+    (* The pinned fallback is the injection pass with every hint vetoed.
+       An all-vetoed pass leaves the IR untouched and records one skip
+       per distinct load PC, in ascending order, so the run is the
+       baseline's (the simulator is deterministic) plus those records:
+       nothing is simulated for it. *)
+    let pinned =
+      {
+        base with
+        injected = [];
+        skipped =
+          List.sort_uniq compare
+            (List.map (fun (h : Aptget_pass.hint) -> h.Aptget_pass.load_pc) hints)
+          |> List.map (fun pc -> (pc, reason));
+      }
     in
     match measure_cache ~variant:"guard-aj" (measure ~transform:aj_pass) with
     | m when speedup ~baseline:base m >= floor -> (m, Aj_static)
-    | _ -> (pinned_m (), Pinned_baseline)
-    | exception Watchdog.Timed_out _ -> (pinned_m (), Pinned_baseline)
+    | _ | (exception Watchdog.Timed_out _) -> (pinned, Pinned_baseline)
   in
   let known =
     Option.bind quarantine (fun q ->

@@ -195,6 +195,9 @@ type robust = {
   r_workload : string;
   r_measurement : measurement option;
       (** [None] only when even the unmodified kernel failed to run *)
+  r_baseline : measurement option;
+      (** the (first) profiling run's measurement, the baseline of
+          record; [None] when [hints] were supplied or profiling raised *)
   r_profile : Aptget_profile.Profiler.t option;
   r_hints_used : Aptget_passes.Aptget_pass.hint list;
   r_hints_dropped : (Aptget_passes.Aptget_pass.hint * string) list;
@@ -219,7 +222,8 @@ val run_robust :
     the default machine. [faults]
     (default {!Aptget_pmu.Faults.none}) injects PMU faults into the
     profiling run; with the default config the measured outcome is
-    bit-identical to {!profiled} composed with {!with_hints}. Supplying [hints] skips profiling and
+    bit-identical to {!profiled} composed with {!with_hints}, and
+    [r_baseline] is {!profiled}'s measurement. Supplying [hints] skips profiling and
     exercises the stale-hint validation path (e.g. hints loaded
     leniently from a checked-in file). When profiling collects too few
     iteration samples, it is retried once with a 4x denser LBR period.
@@ -260,6 +264,9 @@ type guard_outcome =
 
 val guard_outcome_to_string : guard_outcome -> string
 
+val render_guard : floor:float -> guard_outcome -> string
+(** The [guard:] line that [aptget run] and serve responses print. *)
+
 type guarded = {
   g_workload : string;
   g_program : int;
@@ -281,7 +288,7 @@ val run_guarded :
   ?config:Aptget_machine.Machine.config ->
   ?floor:float ->
   ?quarantine:Quarantine.t ->
-  ?remap:Aptget_profile.Remap.config ->
+  ?remap:bool ->
   ?watchdog:Watchdog.config ->
   ?crash:Aptget_store.Crash.t ->
   ?measure_cache:(variant:string -> (unit -> measurement) -> measurement) ->
@@ -290,12 +297,11 @@ val run_guarded :
   doc:Aptget_profile.Hints_file.doc ->
   Aptget_workloads.Workload.t ->
   guarded
-(** Guarded run of [doc]'s hints on [w]. Supplying [remap] enables
-    fingerprint remapping with that configuration; omitting it applies
-    the document's hints as-is (the historical blind behaviour, but
-    still guarded). [floor] defaults to {!default_floor}. [quarantine]
-    both consults and records; omitting it
-    makes every verdict run-local. Every simulator run is supervised by
+(** Guarded run of [doc]'s hints on [w]. [remap] (default false)
+    re-keys them first ({!Aptget_profile.Remap.run}); without it they
+    apply as-is, still guarded. [floor] defaults to {!default_floor}.
+    [quarantine] both consults and records; omitting it makes every
+    verdict run-local. Every simulator run is supervised by
     [watchdog]: a candidate that blows its measure budget is
     quarantined at 0.0x speedup (so later runs skip it), while a
     baseline or final fallback that does so raises
@@ -310,9 +316,11 @@ val run_guarded :
     previously stored measurement instead of running the thunk. The
     serve daemon plugs a tenant-scoped {!Meas_cache} in here (the
     module dependency runs that way, Meas_cache on Pipeline, hence the
-    callback). Exceptions from the thunk must propagate. The pinned
-    baseline fallback is never routed through it, because its skip
-    records embed the run-specific veto reason.
+    callback); [aptget run --guard] hands in its A&J run as
+    ["guard-aj"]. Exceptions from the thunk must propagate. The pinned
+    baseline fallback is not simulated: an all-vetoed injection leaves
+    the IR untouched, so it is the baseline's measurement
+    ([wall_seconds] included) with the veto's skip records.
 
     [program] is [w]'s fingerprint, for a caller that already has it
     (the serve daemon keys its measurement cache on the same value);

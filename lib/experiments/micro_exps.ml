@@ -147,8 +147,7 @@ let fig2 lab =
 
 let fig3 lab =
   let w = micro_workload lab ~inner:4 ~complexity:0 in
-  let sampler = Sampler.create ~lbr_period:20_000 () in
-  let r = Pipeline.measure ~sampler w in
+  let r, sampler = Pipeline.sampled w in
   ignore (Lab.check r.Pipeline.tenant);
   let samples = Sampler.lbr_samples sampler in
   let sample = median_snapshot samples in

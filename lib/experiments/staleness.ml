@@ -87,8 +87,7 @@ let scenario_rows t quarantine (w : Workload.t) (doc : Hints_file.doc) =
           Pipeline.with_hints ~hints:(Hints_file.hints_of_doc doc) mw
         in
         let g =
-          Pipeline.run_guarded ~quarantine ~remap:Remap.default_config
-            ~baseline:base ~doc mw
+          Pipeline.run_guarded ~quarantine ~remap:true ~baseline:base ~doc mw
         in
         let remap_str =
           match g.Pipeline.g_remap with Some r -> recovered r | None -> "-"
@@ -160,7 +159,7 @@ let trip_change_table lab =
       let base = Pipeline.baseline mw in
       let blind = Pipeline.with_hints ~hints:(Hints_file.hints_of_doc doc) mw in
       let g =
-        Pipeline.run_guarded ~remap:Remap.default_config ~baseline:base ~doc mw
+        Pipeline.run_guarded ~remap:true ~baseline:base ~doc mw
       in
       Table.add_row t
         [

@@ -27,6 +27,10 @@ type t = {
   dropped : int;
 }
 
+let render_summary r =
+  Printf.sprintf "remap: %d kept, %d remapped, %d rescaled, %d dropped\n"
+    r.kept r.remapped r.rescaled r.dropped
+
 let current_fp_at (current : Fingerprint.t) pc =
   List.find_opt
     (fun (l : Fingerprint.load_fp) -> l.Fingerprint.lf_pc = pc)

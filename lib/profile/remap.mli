@@ -33,8 +33,6 @@ type config = {
           (default 0.55) *)
 }
 
-val default_config : config
-
 type decision =
   | Kept  (** PC still valid; hint unchanged *)
   | Remapped of { pc : int; confidence : float }
@@ -57,7 +55,12 @@ type t = {
 val run :
   ?config:config -> current:Fingerprint.t -> Hints_file.doc -> t
 (** Remap every hint of [doc] against the current program's
-    fingerprint. Pure — the decision depends only on the document and
-    the fingerprint, so repeated runs agree. *)
+    fingerprint, under [config] (default: the thresholds above). Pure —
+    the decision depends only on the document and the fingerprint, so
+    repeated runs agree. *)
 
 val decision_to_string : decision -> string
+
+val render_summary : t -> string
+(** The [remap:] counts line that [aptget run] and serve responses
+    print. *)

@@ -14,20 +14,9 @@ module Table = Aptget_util.Table
 
 type outcome = { h_status : Wire.status; h_reason : string; h_body : string }
 
-type config = {
-  machine : Machine.config;
-  watchdog : Watchdog.config;
-  floor : float;
-  resolve : string -> Workload.t option;
-}
+type config = { resolve : string -> Workload.t option }
 
-let default_config =
-  {
-    machine = Machine.default_config;
-    watchdog = Watchdog.default;
-    floor = Pipeline.default_floor;
-    resolve = Suite.find;
-  }
+let default_config = { resolve = Suite.find }
 
 let rejected reason = { h_status = Wire.Rejected; h_reason = reason; h_body = "" }
 
@@ -106,30 +95,20 @@ let tighten (wd : Watchdog.config) = function
     }
 
 let render_guarded ~tenant ~floor (g : Pipeline.guarded) =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Printf.sprintf "workload=%s tenant=%s program=%s\n" g.Pipeline.g_workload
-       tenant
-       (Fingerprint.hex g.Pipeline.g_program));
-  Buffer.add_string b
-    (Pipeline.render_measurement "baseline" g.Pipeline.g_baseline);
-  Buffer.add_string b (Pipeline.render_measurement "APT-GET" g.Pipeline.g_final);
-  (match g.Pipeline.g_remap with
-  | Some r ->
-    Buffer.add_string b
-      (Printf.sprintf "remap: %d kept, %d remapped, %d rescaled, %d dropped\n"
-         r.Remap.kept r.Remap.remapped r.Remap.rescaled r.Remap.dropped)
-  | None -> ());
-  Buffer.add_string b
-    (Printf.sprintf "guard: %s (floor %.2fx)\n"
-       (Pipeline.guard_outcome_to_string g.Pipeline.g_outcome)
-       floor);
-  Buffer.add_string b
-    (Printf.sprintf "speedup: %s (%d hint(s))\n"
-       (Table.fmt_speedup g.Pipeline.g_speedup)
-       (List.length g.Pipeline.g_hints));
-  Buffer.add_string b (Hints_file.to_string g.Pipeline.g_hints);
-  Buffer.contents b
+  String.concat ""
+    [
+      Printf.sprintf "workload=%s tenant=%s program=%s\n" g.Pipeline.g_workload
+        tenant
+        (Fingerprint.hex g.Pipeline.g_program);
+      Pipeline.render_measurement "baseline" g.Pipeline.g_baseline;
+      Pipeline.render_measurement "APT-GET" g.Pipeline.g_final;
+      Option.fold ~none:"" ~some:Remap.render_summary g.Pipeline.g_remap;
+      Pipeline.render_guard ~floor g.Pipeline.g_outcome;
+      Printf.sprintf "speedup: %s (%d hint(s))\n"
+        (Table.fmt_speedup g.Pipeline.g_speedup)
+        (List.length g.Pipeline.g_hints);
+      Hints_file.to_string g.Pipeline.g_hints;
+    ]
 
 let execute ?crash config ~(tenant : Tenant.t) (req : Wire.request) =
   match config.resolve req.Wire.workload with
@@ -138,19 +117,18 @@ let execute ?crash config ~(tenant : Tenant.t) (req : Wire.request) =
     match prepare w req.Wire.program with
     | Error e -> rejected ("program: " ^ e)
     | Ok (w, fingerprint) -> (
-      let watchdog = tighten config.watchdog req.Wire.deadline_cycles in
-      let floor = Option.value req.Wire.guard_floor ~default:config.floor in
+      let watchdog = tighten Watchdog.default req.Wire.deadline_cycles in
+      let floor =
+        Option.value req.Wire.guard_floor ~default:Pipeline.default_floor
+      in
       try
         (* A cold request's profiling run is also its baseline. *)
         let doc, baseline =
           match req.Wire.hints with
           | Some doc -> (doc, None)
           | None ->
-            let options =
-              { Profiler.default_options with Profiler.machine = config.machine }
-            in
-            let base, prof = Pipeline.profiled ~options ~watchdog ?crash w in
-            (Profiler.to_doc ~options prof, Some base)
+            let base, prof = Pipeline.profiled ~watchdog ?crash w in
+            (Profiler.to_doc prof, Some base)
         in
         let program = fingerprint () in
         let measure_cache =
@@ -179,14 +157,13 @@ let execute ?crash config ~(tenant : Tenant.t) (req : Wire.request) =
             Some
               (fun ~variant f ->
                 Meas_cache.cached scope ~variant ~workload:w.Workload.name
-                  ~program:program.Fingerprint.program ~config:config.machine
-                  ~options f)
+                  ~program:program.Fingerprint.program
+                  ~config:Machine.default_config ~options f)
         in
         let g =
-          Pipeline.run_guarded ~config:config.machine ~floor
-            ~quarantine:tenant.Tenant.quarantine
-            ?remap:(if req.Wire.remap then Some Remap.default_config else None)
-            ~watchdog ?crash ?measure_cache ~program ?baseline ~doc w
+          Pipeline.run_guarded ~floor ~quarantine:tenant.Tenant.quarantine
+            ~remap:req.Wire.remap ~watchdog ?crash ?measure_cache ~program
+            ?baseline ~doc w
         in
         match g.Pipeline.g_final.Pipeline.verified with
         | Error e ->

@@ -26,14 +26,12 @@ type outcome = {
   h_body : string;
 }
 
+(** Every request runs on {!Aptget_machine.Machine.default_config}
+    under {!Aptget_core.Watchdog.default}'s per-stage budgets, whose
+    cycle budgets the request's [deadline_cycles] tightens, and is
+    guarded at the request's [guard_floor], else at
+    {!Aptget_core.Pipeline.default_floor}. *)
 type config = {
-  machine : Aptget_machine.Machine.config;
-  watchdog : Aptget_core.Watchdog.config;
-      (** base per-stage budgets; a request deadline tightens the
-          cycle budgets of the simulated stages *)
-  floor : float;
-      (** the regression guard's floor when a request names none
-          ({!Aptget_core.Pipeline.default_floor} by default) *)
   resolve : string -> Aptget_workloads.Workload.t option;
       (** workload lookup, {!Aptget_workloads.Suite.find} by default
           (tests inject synthetic workloads here). The program

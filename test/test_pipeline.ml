@@ -305,6 +305,32 @@ let test_robust_extreme_faults_fall_back () =
   | Some m -> Alcotest.(check bool) "verified" true (m.Pipeline.verified = Ok ())
   | None -> Alcotest.fail "expected a fallback measurement"
 
+(* run_robust's profiling run is the baseline of record: PMU faults
+   change only what the sampler keeps, and a thin-profile retry runs
+   the same unmodified kernel again. *)
+let test_robust_baseline_is_profiling_run () =
+  let w = micro_w () in
+  let base = Pipeline.baseline w in
+  List.iter
+    (fun (tag, faults, retried) ->
+      let r = Pipeline.run_robust ~faults w in
+      if retried then
+        Alcotest.(check bool) (tag ^ ": profile retried") true
+          r.Pipeline.r_profile_retried;
+      match r.Pipeline.r_baseline with
+      | Some b ->
+        Alcotest.(check bool) (tag ^ ": baseline outcome") true
+          (b.Pipeline.outcome = base.Pipeline.outcome);
+        Alcotest.(check bool) (tag ^ ": verified") true
+          (b.Pipeline.verified = base.Pipeline.verified)
+      | None -> Alcotest.fail (tag ^ ": expected the profiling run"))
+    [
+      ("default faults", Faults.default_faulty, false);
+      ("thin profile", { Faults.none with Faults.lbr_drop_rate = 1.0 }, true);
+    ];
+  Alcotest.(check bool) "no profiling run with supplied hints" true
+    ((Pipeline.run_robust ~hints:[] w).Pipeline.r_baseline = None)
+
 let test_robust_stale_hints_dropped () =
   (* A hint whose PC does not name a load in the program (a stale
      checked-in hints file) is rejected with a reason; good hints are
@@ -524,6 +550,8 @@ let () =
             test_robust_default_faults_complete;
           Alcotest.test_case "extreme faults fall back" `Quick
             test_robust_extreme_faults_fall_back;
+          Alcotest.test_case "baseline is the profiling run" `Quick
+            test_robust_baseline_is_profiling_run;
           Alcotest.test_case "stale hints dropped" `Quick
             test_robust_stale_hints_dropped;
         ] );

@@ -412,6 +412,72 @@ let test_guard_baseline_fallback_when_aj_misses_floor () =
   Alcotest.(check bool) "the vetoed hints are on record" true
     (g.Pipeline.g_final.Pipeline.skipped <> [])
 
+(* The pinned fallback is derived from the baseline, not simulated: it
+   equals the all-vetoed injection run it stands for, simulated here as
+   the reference (an empty set runs the plain kernel, as the pass's
+   Algorithm-2 fallback would inject A&J). *)
+let test_guard_pinned_fallback_is_vetoed_run () =
+  let w = micro_w () in
+  let program = Fingerprint.fingerprint (w.Workload.build ()).Workload.func in
+  let floor =
+    1.01
+    *. Float.max 1.0
+         (Pipeline.speedup ~baseline:(Pipeline.baseline w) (Pipeline.aj w))
+  in
+  let hint load_pc distance =
+    { Aptget_pass.load_pc; distance; site = Inject.Inner; sweep = 1 }
+  in
+  let d = delinquent_pc () in
+  let other =
+    List.find
+      (fun pc -> pc <> d)
+      (List.map
+         (fun (l : Fingerprint.load_fp) -> l.Fingerprint.lf_pc)
+         program.Fingerprint.loads)
+  in
+  List.iter
+    (fun (tag, hints) ->
+      let q = Quarantine.create () in
+      Quarantine.add q
+        {
+          Quarantine.q_workload = w.Workload.name;
+          q_program = program.Fingerprint.program;
+          q_hints = Quarantine.hints_key hints;
+          q_speedup = 0.5;
+        };
+      let doc =
+        { Hints_file.prov = None; entries = Hints_file.entries_of_hints hints }
+      in
+      let g = Pipeline.run_guarded ~floor ~quarantine:q ~doc w in
+      (match g.Pipeline.g_outcome with
+      | Pipeline.Known_bad { fallback = Pipeline.Pinned_baseline; _ } -> ()
+      | o -> Alcotest.fail (tag ^ ": " ^ Pipeline.guard_outcome_to_string o));
+      let reason = "hint set quarantined (0.500x on record)" in
+      let reference =
+        (Pipeline.measure
+           ~transform:(fun inst ->
+             match hints with
+             | [] -> ([], [])
+             | _ :: _ ->
+               Pipeline.apply_hints ~veto:(fun _ -> Some reason) ~hints inst)
+           w)
+          .Pipeline.tenant
+      in
+      let f = g.Pipeline.g_final in
+      Alcotest.(check bool) (tag ^ ": outcome") true
+        (f.Pipeline.outcome = reference.Pipeline.outcome);
+      Alcotest.(check bool) (tag ^ ": verified") true
+        (f.Pipeline.verified = reference.Pipeline.verified);
+      Alcotest.(check bool) (tag ^ ": injected") true
+        (f.Pipeline.injected = reference.Pipeline.injected);
+      Alcotest.(check (list (pair int string)))
+        (tag ^ ": skipped") reference.Pipeline.skipped f.Pipeline.skipped)
+    [
+      ("no hints", []);
+      ("one hint", [ hint d 8 ]);
+      ("duplicate hints", [ hint other 4; hint d 8; hint other 16; hint d 2 ]);
+    ]
+
 (* A caller-supplied fingerprint of a fresh build stands in for the one
    [run_guarded] would take itself: same record, wall time aside. *)
 let test_guard_program_argument_is_transparent () =
@@ -430,7 +496,7 @@ let test_guard_program_argument_is_transparent () =
     (fun (tag, w) ->
       let run ?program () =
         strip
-          (Pipeline.run_guarded ~remap:Remap.default_config
+          (Pipeline.run_guarded ~remap:true
              ~quarantine:(Quarantine.create ()) ?program ~doc w)
       in
       let program =
@@ -474,7 +540,7 @@ let test_guard_baseline_argument_is_transparent () =
             Trace.reset ())
         @@ fun () ->
         let g =
-          Pipeline.run_guarded ~remap:Remap.default_config
+          Pipeline.run_guarded ~remap:true
             ~quarantine:(Quarantine.create ()) ?baseline ~doc w
         in
         (strip g, executed ())
@@ -519,7 +585,7 @@ let test_guard_with_remap_recovers_mutations () =
     (fun (tag, mutate) ->
       let mw = mutated w ~tag mutate in
       let g =
-        Pipeline.run_guarded ~remap:Remap.default_config ~doc mw
+        Pipeline.run_guarded ~remap:true ~doc mw
       in
       let r = Option.get g.Pipeline.g_remap in
       let recovered = r.Remap.kept + r.Remap.remapped + r.Remap.rescaled in
@@ -582,6 +648,8 @@ let () =
           Alcotest.test_case "blind stale hints regress" `Quick test_blind_stale_hints_regress;
           Alcotest.test_case "quarantines and remembers" `Quick test_guard_quarantines_and_remembers;
           Alcotest.test_case "baseline fallback" `Quick test_guard_baseline_fallback_when_aj_misses_floor;
+          Alcotest.test_case "pinned fallback is the vetoed run" `Quick
+            test_guard_pinned_fallback_is_vetoed_run;
           Alcotest.test_case "remap recovers mutations" `Quick test_guard_with_remap_recovers_mutations;
           Alcotest.test_case "program argument is transparent" `Quick
             test_guard_program_argument_is_transparent;

@@ -66,7 +66,7 @@ let resolve = function
   | "micro-broken" -> Some (broken_micro ())
   | _ -> None
 
-let handler_config = { Handler.default_config with Handler.resolve }
+let handler_config = { Handler.resolve }
 
 let server_config ?(capacity = 64) ?jobs ?(threshold = 3) ?(cooldown = 2) spool
     =
@@ -1079,7 +1079,7 @@ let test_warm_request_builds_nothing () =
   with_spool @@ fun root ->
   let w, builds = counted () in
   let config =
-    { handler_config with Handler.resolve = (fun _ -> Some w) }
+    { Handler.resolve = (fun _ -> Some w) }
   in
   let tenant = tenant_in root "t-warm" in
   let ask id =
@@ -1100,7 +1100,7 @@ let test_memo_does_not_alias_programs () =
   let w = micro_w ~name:"micro-shipped" () in
   let current = ref w in
   let config =
-    { handler_config with Handler.resolve = (fun _ -> Some !current) }
+    { Handler.resolve = (fun _ -> Some !current) }
   in
   let tenant = tenant_in root "t-ship" in
   let doc = Lazy.force micro_doc in
@@ -1165,7 +1165,7 @@ let test_shipped_store_does_not_leak () =
   let doc = Lazy.force micro_doc in
   let ask w ?program root id =
     let config =
-      { handler_config with Handler.resolve = (fun _ -> Some w) }
+      { Handler.resolve = (fun _ -> Some w) }
     in
     Handler.run config ~tenant:(tenant_in root "t-cow")
       (req ~workload:w.Workload.name ~hints:doc ?program id)
