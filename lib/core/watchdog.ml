@@ -87,6 +87,9 @@ let run ?config ?crash ~machine stage f =
   let capped = cap ?config ?crash stage machine in
   try f capped with
   | Machine.Deadline_blown { cycles; limit } ->
+    (* The run's memory is unspecified past a deadline (see
+       Machine.execute); every caller drops the instance on a
+       timeout. *)
     (* The armed crash point wins over the budget whenever it set (or
        tied) the effective limit: process death preempts supervision. *)
     if kill > 0 && limit = kill then

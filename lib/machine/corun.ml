@@ -69,47 +69,56 @@ let run ?(config = Machine.default_config) ?engine ?(policy = Round_robin)
   in
   let n = Array.length sps in
   let remaining = ref n in
-  (match policy with
-  | Round_robin ->
-    (* One block per turn, rotating over the live streams in attach
-       order; finished streams drop out of the rotation. *)
-    let idx = ref 0 in
-    while !remaining > 0 do
-      let _, sp = sps.(!idx) in
-      if not (sp.Machine.sp_finished ()) && not (sp.Machine.sp_step ()) then
-        decr remaining;
-      idx := (!idx + 1) mod n
-    done
-  | Cycle_ratio weights ->
-    List.iter
-      (fun w ->
-        if w <= 0 then
-          invalid_arg "Corun.run: cycle-ratio weights must be positive")
-      weights;
-    let w =
-      Array.init n (fun i ->
-          match List.nth_opt weights i with Some x -> x | None -> 1)
-    in
-    (* Advance the live stream with the smallest weighted cycle count
-       (cycle / weight, compared cross-multiplied so everything stays
-       in integers); ties go to the lowest stream index. Streams make
-       progress proportional to their weights in simulated cycles. *)
-    while !remaining > 0 do
-      let best = ref (-1) in
-      for i = n - 1 downto 0 do
-        let _, sp = sps.(i) in
-        if not (sp.Machine.sp_finished ()) then
-          if !best < 0 then best := i
-          else
-            let _, bsp = sps.(!best) in
-            if
-              sp.Machine.sp_cycle () * w.(!best)
-              <= bsp.Machine.sp_cycle () * w.(i)
-            then best := i
-      done;
-      let _, sp = sps.(!best) in
-      if not (sp.Machine.sp_step ()) then decr remaining
-    done);
+  let schedule () =
+    match policy with
+    | Round_robin ->
+      (* One block per turn, rotating over the live streams in attach
+         order; finished streams drop out of the rotation. *)
+      let idx = ref 0 in
+      while !remaining > 0 do
+        let _, sp = sps.(!idx) in
+        if not (sp.Machine.sp_finished ()) && not (sp.Machine.sp_step ()) then
+          decr remaining;
+        idx := (!idx + 1) mod n
+      done
+    | Cycle_ratio weights ->
+      List.iter
+        (fun w ->
+          if w <= 0 then
+            invalid_arg "Corun.run: cycle-ratio weights must be positive")
+        weights;
+      let w =
+        Array.init n (fun i ->
+            match List.nth_opt weights i with Some x -> x | None -> 1)
+      in
+      (* Advance the live stream with the smallest weighted cycle count
+         (cycle / weight, compared cross-multiplied so everything stays
+         in integers); ties go to the lowest stream index. Streams make
+         progress proportional to their weights in simulated cycles. *)
+      while !remaining > 0 do
+        let best = ref (-1) in
+        for i = n - 1 downto 0 do
+          let _, sp = sps.(i) in
+          if not (sp.Machine.sp_finished ()) then
+            if !best < 0 then best := i
+            else
+              let _, bsp = sps.(!best) in
+              if
+                sp.Machine.sp_cycle () * w.(!best)
+                <= bsp.Machine.sp_cycle () * w.(i)
+              then best := i
+        done;
+        let _, sp = sps.(!best) in
+        if not (sp.Machine.sp_step ()) then decr remaining
+      done
+  in
+  (* A stream that raises leaves the others mid-run: stop their
+     producers before re-raising. *)
+  (match schedule () with
+  | () -> ()
+  | exception e ->
+    Array.iter (fun (_, sp) -> sp.Machine.sp_close ()) sps;
+    raise e);
   Array.to_list
     (Array.map
        (fun (s, sp) ->

@@ -468,9 +468,11 @@ type stepper = {
   sp_cycle : unit -> int;
   sp_finished : unit -> bool;
   sp_finish : unit -> outcome;
+  sp_close : unit -> unit;
 }
 
-let make_stepper ?(config = default_config) ?engine ?hierarchy ?sampler
+(* A stepper and the loop that runs it to completion. *)
+let stepper_and_run ?(config = default_config) ?engine ?hierarchy ?sampler
     ?window_cycles ?on_window ?(args = []) ~mem (f : Ir.func) =
   let engine =
     match engine with Some e -> e | None -> Atomic.get default_engine_a
@@ -492,13 +494,24 @@ let make_stepper ?(config = default_config) ?engine ?hierarchy ?sampler
   let regs = Array.make (max 1 f.Ir.next_reg) 0 in
   Exec.bind_params f regs args;
   let plan = Compile.plan f in
-  let st, ret, step =
+  let interp (st, ret, step) =
+    ( st,
+      ret,
+      step,
+      (fun () ->
+        while step () do
+          ()
+        done),
+      ignore )
+  in
+  let st, ret, step, run, close =
     match (engine, config.core) with
     | Interp, Blocking ->
-      stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs ~plan f
+      interp (stepper_blocking ~config ~hier ~sampler ~wtick ~mem ~regs ~plan f)
     | Interp, Stall_on_use { window } ->
-      stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
-        ~plan f
+      interp
+        (stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
+           ~plan f)
     | Compiled, Blocking ->
       Compiled.stepper_blocking ~config ~hier ~sampler ~windowing ~mem ~regs
         ~plan f
@@ -531,23 +544,31 @@ let make_stepper ?(config = default_config) ?engine ?hierarchy ?sampler
       outcome := Some o;
       o
   in
-  {
-    sp_step;
-    sp_cycle = (fun () -> st.Exec.cycle);
-    sp_finished = (fun () -> !finished);
-    sp_finish;
-  }
+  ( {
+      sp_step;
+      sp_cycle = (fun () -> st.Exec.cycle);
+      sp_finished = (fun () -> !finished);
+      sp_finish;
+      sp_close = close;
+    },
+    fun () ->
+      run ();
+      finished := true )
+
+let make_stepper ?config ?engine ?hierarchy ?sampler ?window_cycles ?on_window
+    ?args ~mem f =
+  fst
+    (stepper_and_run ?config ?engine ?hierarchy ?sampler ?window_cycles
+       ?on_window ?args ~mem f)
 
 let execute ?config ?engine ?hierarchy ?sampler ?window_cycles ?on_window
     ?args ~mem (f : Ir.func) =
   let t0 = Clock.now () in
-  let sp =
-    make_stepper ?config ?engine ?hierarchy ?sampler ?window_cycles ?on_window
-      ?args ~mem f
+  let sp, run =
+    stepper_and_run ?config ?engine ?hierarchy ?sampler ?window_cycles
+      ?on_window ?args ~mem f
   in
-  while sp.sp_step () do
-    ()
-  done;
+  run ();
   let o = sp.sp_finish () in
   let wall = Clock.now () -. t0 in
   note_run ~cycles:o.cycles ~wall_s:wall;

@@ -6,12 +6,16 @@
     and raise points):
 
     - {!Compiled} (the default): a one-time pass lowers each basic
-      block into one OCaml closure with operand shapes, layout PCs,
-      sampler hooks and the phi moves of each edge pre-resolved, and
-      batches pure ALU runs in every run, sampled, windowed or
-      deadlined ones included (event-horizon accounting, see
-      {!Exec.horizon}). About 3-4x faster than the interpreter on
-      ALU-bound code and 1.2-1.6x on load-bound code.
+      block twice. A functional closure updates registers and memory,
+      picks the successor and appends the block's load and prefetch
+      addresses, [Work] amounts and successor to an int ring; a timing
+      loop replays those records with the charges, hierarchy calls,
+      sampler hooks, windows and deadline (event-horizon accounting,
+      see {!Exec.horizon}). The functional half runs ahead on a helper
+      domain when the domain budget has a spare slot
+      ({!Aptget_util.Pool.spawn_helper}; [APTGET_JOBS=1] leaves none),
+      else on the calling domain in batches. Placement never changes
+      an outcome.
     - {!Interp}: the original match-dispatch interpreter, kept as the
       differential oracle ([--engine interp] in the CLI and bench; the
       [test_engine] suite cross-checks the two on random programs).
@@ -186,7 +190,16 @@ val execute :
     (see {!Aptget_cache.Hierarchy.set_prefetch_limit}); this holds for
     a supplied [hierarchy] too.
 
-    Raises [Invalid_argument] on malformed IR and memory errors. *)
+    Raises [Invalid_argument] on malformed IR and memory errors.
+
+    Memory after a raise: after [Fuse_blown] or a memory error, [mem]
+    holds exactly the interpreter's writes, none past the raising
+    instruction. After [Deadline_blown], or an exception raised by
+    [on_window], it is unspecified: the compiled engine's functional
+    half may have run ahead of the timing. Callers discard the
+    instance then (the watchdog's callers do). Either
+    way the helper domain, if any, is joined before the exception
+    leaves [execute]. *)
 
 type stepper = {
   sp_step : unit -> bool;
@@ -201,6 +214,11 @@ type stepper = {
           Idempotent. Does not feed the process-wide throughput
           accumulators — drivers that want that use {!execute} or
           account for the whole schedule themselves. *)
+  sp_close : unit -> unit;
+      (** Stop and join the stepper's producer domain, if it has one.
+          Idempotent. A step that returns false or raises has already
+          done it; a driver that abandons a stepper mid-run (another
+          stream raised) calls it. *)
 }
 (** A resumable execution: {!make_stepper} runs all setup eagerly,
     then each [sp_step] advances the program by exactly one block

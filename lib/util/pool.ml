@@ -34,16 +34,50 @@ let set_monitor m = Atomic.set monitor m
 
 let clamp_jobs j = if j < 1 then 1 else if j > 64 then 64 else j
 
+(* Simulation domains. [busy] counts pool tasks running now; a domain
+   outside any batch counts as one. [helpers] counts the helper domains
+   {!spawn_helper} has running. Both count against the domain budget:
+   [APTGET_JOBS], else the host's core count. The [--jobs] override
+   sets only how wide a pool fans out. *)
+let busy = Atomic.make 0
+let helpers = Atomic.make 0
+let started = Atomic.make 0
+
+let domain_budget () =
+  match Sys.getenv_opt "APTGET_JOBS" with
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some j when j >= 1 -> clamp_jobs j
+    | Some _ | None -> 1)
+  | None -> clamp_jobs (Domain.recommended_domain_count ())
+
 let default_jobs () =
   match Atomic.get override with
   | Some j -> clamp_jobs j
-  | None -> (
-    match Sys.getenv_opt "APTGET_JOBS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some j when j >= 1 -> clamp_jobs j
-      | Some _ | None -> 1)
-    | None -> clamp_jobs (Domain.recommended_domain_count ()))
+  | None -> domain_budget ()
+
+let spawn_helper job =
+  let budget = domain_budget () in
+  let rec claim () =
+    let h = Atomic.get helpers in
+    max 1 (Atomic.get busy) + h < budget
+    && (Atomic.compare_and_set helpers h (h + 1) || claim ())
+  in
+  if not (claim ()) then None
+  else
+    match Domain.spawn job with
+    | d ->
+      Atomic.incr started;
+      Some
+        (fun () ->
+          Fun.protect ~finally:(fun () -> Atomic.decr helpers) (fun () ->
+              Domain.join d))
+    | exception _ ->
+      Atomic.decr helpers;
+      None
+
+let running_helpers () = Atomic.get helpers
+let helpers_started () = Atomic.get started
 
 let rec worker_loop t =
   Mutex.lock t.mutex;
@@ -124,6 +158,7 @@ let mapi t f xs =
         | exception e -> errors.(i) <- Some e
       in
       let task i () =
+        Atomic.incr busy;
         (match mon with
         | None -> body i
         | Some m ->
@@ -132,6 +167,7 @@ let mapi t f xs =
           let stop = Clock.now () in
           m.on_task ~wait_s:(start -. submitted) ~run_s:(stop -. start)
             ~helper:((Domain.self () :> int) = caller));
+        Atomic.decr busy;
         Mutex.lock done_mutex;
         decr remaining;
         if !remaining = 0 then Condition.broadcast done_cond;

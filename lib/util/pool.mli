@@ -71,3 +71,26 @@ val set_monitor : monitor option -> unit
     at most one item — bypass the queue and are not reported. The obs
     layer installs this; it lives here only because this library sits
     below it in the dependency graph. *)
+
+(** {1 Helper domains}
+
+    A simulation may split one run over two domains
+    ({!Aptget_machine.Machine.execute}). Every domain that simulates
+    counts against one budget: the [APTGET_JOBS] environment variable,
+    else [Domain.recommended_domain_count ()]. Pool tasks running now
+    count (a domain outside any batch counts as one), and so do helpers.
+    The [--jobs] override ({!set_default_jobs}) only sets how wide a
+    pool fans out, so a serial pool on a two-core host still leaves one
+    slot for a helper, and [APTGET_JOBS=1] leaves none. *)
+
+val spawn_helper : (unit -> unit) -> (unit -> unit) option
+(** [spawn_helper job] runs [job] on a new domain if the budget has a
+    spare slot, and returns the function that joins it and frees the
+    slot (call it exactly once); [None] when there is no slot. [job]
+    must not raise. *)
+
+val running_helpers : unit -> int
+(** Helper domains spawned and not yet joined. *)
+
+val helpers_started : unit -> int
+(** Helper domains spawned so far in this process. *)

@@ -3,15 +3,28 @@
    The compiled engine must be byte-identical to the reference
    interpreter: same cycles, instrs, loads, prefetches and return
    value; same sampler LBR/PEBS tallies and fault stats; same window
-   reports; and the same exception payloads ([Fuse_blown],
-   [Deadline_blown], watchdog timeouts, missing phi edges) raised at
-   the same instruction/cycle. *)
+   reports; the same hierarchy counters; the same memory, word for
+   word, after a run or a blown fuse; and the same exception payloads
+   ([Fuse_blown], [Deadline_blown], watchdog timeouts, missing phi
+   edges, out-of-bounds accesses) raised at the same
+   instruction/cycle. Memory after [Deadline_blown] is unspecified (the
+   compiled engine's functional half may have run ahead) and is not
+   compared.
+
+   The compiled engine runs in one of two placements: its functional
+   half on the consuming domain, or on a helper domain when the domain
+   budget ([APTGET_JOBS]) has a spare slot. The property and the
+   pinned placement tests run under both. *)
 
 module Machine = Aptget_machine.Machine
 module Sampler = Aptget_pmu.Sampler
 module Faults = Aptget_pmu.Faults
 module Lbr = Aptget_pmu.Lbr
 module Watchdog = Aptget_core.Watchdog
+module Hierarchy = Aptget_cache.Hierarchy
+module Memory = Aptget_mem.Memory
+module Pool = Aptget_util.Pool
+module Crc32 = Aptget_store.Crc32
 
 let engines = [ Machine.Interp; Machine.Compiled ]
 
@@ -26,7 +39,30 @@ type run = {
   misses : int;
   fault_stats : Faults.stats option;
   windows : Machine.window_report list;
+  counters : Hierarchy.counters;
+  mem_crc : int option;  (* None after [Deadline_blown] *)
 }
+
+(* CRC of every allocated word. *)
+let mem_crc mem =
+  let n = Memory.size_words mem in
+  let b = Bytes.create (8 * n) in
+  for a = 0 to n - 1 do
+    Bytes.set_int64_le b (8 * a) (Int64.of_int (Memory.get mem a))
+  done;
+  Crc32.string (Bytes.unsafe_to_string b)
+
+(* Run [f] with the domain budget set to [jobs]: "1" keeps the
+   compiled engine's functional half on the consuming domain, "2"
+   leaves a slot for a helper. *)
+let with_jobs jobs f =
+  let prev = Sys.getenv_opt "APTGET_JOBS" in
+  Unix.putenv "APTGET_JOBS" jobs;
+  Fun.protect f ~finally:(fun () ->
+      Unix.putenv "APTGET_JOBS"
+        (match prev with
+        | Some v -> v
+        | None -> string_of_int (Domain.recommended_domain_count ())))
 
 let make_sampler ?faults ?(lbr_period = 500) () =
   let faults =
@@ -46,14 +82,16 @@ let lbr_of s =
     (Sampler.lbr_samples s)
 
 (* [sampler] is used as given, so a caller can carry one across runs. *)
-let run_with ~engine ?config ?sampler ?window_cycles f =
+let run_with ~engine ?(config = Machine.default_config) ?sampler
+    ?window_cycles f =
   let mem, base = Branchy.fresh_mem () in
+  let hierarchy = Hierarchy.create config.Machine.hierarchy in
   let windows = ref [] in
   let on_window w = windows := w :: !windows in
   let outcome, failure =
     match
-      Machine.execute ?config ~engine ?sampler ?window_cycles ~on_window
-        ~args:[ base; 7 ] ~mem f
+      Machine.execute ~config ~engine ~hierarchy ?sampler ?window_cycles
+        ~on_window ~args:[ base; 7 ] ~mem f
     with
     | o ->
       ( Some
@@ -67,6 +105,12 @@ let run_with ~engine ?config ?sampler ?window_cycles f =
       (None, Some (Printf.sprintf "Fuse_blown %d" n))
     | exception Machine.Deadline_blown { cycles; limit } ->
       (None, Some (Printf.sprintf "Deadline_blown %d/%d" cycles limit))
+    | exception Invalid_argument m -> (None, Some ("Invalid_argument " ^ m))
+  in
+  let deadline =
+    match failure with
+    | Some s -> String.starts_with ~prefix:"Deadline_blown" s
+    | None -> false
   in
   let lbr, delinquent, misses, fault_stats =
     match sampler with
@@ -85,6 +129,8 @@ let run_with ~engine ?config ?sampler ?window_cycles f =
     misses;
     fault_stats;
     windows = List.rev !windows;
+    counters = Hierarchy.counters hierarchy;
+    mem_crc = (if deadline then None else Some (mem_crc mem));
   }
 
 let check_identical what runs =
@@ -104,7 +150,11 @@ let check_identical what runs =
         Alcotest.(check bool)
           (ctx ^ " fault stats") true
           (r0.fault_stats = r.fault_stats);
-        Alcotest.(check bool) (ctx ^ " windows") true (r0.windows = r.windows))
+        Alcotest.(check bool) (ctx ^ " windows") true (r0.windows = r.windows);
+        Alcotest.(check bool)
+          (ctx ^ " counters") true
+          (r0.counters = r.counters);
+        Alcotest.(check (option int)) (ctx ^ " memory crc") r0.mem_crc r.mem_crc)
       rest
 
 (* [sampler] makes a fresh sampler for each engine's run. *)
@@ -172,6 +222,23 @@ let test_fuse_parity () =
         (ename e ^ " fuse payload")
         (Some "Fuse_blown 10001") r.failure)
     runs
+
+(* Every fuse value over a short kernel with stores: the blow lands on
+   every instruction of the loop body, and no store after it may reach
+   memory. *)
+let test_no_write_past_fuse () =
+  let f = Branchy.kernel ~n:12 ~stride:5 ~with_prefetch:true ~with_store:true () in
+  List.iter
+    (fun (core, config) ->
+      for fuse = 1 to 250 do
+        check_identical
+          (Printf.sprintf "%s fuse %d" core fuse)
+          (all_engines ~config:{ config with Machine.max_instructions = fuse } f)
+      done)
+    [
+      ("blocking", Machine.default_config);
+      ("stall-on-use", Machine.stall_on_use_config ());
+    ]
 
 let test_deadline_parity () =
   let f = Branchy.kernel ~n:100_000 ~stride:3 ~with_prefetch:true ~with_store:false () in
@@ -360,6 +427,160 @@ let test_missing_phi_edge () =
         [ false; true ])
     cores
 
+(* ---------------- placement and edge cases ---------------- *)
+
+let both_placements = [ ("helper", "2"); ("one domain", "1") ]
+
+(* A long run under each placement: a helper is started exactly when
+   the budget has a slot, and the engines agree either way. *)
+let test_placements () =
+  let f = Branchy.kernel ~n:20_000 ~stride:17 ~with_prefetch:true ~with_store:true () in
+  List.iter
+    (fun (name, jobs) ->
+      with_jobs jobs @@ fun () ->
+      let before = Pool.helpers_started () in
+      List.iter
+        (fun (core, config) ->
+          check_identical (name ^ " " ^ core) (all_engines ~config f))
+        cores;
+      Alcotest.(check bool)
+        (name ^ ": helper started") (jobs = "2")
+        (Pool.helpers_started () > before);
+      Alcotest.(check int) (name ^ ": no helper left") 0
+        (Pool.running_helpers ()))
+    both_placements
+
+(* Each edge case must match the interpreter in exception, payload,
+   hierarchy counters and memory, under both placements and on both
+   cores. *)
+let check_edge what ?(expect = "") f =
+  List.iter
+    (fun (name, jobs) ->
+      with_jobs jobs @@ fun () ->
+      List.iter
+        (fun (core, config) ->
+          let what = Printf.sprintf "%s (%s, %s)" what name core in
+          let runs = all_engines ~config f in
+          check_identical what runs;
+          List.iter
+            (fun (_, r) ->
+              let failure = Option.value r.failure ~default:"" in
+              if not (String.starts_with ~prefix:expect failure) then
+                Alcotest.failf "%s: expected %S, got %S" what expect failure)
+            runs)
+        cores)
+    both_placements
+
+(* A loop whose body is one block with [loads] loads, summed. *)
+let wide_block ~loads ~iters =
+  let b = Builder.create ~name:"wide" ~nparams:2 in
+  let base = List.hd (Builder.params b) in
+  let final =
+    Builder.for_loop_acc b ~from:(Ir.Imm 0) ~bound:(`Op (Ir.Imm iters))
+      ~init:[ Ir.Imm 0 ]
+      (fun b _ accs ->
+        let acc = ref (List.hd accs) in
+        for k = 0 to loads - 1 do
+          let v = Builder.load b (Builder.add b base (Ir.Imm (k * 7 mod 2048))) in
+          acc := Builder.add b !acc v
+        done;
+        [ !acc ])
+  in
+  Builder.ret b (Some (List.hd final));
+  Builder.finish b
+
+let test_block_wider_than_ring () =
+  check_edge "20000 loads in one block" (wide_block ~loads:20_000 ~iters:3)
+
+let test_work_only_loop () =
+  let b = Builder.create ~name:"work" ~nparams:2 in
+  Builder.for_loop b ~from:(Ir.Imm 0) ~bound:(Ir.Imm 5_000) (fun b i ->
+      Builder.work b (Builder.binop b Ir.And i (Ir.Imm 7)));
+  Builder.ret b None;
+  let f = Builder.finish b in
+  check_edge "work-only loop" f;
+  List.iter
+    (fun (core, config) ->
+      let runs =
+        all_engines ~config:{ config with Machine.max_instructions = 9_001 } f
+      in
+      check_identical ("work-only loop, fuse " ^ core) runs;
+      List.iter
+        (fun (_, r) ->
+          Alcotest.(check (option string))
+            "fuse payload" (Some "Fuse_blown 9002") r.failure)
+        runs)
+    cores
+
+let test_negative_prefetch () =
+  let b = Builder.create ~name:"negpf" ~nparams:2 in
+  let base = List.hd (Builder.params b) in
+  Builder.for_loop b ~from:(Ir.Imm 0) ~bound:(Ir.Imm 3_000) (fun b i ->
+      Builder.prefetch b (Ir.Imm (-8));
+      Builder.prefetch b (Builder.sub b (Ir.Imm (-1)) i);
+      ignore (Builder.load b (Builder.add b base (Builder.binop b Ir.And i (Ir.Imm 1023)))));
+  Builder.ret b None;
+  check_edge "negative prefetch" (Builder.finish b)
+
+(* The hierarchy sees an out-of-bounds load before [Memory.get]
+   raises; an out-of-bounds store raises before its charge. Stores
+   before the fault land in memory on both engines. *)
+let test_out_of_bounds () =
+  let oob ~store =
+    let b = Builder.create ~name:"oob" ~nparams:2 in
+    let base = List.hd (Builder.params b) in
+    Builder.for_loop b ~from:(Ir.Imm 0) ~bound:(Ir.Imm 4_000) (fun b i ->
+        let addr = Builder.add b base (Builder.mul b i (Ir.Imm 61)) in
+        if store then Builder.store b ~addr ~value:i
+        else begin
+          Builder.store b ~addr:base ~value:i;
+          ignore (Builder.load b addr)
+        end);
+    Builder.ret b None;
+    Builder.finish b
+  in
+  check_edge "out-of-bounds load" ~expect:"Invalid_argument" (oob ~store:false);
+  check_edge "out-of-bounds store" ~expect:"Invalid_argument" (oob ~store:true)
+
+let test_missing_phi_counters () =
+  let f = Branchy.kernel ~n:4000 ~stride:17 ~with_prefetch:true ~with_store:true () in
+  let join =
+    let rec find b =
+      match f.Ir.blocks.(b).Ir.phis with [ _ ] -> b | _ -> find (b + 1)
+    in
+    find 0
+  in
+  (match f.Ir.blocks.(join).Ir.phis with
+  | [ ({ Ir.incoming = [ kept; _ ]; _ } as p) ] ->
+    f.Ir.blocks.(join).Ir.phis <- [ { p with Ir.incoming = [ kept ] } ]
+  | _ -> Alcotest.fail "expected a join phi with two incoming edges");
+  check_edge "missing phi edge" ~expect:"Invalid_argument" f
+
+(* A deadline blown after the producer moved to a helper: every
+   execute re-raises only once its producer is joined. *)
+let test_deadline_leaves_no_producer () =
+  let f = Branchy.kernel ~n:100_000 ~stride:3 ~with_prefetch:true ~with_store:true () in
+  with_jobs "2" @@ fun () ->
+  let before = Pool.helpers_started () in
+  List.iter
+    (fun (core, config) ->
+      let config = { config with Machine.max_cycles = 200_001 } in
+      for k = 1 to 50 do
+        let mem, base = Branchy.fresh_mem () in
+        (match
+           Machine.execute ~config ~engine:Machine.Compiled ~args:[ base; 7 ]
+             ~mem f
+         with
+        | _ -> Alcotest.fail "expected Deadline_blown"
+        | exception Machine.Deadline_blown _ -> ());
+        if Pool.running_helpers () <> 0 then
+          Alcotest.failf "%s execute %d: a producer is still running" core k
+      done)
+    cores;
+  Alcotest.(check bool)
+    "helpers were used" true
+    (Pool.helpers_started () >= before + 100)
+
 (* ---------------- property: mutate-derived programs ---------------- *)
 
 (* Random structural mutations (entry padding, dead code, block
@@ -384,7 +605,7 @@ type case = {
 
 let case_gen =
   QCheck.Gen.(
-    let* n = int_range 1 400 in
+    let* n = oneof [ int_range 1 400; int_range 400 3_000 ] in
     let* stride = int_range 1 64 in
     let* mutations = int_range 0 3 in
     let* salt = small_int in
@@ -415,11 +636,13 @@ let case_print c =
     c.n c.stride c.mutations c.salt (o c.lbr_period) (o c.fault_seed)
     (o c.window_cycles) c.max_cycles (o c.fuse)
 
-let prop_mutated_programs =
-  QCheck.Test.make ~name:"engines agree on mutated programs" ~count:30
-    ~long_factor:20
+let prop_mutated_programs (placement, jobs) =
+  QCheck.Test.make
+    ~name:("engines agree on mutated programs" ^ placement)
+    ~count:30 ~long_factor:20
     (QCheck.make ~print:case_print case_gen)
     (fun c ->
+      with_jobs jobs @@ fun () ->
       let f =
         Branchy.kernel ~n:c.n ~stride:c.stride
           ~with_prefetch:(c.salt land 1 = 0)
@@ -466,12 +689,26 @@ let () =
           Alcotest.test_case "stall-on-use parity" `Quick
             test_stall_on_use_parity;
           Alcotest.test_case "fuse parity" `Quick test_fuse_parity;
+          Alcotest.test_case "no write past a blown fuse" `Quick
+            test_no_write_past_fuse;
           Alcotest.test_case "deadline parity" `Quick test_deadline_parity;
           Alcotest.test_case "watchdog parity" `Quick test_watchdog_parity;
           Alcotest.test_case "window parity" `Quick test_window_parity;
           Alcotest.test_case "sampler reuse across runs" `Quick
             test_sampler_reuse;
           Alcotest.test_case "missing phi edge" `Quick test_missing_phi_edge;
-          QCheck_alcotest.to_alcotest prop_mutated_programs;
-        ] );
+          Alcotest.test_case "placements" `Quick test_placements;
+          Alcotest.test_case "block wider than the ring" `Quick
+            test_block_wider_than_ring;
+          Alcotest.test_case "work-only loop" `Quick test_work_only_loop;
+          Alcotest.test_case "negative prefetch" `Quick test_negative_prefetch;
+          Alcotest.test_case "out-of-bounds access" `Quick test_out_of_bounds;
+          Alcotest.test_case "missing phi edge, counters" `Quick
+            test_missing_phi_counters;
+          Alcotest.test_case "deadline leaves no producer" `Quick
+            test_deadline_leaves_no_producer;
+        ]
+        @ List.map
+            (fun p -> QCheck_alcotest.to_alcotest (prop_mutated_programs p))
+            [ ("", "2"); (", one domain", "1") ] );
     ]
