@@ -32,6 +32,7 @@ module Faults = Aptget_pmu.Faults
 module Remap = Aptget_profile.Remap
 module Hints_file = Aptget_profile.Hints_file
 module Quarantine = Aptget_core.Quarantine
+module Meas_cache = Aptget_core.Meas_cache
 module Campaign = Aptget_core.Campaign
 module Watchdog = Aptget_core.Watchdog
 module Crash = Aptget_store.Crash
@@ -407,7 +408,9 @@ let run_cmd =
        the baseline of record: a fresh profiling run is both, and under
        --robust Pipeline.run_robust profiles and hands its run back. A
        hints file is read once the baseline and A&J lines are out, so a
-       bad one still reports them. *)
+       bad one still reports them. The baseline and A&J runs printed
+       enter one memo, where the guard finds them. *)
+    let memo = Meas_cache.create () in
     let stage =
       if guard then Guarded
       else if remap then Remapped
@@ -417,7 +420,7 @@ let run_cmd =
     let source =
       match hints_path with
       | Some path -> File (path, lazy (load_doc ~lenient path))
-      | None -> Fresh (lazy (Pipeline.profiled ~options w))
+      | None -> Fresh (lazy (Pipeline.profiled ~memo ~options w))
     in
     let from, doc =
       match source with
@@ -443,10 +446,12 @@ let run_cmd =
       | Fresh p, _ ->
         let b, prof = Lazy.force p in
         (b, Some prof.Profiler.fault_stats)
-      | File _, _ -> (Pipeline.baseline w, None)
+      | File _, _ -> (Pipeline.measured ~memo Meas_cache.Unmodified w, None)
     in
     print_outcome "baseline" base;
-    let aj = Pipeline.aj w in
+    let aj =
+      Pipeline.measured ~memo (Meas_cache.Aj Aptget_passes.Aj.default_distance) w
+    in
     print_outcome "A&J" aj;
     Option.iter print_fault_stats fault_stats;
     (* Apply: print the hinted run and what the stage reports about it;
@@ -460,10 +465,7 @@ let run_cmd =
         let hints =
           if stage = Plain then Hints_file.hints_of_doc (Lazy.force doc)
           else begin
-            let current =
-              Aptget_ir.Fingerprint.fingerprint
-                (w.Workload.build ()).Workload.func
-            in
+            let current = (Meas_cache.program w).Meas_cache.fingerprint in
             let r = Remap.run ~current (Lazy.force doc) in
             print_remap r;
             r.Remap.hints
@@ -476,13 +478,9 @@ let run_cmd =
             (if stage = Plain then "%d hints%s" else "%d hint(s)%s")
             (List.length hints) from )
       | Guarded ->
-        (* The guard's A&J fallback is the run printed above. *)
-        let measure_cache ~variant run =
-          if variant = "guard-aj" then aj else run ()
-        in
         let g =
-          Pipeline.run_guarded ?quarantine ~remap ~floor:guard_floor
-            ~measure_cache ~baseline:base ~doc:(Lazy.force doc) w
+          Pipeline.run_guarded ~memo ?quarantine ~remap ~floor:guard_floor
+            ~doc:(Lazy.force doc) w
         in
         print_outcome "APT-GET" g.Pipeline.g_final;
         Option.iter print_remap g.Pipeline.g_remap;
@@ -1816,25 +1814,12 @@ let quarantine_cmd =
          its program hash matches the workload's current kernel — a
          stale fingerprint means the quarantined verdict is about a
          program that no longer exists. *)
-      let fp_cache = Hashtbl.create 8 in
-      let current_fp name =
-        match Hashtbl.find_opt fp_cache name with
-        | Some fp -> fp
-        | None ->
-          let fp =
-            Option.map
-              (fun w ->
-                (Aptget_ir.Fingerprint.fingerprint
-                   (w.Workload.build ()).Workload.func)
-                  .Aptget_ir.Fingerprint.program)
-              (Suite.find name)
-          in
-          Hashtbl.add fp_cache name fp;
-          fp
-      in
       let keep (e : Quarantine.entry) =
-        match current_fp e.Quarantine.q_workload with
-        | Some fp -> fp = e.Quarantine.q_program
+        match Suite.find e.Quarantine.q_workload with
+        | Some w ->
+          (Meas_cache.program w).Meas_cache.fingerprint
+            .Aptget_ir.Fingerprint.program
+          = e.Quarantine.q_program
         | None -> false
       in
       let dropped = Quarantine.compact q ~keep in

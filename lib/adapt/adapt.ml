@@ -2,6 +2,7 @@ module Pipeline = Aptget_core.Pipeline
 module Watchdog = Aptget_core.Watchdog
 module Breaker = Aptget_core.Breaker
 module Quarantine = Aptget_core.Quarantine
+module Meas_cache = Aptget_core.Meas_cache
 module Machine = Aptget_machine.Machine
 module Profiler = Aptget_profile.Profiler
 module Hints_file = Aptget_profile.Hints_file
@@ -90,28 +91,41 @@ type epoch = {
 }
 
 (* One supervised hinted run with the sampler re-profiling it and
-   counter windows collected: the loop's epoch. *)
-let epoch cfg ~sampler ?veto ~hints (w : Workload.t) =
+   counter windows collected: the loop's epoch. Sampling and windows do
+   not perturb the run, so without a veto it is the run of its
+   validated hints and enters [memos] as such: a retune's guard
+   candidate equal to them is not simulated again. *)
+let epoch cfg ~memos ~sampler ?veto ~hints (w : Workload.t) =
   Trace.with_span ~name:"pipeline.run-adaptive"
     ~attrs:[ ("workload", w.Workload.name) ]
   @@ fun () ->
   Sampler.reset sampler;
   let windows = ref [] in
-  let dropped = ref [] in
+  let used = ref [] and dropped = ref [] in
   (* An empty (or fully stale) hint list takes the injection pass's
      Algorithm-2 static fallback — the bottom rung of the degradation
      ladder runs A&J's fixed distance, not an unprefetched kernel. *)
   let transform (inst : Workload.instance) =
-    let used, d = Profiler.validate_hints inst.Workload.func hints in
+    let u, d = Profiler.validate_hints inst.Workload.func hints in
+    used := u;
     dropped := d;
-    Pipeline.apply_hints ?veto ~hints:used inst
+    Pipeline.apply_hints ?veto ~hints:u inst
   in
+  let config = cfg.options.Profiler.machine in
   let r =
-    Pipeline.measure ~config:cfg.options.Profiler.machine
-      ~watchdog:cfg.watchdog ~sampler ~window_cycles:cfg.window_cycles
+    Pipeline.measure ~config ~watchdog:cfg.watchdog ~sampler
+      ~window_cycles:cfg.window_cycles
       ~on_window:(fun wr -> windows := wr :: !windows)
       ~transform w
   in
+  if Option.is_none veto then begin
+    let k =
+      Meas_cache.key ~workload:w.Workload.name ~program:(Meas_cache.program w)
+        ~config
+        (Meas_cache.Hints { hints = !used; cse = false })
+    in
+    List.iter (fun memo -> Meas_cache.add memo k r.Pipeline.tenant) memos
+  end;
   {
     e_measurement = r.Pipeline.tenant;
     e_windows = List.rev !windows;
@@ -165,31 +179,16 @@ let plan_of_profile ~options (p : Profiler.t) =
   | hs -> Hinted (Profiler.to_doc ~options p, hs)
 
 (* One retune: re-solve the model from the live re-fit and walk the
-   degradation ladder through the regression guard. Returns the new
-   plan, the action taken, the simulator cycles spent on supervised
-   guard runs, and the measurement the adopted plan stands behind. *)
-let retune cfg ?quarantine ~plan ~refit w =
+   degradation ladder through the regression guard, whose runs go
+   through [memo]. Returns the new plan, the action taken, and the
+   measurement the adopted plan stands behind. *)
+let retune cfg ~memo ?quarantine ~plan ~refit w =
   Trace.with_span ~name:"adapt.retune"
     ~attrs:[ ("workload", w.Workload.name) ]
   @@ fun () ->
-  let cycles = ref 0 in
-  (* Memoize guard runs by variant label within this retune: the
-     baseline and A&J measurements are shared between the refit attempt
-     and the last-good attempt (same segment, same build recipe). *)
-  let cache : (string, Pipeline.measurement) Hashtbl.t = Hashtbl.create 8 in
-  let measure_cache ~variant thunk =
-    match Hashtbl.find_opt cache variant with
-    | Some m -> m
-    | None ->
-        let m = thunk () in
-        cycles := !cycles + m.Pipeline.outcome.Machine.cycles;
-        Hashtbl.replace cache variant m;
-        m
-  in
-  let guarded ~program doc =
-    Pipeline.run_guarded ~config:cfg.options.Profiler.machine ~floor:cfg.floor
-      ?quarantine ~remap:true ~watchdog:cfg.watchdog
-      ~measure_cache ~program ~doc w
+  let guarded doc =
+    Pipeline.run_guarded ~memo ~config:cfg.options.Profiler.machine
+      ~floor:cfg.floor ?quarantine ~remap:true ~watchdog:cfg.watchdog ~doc w
   in
   let last_doc =
     match plan with Hinted (d, _) | Pinned (d, _) -> Some d | Aj_static -> None
@@ -221,14 +220,10 @@ let retune cfg ?quarantine ~plan ~refit w =
       @ match last_doc with Some d -> [ (`Last, d) ] | None -> []
     in
     match attempts with
-    | [] -> (plan, No_candidate, !cycles, None)
+    | [] -> (plan, No_candidate, None)
     | first :: rest ->
-        (* Both attempts guard the same build recipe: one fingerprint. *)
-        let program =
-          Fingerprint.fingerprint (w.Workload.build ()).Workload.func
-        in
         let rec go (kind, doc) rest =
-          let g = guarded ~program doc in
+          let g = guarded doc in
           match g.Pipeline.g_outcome with
           | Pipeline.Admitted ->
               let act =
@@ -236,19 +231,16 @@ let retune cfg ?quarantine ~plan ~refit w =
                 | `Refit -> Retuned g.Pipeline.g_speedup
                 | `Last -> Remapped g.Pipeline.g_speedup
               in
-              ( Hinted (doc, g.Pipeline.g_hints),
-                act,
-                !cycles,
-                Some g.Pipeline.g_final )
+              (Hinted (doc, g.Pipeline.g_hints), act, Some g.Pipeline.g_final)
           | _ -> (
               match rest with
               | next :: rest' -> go next rest'
               | [] ->
                   let plan', act = descend g ~doc in
-                  (plan', act, !cycles, Some g.Pipeline.g_final))
+                  (plan', act, Some g.Pipeline.g_final))
         in
         go first rest
-  with Watchdog.Timed_out _ -> (plan, Retune_timed_out, !cycles, None)
+  with Watchdog.Timed_out _ -> (plan, Retune_timed_out, None)
 
 let log_line (s : segment_result) =
   Printf.sprintf
@@ -260,7 +252,8 @@ let log_line (s : segment_result) =
     (Drift.verdict_to_string s.s_verdict)
     (action_to_string s.s_action) s.s_cycles s.s_retune_cycles
 
-let run ?(config = default_config) ?quarantine ~profile ~name segments =
+let run ?(config = default_config) ?memo:shared ?quarantine ~profile ~name
+    segments =
   Trace.with_span ~name:"adapt.run" ~attrs:[ ("workload", name) ]
   @@ fun () ->
   let cfg = config in
@@ -285,7 +278,11 @@ let run ?(config = default_config) ?quarantine ~profile ~name segments =
       in
       let plan_used = plan_to_string !plan in
       Drift.begin_epoch det;
-      let epoch = epoch cfg ~sampler ?veto ~hints:hints_arg w in
+      let memo = Meas_cache.create () in
+      let epoch =
+        epoch cfg ~memos:(memo :: Option.to_list shared) ~sampler ?veto
+          ~hints:hints_arg w
+      in
       (match epoch.e_measurement.Pipeline.verified with
       | Ok () -> ()
       | Error e ->
@@ -317,8 +314,18 @@ let run ?(config = default_config) ?quarantine ~profile ~name segments =
             match Breaker.acquire breaker with
             | Breaker.Refuse _ -> (Breaker_refused, 0)
             | Breaker.Run | Breaker.Probe ->
-                let plan', act, cycles, final =
-                  retune cfg ?quarantine ~plan:!plan ~refit:epoch.e_refit w
+                let plan', act, final =
+                  retune cfg ~memo ?quarantine ~plan:!plan ~refit:epoch.e_refit w
+                in
+                (* The segment's memo shares the baseline and A&J runs
+                   between the retune's attempts. A retune is charged
+                   every distinct guard run it consulted, the epoch's
+                   own included when it answered a candidate. *)
+                let cycles =
+                  List.fold_left
+                    (fun n (m : Pipeline.measurement) ->
+                      n + m.Pipeline.outcome.Machine.cycles)
+                    0 (Meas_cache.answered memo)
                 in
                 Breaker.record breaker ~ok:(retune_ok act);
                 plan := plan';

@@ -129,6 +129,7 @@ val prime : ?config:config -> Aptget_workloads.Workload.t -> Aptget_profile.Prof
 
 val run :
   ?config:config ->
+  ?memo:Aptget_core.Meas_cache.t ->
   ?quarantine:Aptget_core.Quarantine.t ->
   profile:Aptget_profile.Profiler.t ->
   name:string ->
@@ -136,8 +137,9 @@ val run :
   report
 (** Drive one epoch per segment, in order, starting from [profile]'s
     hints and evidence reference. [quarantine] persists guard verdicts
-    across retunes. A segment that fails semantic verification raises
-    [Failure]. *)
+    across retunes. An epoch whose plan vetoes nothing is the run of
+    its validated hints, so it enters [memo] as that run. A segment
+    that fails semantic verification raises [Failure]. *)
 
 val replicate : int -> Aptget_workloads.Workload.t -> Aptget_workloads.Workload.t list
 (** [n] copies named ["<name>@<i>"] — segments for workloads without

@@ -10,7 +10,7 @@ module Crash = Aptget_store.Crash
 module Trace = Aptget_obs.Trace
 module Metrics = Aptget_obs.Metrics
 
-type measurement = {
+type measurement = Meas_cache.measurement = {
   workload : string;
   outcome : Machine.outcome;
   verified : (unit, string) result;
@@ -176,16 +176,41 @@ let apply_hints ?(cse = false) ?veto ~hints (inst : Workload.instance) =
   if cse then ignore (Aptget_passes.Cse.run inst.Workload.func);
   (r.Aptget_pass.injected, r.Aptget_pass.skipped)
 
-let aj_pass ?distance (inst : Workload.instance) =
-  let r = Aj.run ?distance inst.Workload.func in
+let aj_pass ~distance (inst : Workload.instance) =
+  let r = Aj.run ~distance inst.Workload.func in
   (r.Aj.injected, r.Aj.skipped)
 
-let baseline w = (measure w).tenant
+let pass_of = function
+  | Meas_cache.Unmodified -> None
+  | Aj distance -> Some (aj_pass ~distance)
+  | Hints { hints; cse } -> Some (apply_hints ~cse ~hints)
 
-let aj ?distance w = (measure ~transform:(aj_pass ?distance) w).tenant
+let program_of ?program w =
+  match program with Some p -> p | None -> Meas_cache.program w
 
-let with_hints ?config ?cse ~hints w =
-  (measure ?config ~transform:(apply_hints ?cse ~hints) w).tenant
+let key ?program ~config transform (w : Workload.t) =
+  Meas_cache.key ~workload:w.Workload.name ~program:(program_of ?program w)
+    ~config transform
+
+let measured ?memo ?program ?(config = Machine.default_config) ?watchdog ?crash
+    transform w =
+  let run () =
+    (measure ~config ?watchdog ?crash ?transform:(pass_of transform) w).tenant
+  in
+  match memo with
+  | None -> run ()
+  | Some memo ->
+    Meas_cache.memoize memo
+      (key ?program ~config transform w)
+      ~caps:(Watchdog.cap ?config:watchdog ?crash Watchdog.Measure config)
+      run
+
+let baseline w = measured Meas_cache.Unmodified w
+
+let aj ?(distance = Aj.default_distance) w = measured (Meas_cache.Aj distance) w
+
+let with_hints ?config ?(cse = false) ~hints w =
+  measured ?config (Meas_cache.Hints { hints; cse }) w
 
 let profile_span (w : Workload.t) =
   Trace.with_span ~name:"pipeline.profile" ~attrs:[ ("workload", w.Workload.name) ]
@@ -199,14 +224,25 @@ let sample ?watchdog ?crash options w =
   Sampler.export_metrics sampler;
   (r, sampler)
 
-let sampled w = profile_span w (fun () -> sample Profiler.default_options w)
-
-let profiled ?(options = Profiler.default_options) ?watchdog ?crash w =
+let profiled_run ?memo ?program ?(options = Profiler.default_options) ?watchdog
+    ?crash w =
   profile_span w @@ fun () ->
   let r, sampler = sample ?watchdog ?crash options w in
-  ( r.tenant,
+  (* Sampling never perturbs the run: it is the unmodified run. *)
+  Option.iter
+    (fun memo ->
+      Meas_cache.add memo
+        (key ?program ~config:options.Profiler.machine Meas_cache.Unmodified w)
+        r.tenant)
+    memo;
+  ( r,
+    sampler,
     Profiler.refit ~options ~baseline:r.tenant.outcome sampler
       r.instance.Workload.func )
+
+let profiled ?memo ?program ?options ?watchdog ?crash w =
+  let r, _, p = profiled_run ?memo ?program ?options ?watchdog ?crash w in
+  (r.tenant, p)
 
 let profile ?options w = snd (profiled ?options w)
 
@@ -467,22 +503,14 @@ let render_guard ~floor outcome =
   Printf.sprintf "guard: %s (floor %.2fx)\n" (guard_outcome_to_string outcome)
     floor
 
-let no_measure_cache ~variant f =
-  ignore (variant : string);
-  f ()
-
-let run_guarded ?config ?(floor = default_floor) ?quarantine ?(remap = false)
-    ?watchdog ?crash ?(measure_cache = no_measure_cache) ?program ?baseline
-    ~(doc : Hints_file.doc) (w : Workload.t) =
+let run_guarded ?memo ?config ?(floor = default_floor) ?quarantine
+    ?(remap = false) ?watchdog ?crash ?program ~(doc : Hints_file.doc)
+    (w : Workload.t) =
   Trace.with_span ~name:"pipeline.run-guarded"
     ~attrs:[ ("workload", w.Workload.name) ]
   @@ fun () ->
-  let current =
-    match program with
-    | Some fp -> fp
-    | None ->
-      Aptget_ir.Fingerprint.fingerprint (w.Workload.build ()).Workload.func
-  in
+  let program = program_of ?program w in
+  let current = program.Meas_cache.fingerprint in
   let remap_result = if remap then Some (Remap.run ~current doc) else None in
   let hints =
     match remap_result with
@@ -493,27 +521,12 @@ let run_guarded ?config ?(floor = default_floor) ?quarantine ?(remap = false)
      machine's cycle fuse, and the crash plan (if armed) can kill the
      process mid-measurement. A baseline or fallback that blows its
      budget has nothing to degrade to, so its Timed_out propagates; a
-     candidate that blows its budget is quarantined at 0.0x. *)
-  let measure ?transform () =
-    (measure ?config ?watchdog ?crash ?transform w).tenant
+     candidate that blows its budget is quarantined at 0.0x. A run in
+     [memo] answers only where it fits those caps. *)
+  let measured transform =
+    measured ?memo ~program ?config ?watchdog ?crash transform w
   in
-  (* A caller's baseline stands in for the run only where that run
-     could not have fired: within the measure stage's cycle and step
-     limits, an armed crash cycle included. *)
-  let within_budget { outcome = o; _ } =
-    let c =
-      Watchdog.cap ?config:watchdog ?crash Watchdog.Measure
-        (Option.value config ~default:Machine.default_config)
-    in
-    (c.Machine.max_cycles = 0 || o.Machine.cycles <= c.Machine.max_cycles)
-    && o.Machine.instructions <= c.Machine.max_instructions
-  in
-  let base =
-    measure_cache ~variant:"guard-baseline" (fun () ->
-        match baseline with
-        | Some b when within_budget b -> b
-        | _ -> measure ())
-  in
+  let base = measured Meas_cache.Unmodified in
   let program = current.Aptget_ir.Fingerprint.program in
   let hkey = Quarantine.hints_key hints in
   let fall_back ~reason =
@@ -532,7 +545,7 @@ let run_guarded ?config ?(floor = default_floor) ?quarantine ?(remap = false)
           |> List.map (fun pc -> (pc, reason));
       }
     in
-    match measure_cache ~variant:"guard-aj" (measure ~transform:aj_pass) with
+    match measured (Meas_cache.Aj Aj.default_distance) with
     | m when speedup ~baseline:base m >= floor -> (m, Aj_static)
     | _ | (exception Watchdog.Timed_out _) -> (pinned, Pinned_baseline)
   in
@@ -565,11 +578,7 @@ let run_guarded ?config ?(floor = default_floor) ?quarantine ?(remap = false)
               })
           quarantine
       in
-      match
-        measure_cache
-          ~variant:("guard-candidate:" ^ Aptget_ir.Fingerprint.hex hkey)
-          (measure ~transform:(apply_hints ~hints))
-      with
+      match measured (Meas_cache.Hints { hints; cse = false }) with
       | m ->
         let s = speedup ~baseline:base m in
         if s >= floor then (Some m, m, Admitted)

@@ -26,7 +26,7 @@
     effects, and every run's semantic verifier is checked: a prefetch
     pass that breaks the program is reported, not silently timed. *)
 
-type measurement = {
+type measurement = Meas_cache.measurement = {
   workload : string;
   outcome : Aptget_machine.Machine.outcome;
   verified : (unit, string) result;
@@ -127,24 +127,54 @@ val refit :
 
 (** {2 Plain entry points} *)
 
+val measured :
+  ?memo:Meas_cache.t ->
+  ?program:Meas_cache.program ->
+  ?config:Aptget_machine.Machine.config ->
+  ?watchdog:Watchdog.config ->
+  ?crash:Aptget_store.Crash.t ->
+  Meas_cache.transform ->
+  Aptget_workloads.Workload.t ->
+  measurement
+(** {!measure}'s tenant under [transform]. With [memo], a run already
+    there answers when it fits the caps {!Watchdog.cap} puts on this
+    one, an armed crash cycle included. [program] defaults to
+    {!Meas_cache.program}[ w]; a shipped program passes its own. *)
+
 val baseline : Aptget_workloads.Workload.t -> measurement
-(** Unmodified kernel. A caller that profiles anyway has this run as
-    {!profiled}'s measurement. *)
+(** [measured Unmodified]. *)
 
 val aj : ?distance:int -> Aptget_workloads.Workload.t -> measurement
-(** Ainsworth & Jones static injection, then run. *)
+(** [measured (Aj distance)], by default at
+    {!Aptget_passes.Aj.default_distance}. *)
+
+val profiled_run :
+  ?memo:Meas_cache.t ->
+  ?program:Meas_cache.program ->
+  ?options:Aptget_profile.Profiler.options ->
+  ?watchdog:Watchdog.config ->
+  ?crash:Aptget_store.Crash.t ->
+  Aptget_workloads.Workload.t ->
+  run * Aptget_pmu.Sampler.t * Aptget_profile.Profiler.t
+(** The profiling run: {!measure} of the unmodified kernel on
+    [options.machine] with {!Aptget_profile.Profiler.sampler}[ options]
+    riding along, charged to the watchdog's [Profile] budget, then
+    {!Aptget_profile.Profiler.refit}. Sampling never perturbs the run,
+    so its measurement is the baseline under [options.machine], and it
+    enters [memo] as the {!Meas_cache.Unmodified} run. A study of analysis-only
+    options ([finder], [k], [max_overhead_frac]) re-fits the sampler
+    instead of simulating again. Exceptions propagate as from
+    {!measure}. *)
 
 val profiled :
+  ?memo:Meas_cache.t ->
+  ?program:Meas_cache.program ->
   ?options:Aptget_profile.Profiler.options ->
   ?watchdog:Watchdog.config ->
   ?crash:Aptget_store.Crash.t ->
   Aptget_workloads.Workload.t ->
   measurement * Aptget_profile.Profiler.t
-(** The profiling run: {!measure} of the unmodified kernel on
-    [options.machine] with {!Aptget_profile.Profiler.sampler}[ options]
-    riding along, charged to the watchdog's [Profile] budget, then
-    {!Aptget_profile.Profiler.refit}. The measurement is the baseline
-    under [options.machine]. Exceptions propagate as from {!measure}. *)
+(** {!profiled_run}'s measurement and profile. *)
 
 val profile :
   ?options:Aptget_profile.Profiler.options ->
@@ -152,23 +182,17 @@ val profile :
   Aptget_profile.Profiler.t
 (** [snd] of {!profiled}. *)
 
-val sampled : Aptget_workloads.Workload.t -> run * Aptget_pmu.Sampler.t
-(** {!profiled}'s run under {!Aptget_profile.Profiler.default_options}
-    and the sampler that rode along it, before any analysis: a study of analysis-only options ([finder], [k],
-    [max_overhead_frac]) {!refit}s the one run once per option value
-    instead of simulating it again. *)
-
 val with_hints :
   ?config:Aptget_machine.Machine.config ->
   ?cse:bool ->
   hints:Aptget_passes.Aptget_pass.hint list ->
   Aptget_workloads.Workload.t ->
   measurement
-(** Inject hints and run: with a fresh {!profiled}'s hints, the full
-    APT-GET pipeline; with externally supplied ones, the distance/site
-    studies and cross-input evaluation (Fig. 8–10, 12). [cse] (default
-    false) runs the local CSE cleanup after injection, as LLVM's scalar
-    optimisations would. *)
+(** [measured (Hints {hints; cse})]: with a fresh {!profiled}'s hints,
+    the full APT-GET pipeline; with externally supplied ones, the
+    distance/site studies and cross-input evaluation (Fig. 8–10, 12).
+    [cse] (default false) runs the local CSE cleanup after injection,
+    as LLVM's scalar optimisations would. *)
 
 (** {2 Robust pipeline}
 
@@ -285,15 +309,14 @@ type guarded = {
 }
 
 val run_guarded :
+  ?memo:Meas_cache.t ->
   ?config:Aptget_machine.Machine.config ->
   ?floor:float ->
   ?quarantine:Quarantine.t ->
   ?remap:bool ->
   ?watchdog:Watchdog.config ->
   ?crash:Aptget_store.Crash.t ->
-  ?measure_cache:(variant:string -> (unit -> measurement) -> measurement) ->
-  ?program:Aptget_ir.Fingerprint.t ->
-  ?baseline:measurement ->
+  ?program:Meas_cache.program ->
   doc:Aptget_profile.Hints_file.doc ->
   Aptget_workloads.Workload.t ->
   guarded
@@ -309,30 +332,13 @@ val run_guarded :
     armed [crash] plan raises {!Aptget_store.Crash.Crashed} when it
     fires.
 
-    [measure_cache] (default: run everything) is a memoization seam
-    around the deterministic simulator runs: it is called with a
-    variant label (["guard-baseline"], ["guard-aj"],
-    ["guard-candidate:<hints-key>"]) and a thunk, and may return a
-    previously stored measurement instead of running the thunk. The
-    serve daemon plugs a tenant-scoped {!Meas_cache} in here (the
-    module dependency runs that way, Meas_cache on Pipeline, hence the
-    callback); [aptget run --guard] hands in its A&J run as
-    ["guard-aj"]. Exceptions from the thunk must propagate. The pinned
-    baseline fallback is not simulated: an all-vetoed injection leaves
-    the IR untouched, so it is the baseline's measurement
-    ([wall_seconds] included) with the veto's skip records.
-
-    [program] is [w]'s fingerprint, for a caller that already has it
-    (the serve daemon keys its measurement cache on the same value);
-    it stands for a fresh build's, so the remapper, the quarantine key
-    and [g_program] all see it. Omitted, [w] is built once to take
-    it.
-
-    [baseline] is [w]'s unmodified run under [config] (from
-    {!profiled}), for a caller that has it. It still goes through
-    [measure_cache] as ["guard-baseline"], and the baseline is
-    simulated anyway when the given run does not fit the measure budget
-    (an armed crash cycle included), so a budget that fires still does. *)
+    The baseline, A&J and candidate runs are {!measured} with [memo]
+    (the caller's profiling and A&J runs answer there), so a budget that
+    fires still does. The pinned baseline fallback is not simulated: an
+    all-vetoed injection leaves the IR untouched, so it is the
+    baseline's measurement ([wall_seconds] included) with the veto's
+    skip records. [program]'s fingerprint is what the remapper, the
+    quarantine key and [g_program] see. *)
 
 val force_distance :
   int -> Aptget_passes.Aptget_pass.hint list -> Aptget_passes.Aptget_pass.hint list

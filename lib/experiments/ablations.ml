@@ -27,19 +27,22 @@ let hj_w lab =
       ~name:"HJ8-abl" ()
   else Hashjoin.workload ~params:Hashjoin.hj8_params ~name:"HJ8-abl" ()
 
-(* Only the analysis options vary, so one sampled run per workload,
-   also the default machine's baseline, is re-fitted once per option
-   value; [row v speedup profile] renders value [v]'s row. *)
-let refit_sweep w ~options values row =
-  let r, sampler = Pipeline.sampled w in
-  let base = Lab.check r.Pipeline.tenant in
+(* Only the analysis options vary, so the lab's profiling run, also
+   the default machine's baseline, is re-fitted once per option value,
+   and values that solve to the same hints share one hinted run;
+   [row v speedup profile] renders value [v]'s row. *)
+let refit_sweep lab w ~options values row =
+  let base, func, sampler = Lab.sampled lab w in
   List.iter
     (fun v ->
-      match Pipeline.refit ~options:(options v) ~sampler r with
-      | None -> failwith (w.Workload.name ^ ": profile analysis failed")
-      | Some prof ->
-        let m = Lab.check (Pipeline.with_hints ~hints:prof.Profiler.hints w) in
-        row v (Pipeline.speedup ~baseline:base m) prof)
+      let prof =
+        try
+          Profiler.refit ~options:(options v) ~baseline:base.Pipeline.outcome
+            sampler func
+        with _ -> failwith (w.Workload.name ^ ": profile analysis failed")
+      in
+      let m = Lab.with_hints lab ~hints:prof.Profiler.hints w in
+      row v (Pipeline.speedup ~baseline:base m) prof)
     values
 
 let peak_finder lab =
@@ -52,7 +55,7 @@ let peak_finder lab =
   let ws = [ micro_w lab ~inner:256; hj_w lab ] in
   List.iter
     (fun w ->
-      refit_sweep w
+      refit_sweep lab w
         ~options:(fun (_, finder) -> { Profiler.default_options with Profiler.finder })
         [ ("cwt", Model.Cwt); ("naive", Model.Naive) ]
         (fun (label, _) s prof ->
@@ -76,7 +79,7 @@ let k_constant lab =
   let ws = [ micro_w lab ~inner:4; hj_w lab ] in
   List.iter
     (fun w ->
-      refit_sweep w
+      refit_sweep lab w
         ~options:(fun k -> { Profiler.default_options with Profiler.k })
         [ 1; 3; 5; 8 ]
         (fun k s prof ->
@@ -114,9 +117,7 @@ let mshr lab =
           w
       in
       let base = Lab.check base in
-      let m =
-        Lab.check (Pipeline.with_hints ~config ~hints:prof.Profiler.hints w)
-      in
+      let m = Lab.with_hints lab ~config ~hints:prof.Profiler.hints w in
       Table.add_row t
         [
           string_of_int capacity;
@@ -191,7 +192,7 @@ let sweep lab =
             { h with Aptget_pass.site = Inject.Outer; sweep })
           prof.Profiler.hints
       in
-      let m = Lab.check (Pipeline.with_hints ~hints w) in
+      let m = Lab.with_hints lab ~hints w in
       Table.add_row t
         [
           string_of_int sweep;
@@ -224,9 +225,7 @@ let core_model lab =
               w
           in
           let base = Lab.check base in
-          let m =
-            Lab.check (Pipeline.with_hints ~config ~hints:prof.Profiler.hints w)
-          in
+          let m = Lab.with_hints lab ~config ~hints:prof.Profiler.hints w in
           Table.add_row t
             [
               w.Workload.name;
@@ -258,9 +257,7 @@ let cse lab =
       let prof = Lab.profiled lab w in
       List.iter
         (fun (label, cse) ->
-          let m =
-            Lab.check (Pipeline.with_hints ~cse ~hints:prof.Profiler.hints w)
-          in
+          let m = Lab.with_hints lab ~cse ~hints:prof.Profiler.hints w in
           Table.add_row t
             [
               w.Workload.name;
@@ -297,9 +294,7 @@ let bandwidth lab =
           w
       in
       let base = Lab.check base in
-      let m =
-        Lab.check (Pipeline.with_hints ~config ~hints:prof.Profiler.hints w)
-      in
+      let m = Lab.with_hints lab ~config ~hints:prof.Profiler.hints w in
       Table.add_row t
         [
           string_of_int gap;

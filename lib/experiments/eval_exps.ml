@@ -426,8 +426,8 @@ let fig12 lab =
         let hints = prof.Profiler.hints in
         let base_train = Lab.baseline lab train_w in
         let base_test = Lab.baseline lab test_w in
-        let m_train = Lab.check (Pipeline.with_hints ~hints train_w) in
-        let m_test = Lab.check (Pipeline.with_hints ~hints test_w) in
+        let m_train = Lab.with_hints lab ~hints train_w in
+        let m_test = Lab.with_hints lab ~hints test_w in
         ( Printf.sprintf "%s -> %s" train_w.Workload.name test_w.Workload.name,
           Pipeline.speedup ~baseline:base_train m_train,
           Pipeline.speedup ~baseline:base_test m_test ))

@@ -99,7 +99,7 @@ let overhead_filter lab =
           (Lab.profiled lab w)
       in
       let filtered =
-        Lab.check (Pipeline.with_hints ~hints:prof.Profiler.hints w)
+        Lab.with_hints lab ~hints:prof.Profiler.hints w
       in
       Table.add_row t
         [
@@ -146,9 +146,7 @@ let hw_sw_interplay lab =
       let base_off = Lab.check base_off in
       let apt_on = Lab.aptget lab w in
       let apt_off =
-        Lab.check
-          (Pipeline.with_hints ~config:config_off
-             ~hints:prof_off.Profiler.hints w)
+        Lab.with_hints lab ~config:config_off ~hints:prof_off.Profiler.hints w
       in
       let rel m = Pipeline.speedup ~baseline:base_on m in
       Table.add_row t

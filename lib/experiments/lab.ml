@@ -4,36 +4,47 @@ module Profiler = Aptget_profile.Profiler
 module Workload = Aptget_workloads.Workload
 module Suite = Aptget_workloads.Suite
 module Micro = Aptget_workloads.Micro
-module Inject = Aptget_passes.Inject
 module Machine = Aptget_machine.Machine
+module Sampler = Aptget_pmu.Sampler
+module Inject = Aptget_passes.Inject
 module Pool = Aptget_util.Pool
-module Fingerprint = Aptget_ir.Fingerprint
+
+(* The default-options profiling run of a workload: its measurement,
+   the kernel it ran, the sampler that rode along and the profile. The
+   run's memory is not kept. *)
+type profiled = {
+  base : Pipeline.measurement;
+  func : Ir.func;
+  sampler : Sampler.t;
+  prof : Profiler.t;
+}
 
 type t = {
   quick : bool;
+  memo : Meas_cache.t;
   lock : Mutex.t;
-      (* guards the three tables below; simulations run outside it *)
-  measurements : (string, Pipeline.measurement) Hashtbl.t;
-  profiles : (string, Pipeline.measurement * Profiler.t) Hashtbl.t;
-      (* workload -> its profiling run and profile *)
-  programs : (string, int) Hashtbl.t; (* workload -> program fingerprint *)
-  cache_dir : string option;
+      (* guards the two tables below; simulations run outside it *)
+  profiles : (string, profiled) Hashtbl.t;
+  reported : (string, Pipeline.measurement) Hashtbl.t;
+      (* "<workload>/baseline" and "<workload>/aptget" as first asked
+         for or recorded: what [summary] reports *)
 }
 
 let create ?(quick = false) ?cache_dir () =
-  let cache_dir =
+  let dir =
     match cache_dir with Some _ as d -> d | None -> Meas_cache.dir_from_env ()
   in
   {
     quick;
+    memo = Meas_cache.create ?dir ();
     lock = Mutex.create ();
-    measurements = Hashtbl.create 64;
     profiles = Hashtbl.create 16;
-    programs = Hashtbl.create 16;
-    cache_dir;
+    reported = Hashtbl.create 64;
   }
 
 let quick t = t.quick
+
+let memo t = t.memo
 
 let suite t =
   if not t.quick then Suite.default
@@ -82,149 +93,46 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let find_memo t key = locked t (fun () -> Hashtbl.find_opt t.measurements key)
-
-(* First insertion wins so concurrent duplicate computations (possible
-   only for callers bypassing [run_batch]'s dedup) converge on one
-   record. The simulator is deterministic, so the loser computed the
-   same numbers anyway. *)
-let add_memo t key m =
+(* First insertion wins, so a recorded synthetic measurement keeps
+   its name in [summary]. *)
+let report t ~workload ~variant m =
   locked t (fun () ->
-      match Hashtbl.find_opt t.measurements key with
-      | Some m' -> m'
-      | None ->
-        Hashtbl.add t.measurements key m;
-        m)
+      let k = workload ^ "/" ^ variant in
+      if not (Hashtbl.mem t.reported k) then Hashtbl.add t.reported k m);
+  m
 
-let program t (w : Workload.t) =
-  match locked t (fun () -> Hashtbl.find_opt t.programs w.Workload.name) with
-  | Some p -> p
-  | None ->
-    let p =
-      (Fingerprint.fingerprint (w.Workload.build ()).Workload.func)
-        .Fingerprint.program
-    in
-    locked t (fun () ->
-        match Hashtbl.find_opt t.programs w.Workload.name with
-        | Some p' -> p'
-        | None ->
-          Hashtbl.add t.programs w.Workload.name p;
-          p)
+let key ?(config = Machine.default_config) (w : Workload.t) transform =
+  Meas_cache.key ~workload:w.Workload.name ~program:(Meas_cache.program w)
+    ~config transform
 
-(* Lab runs always use the default machine config and default profiler
-   options, so those key components are constants here. *)
-let profile_options = Profiler.options_summary Profiler.default_options
+(* Lab runs have no watchdog, so any run of the same config fits. *)
+let memoized t ?(config = Machine.default_config) transform w run =
+  check (Meas_cache.memoize t.memo (key ~config w transform) ~caps:config run)
 
-let cache_key t ~variant ~options (w : Workload.t) =
-  Meas_cache.key ~variant ~workload:w.Workload.name ~program:(program t w)
-    ~config:Machine.default_config ~options ()
-
-let disk_load t ~variant ~options w =
-  match t.cache_dir with
-  | None -> None
-  | Some dir -> Meas_cache.load ~dir (cache_key t ~variant ~options w)
-
-let disk_store t ~variant ~options w m =
-  match t.cache_dir with
-  | None -> ()
-  | Some dir -> Meas_cache.store ~dir (cache_key t ~variant ~options w) m
-
-(* Memo key is "<workload>/<variant>" — the same [variant] string feeds
-   the persistent cache key. *)
-let memo t ~variant ?(options = "") (w : Workload.t) f =
-  let key = w.Workload.name ^ "/" ^ variant in
-  match find_memo t key with
-  | Some m -> m
-  | None ->
-    let m =
-      match disk_load t ~variant ~options w with
-      | Some m -> check m
-      | None ->
-        let m = check (f ()) in
-        disk_store t ~variant ~options w m;
-        m
-    in
-    add_memo t key m
-
-let aj t ?distance w =
-  let d = Option.value ~default:Aptget_passes.Aj.default_distance distance in
-  memo t ~variant:(Printf.sprintf "aj-%d" d) w (fun () ->
-      Pipeline.aj ~distance:d w)
+let measured t ?config transform w =
+  memoized t ?config transform w (fun () -> Pipeline.measured ?config transform w)
 
 let profiled_run t (w : Workload.t) =
   match locked t (fun () -> Hashtbl.find_opt t.profiles w.Workload.name) with
-  | Some r -> r
+  | Some p -> p
   | None ->
-    let r = Pipeline.profiled w in
+    let r, sampler, prof = Pipeline.profiled_run ~memo:t.memo w in
+    let p =
+      { base = r.Pipeline.tenant; func = r.Pipeline.instance.Workload.func;
+        sampler; prof }
+    in
     locked t (fun () ->
         match Hashtbl.find_opt t.profiles w.Workload.name with
-        | Some r' -> r'
+        | Some p' -> p'
         | None ->
-          Hashtbl.add t.profiles w.Workload.name r;
-          r)
+          Hashtbl.add t.profiles w.Workload.name p;
+          p)
 
-let profiled t w = snd (profiled_run t w)
+let profiled t w = (profiled_run t w).prof
 
-(* The profiling run is the baseline of record: a workload's unhinted
-   kernel is simulated once, whichever of the two is asked for first.
-   The memo entry is still made only on request, so [summary] lists
-   exactly the workloads whose baseline something asked for. *)
-let baseline t w = memo t ~variant:"baseline" w (fun () -> fst (profiled_run t w))
-
-let aptget t w =
-  memo t ~variant:"aptget" ~options:profile_options w (fun () ->
-      let prof = profiled t w in
-      Pipeline.with_hints ~hints:prof.Profiler.hints w)
-
-let static_distance t ~distance w =
-  memo t
-    ~variant:(Printf.sprintf "static-%d" distance)
-    ~options:profile_options w
-    (fun () ->
-      let prof = profiled t w in
-      Pipeline.with_hints
-        ~hints:(Pipeline.force_distance distance prof.Profiler.hints)
-        w)
-
-let forced_site t site w =
-  memo t
-    ~variant:(Printf.sprintf "site-%s" (Inject.site_to_string site))
-    ~options:profile_options w
-    (fun () ->
-      let prof = profiled t w in
-      Pipeline.with_hints ~hints:(Pipeline.force_site site prof.Profiler.hints) w)
-
-(* Externally computed measurements (e.g. the adaptive experiment's
-   summed online/one-shot arms) enter the memo tables here so [summary]
-   can surface them; they stay out of the persistent cache, whose keys
-   describe single pipeline runs. *)
-let record t ~workload ~variant m =
-  ignore (add_memo t (workload ^ "/" ^ variant) (check m))
-
-(* Derived purely from the memo caches: a workload appears once both
-   its baseline and its APT-GET runs have been measured, so the bench
-   harness can snapshot headline numbers without triggering new
-   simulations. *)
-let summary t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun key m acc ->
-          match Filename.chop_suffix_opt ~suffix:"/aptget" key with
-          | None -> acc
-          | Some name -> (
-            match Hashtbl.find_opt t.measurements (name ^ "/baseline") with
-            | None -> acc
-            | Some base ->
-              ( name,
-                Pipeline.speedup ~baseline:base m,
-                Pipeline.mpki_reduction ~baseline:base m )
-              :: acc))
-        t.measurements [])
-  |> List.sort compare
-
-(* ------------------------------------------------------------------ *)
-(* Batched, parallel prewarming                                        *)
-(* ------------------------------------------------------------------ *)
+let sampled t w =
+  let p = profiled_run t w in
+  (check p.base, p.func, p.sampler)
 
 type job =
   | Baseline of Workload.t
@@ -236,86 +144,96 @@ type job =
 let job_workload = function
   | Baseline w | Aj { w; _ } | Aptget w | Static { w; _ } | Site { w; _ } -> w
 
-let job_variant = function
-  | Baseline _ -> "baseline"
+(* A job's transform; profile-guided ones read the workload's profile. *)
+let job_transform t = function
+  | Baseline _ -> Meas_cache.Unmodified
   | Aj { distance; _ } ->
-    Printf.sprintf "aj-%d"
-      (Option.value ~default:Aptget_passes.Aj.default_distance distance)
-  | Aptget _ -> "aptget"
-  | Static { distance; _ } -> Printf.sprintf "static-%d" distance
-  | Site { site; _ } -> "site-" ^ Inject.site_to_string site
+    Meas_cache.Aj (Option.value ~default:Aptget_passes.Aj.default_distance distance)
+  | Aptget w ->
+    Meas_cache.Hints { hints = (profiled t w).Profiler.hints; cse = false }
+  | Static { distance; w } ->
+    Meas_cache.Hints
+      { hints = Pipeline.force_distance distance (profiled t w).Profiler.hints;
+        cse = false }
+  | Site { site; w } ->
+    Meas_cache.Hints
+      { hints = Pipeline.force_site site (profiled t w).Profiler.hints;
+        cse = false }
 
-let job_options = function
-  | Baseline _ | Aj _ -> ""
-  | Aptget _ | Static _ | Site _ -> profile_options
+(* The profiling run is the baseline of record: a workload's unhinted
+   kernel is simulated once, whichever of the two is asked for first.
+   A baseline or APT-GET run is reported to [summary] when asked for. *)
+let run t j =
+  let w = job_workload j in
+  match j with
+  | Baseline _ ->
+    report t ~workload:w.Workload.name ~variant:"baseline"
+      (memoized t Meas_cache.Unmodified w (fun () -> (profiled_run t w).base))
+  | Aptget _ ->
+    report t ~workload:w.Workload.name ~variant:"aptget"
+      (measured t (job_transform t j) w)
+  | Aj _ | Static _ | Site _ -> measured t (job_transform t j) w
 
-let job_needs_profile = function
-  | Aj _ -> false
-  | Baseline _ | Aptget _ | Static _ | Site _ -> true
+let baseline t w = run t (Baseline w)
+let aj t ?distance w = run t (Aj { distance; w })
+let aptget t w = run t (Aptget w)
+let static_distance t ~distance w = run t (Static { distance; w })
+let forced_site t site w = run t (Site { site; w })
 
-let run_job t = function
-  | Baseline w -> ignore (baseline t w)
-  | Aj { distance; w } -> ignore (aj t ?distance w)
-  | Aptget w -> ignore (aptget t w)
-  | Static { distance; w } -> ignore (static_distance t ~distance w)
-  | Site { site; w } -> ignore (forced_site t site w)
+let with_hints t ?config ?(cse = false) ~hints w =
+  measured t ?config (Meas_cache.Hints { hints; cse }) w
+
+let record t ~workload ~variant m = ignore (report t ~workload ~variant (check m))
+
+(* Derived purely from what was asked for: a workload appears once both
+   its baseline and its APT-GET runs have been, so the bench harness
+   can snapshot headline numbers without triggering new simulations. *)
+let summary t =
+  locked t (fun () ->
+      Hashtbl.fold
+        (fun key m acc ->
+          match Filename.chop_suffix_opt ~suffix:"/aptget" key with
+          | None -> acc
+          | Some name -> (
+            match Hashtbl.find_opt t.reported (name ^ "/baseline") with
+            | None -> acc
+            | Some base ->
+              ( name,
+                Pipeline.speedup ~baseline:base m,
+                Pipeline.mpki_reduction ~baseline:base m )
+              :: acc))
+        t.reported [])
+  |> List.sort compare
+
+(* ------------------------------------------------------------------ *)
+(* Batched, parallel prewarming                                        *)
+(* ------------------------------------------------------------------ *)
 
 (* Fan a batch of independent measurements across domains. Results land
-   in the memo tables, so the subsequent (serial) table/JSON rendering
-   reads exactly what a serial run would have computed: each memo key
-   is measured at most once, by a deterministic simulation, and the
-   persistent cache stores bit-identical records either way.
+   in the memo, so the subsequent (serial) table/JSON rendering reads
+   exactly what a serial run would have computed: each key is measured
+   at most once, by a deterministic simulation, and the persistent
+   cache stores bit-identical records either way.
 
-   Two stages keep the workers from racing on shared inputs: profiling
-   runs (one per workload that a baseline or profile-guided job needs
-   and neither the memo nor the persistent cache can supply) come
-   first, then the measurements — each worker building its own memory,
-   hierarchy and sampler via the pipeline. *)
+   Profiling runs come first, one per workload a job other than A&J
+   names. Then every job has a key, and one job per key runs on the
+   pool, each worker building its own memory, hierarchy and sampler via
+   the pipeline. A last serial pass over all jobs only reads the memo
+   and records what each asked for. *)
 let run_batch ?jobs t js =
-  let seen = Hashtbl.create 16 in
-  let todo =
+  let distinct key xs =
+    let seen = Hashtbl.create 16 in
     List.filter
-      (fun j ->
-        let key = (job_workload j).Workload.name ^ "/" ^ job_variant j in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.add seen key ();
-          find_memo t key = None
-        end)
-      js
+      (fun x ->
+        let k = key x in
+        (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
+      xs
   in
-  (* Preload persistent-cache hits so stage sizing below reflects only
-     real simulation work. *)
-  let todo =
-    List.filter
-      (fun j ->
-        match
-          disk_load t ~variant:(job_variant j) ~options:(job_options j)
-            (job_workload j)
-        with
-        | Some m ->
-          let key = (job_workload j).Workload.name ^ "/" ^ job_variant j in
-          ignore (add_memo t key (check m));
-          false
-        | None -> true)
-      todo
+  let profile_first =
+    List.filter_map (function Aj _ -> None | j -> Some (job_workload j)) js
+    |> distinct (fun (w : Workload.t) -> w.Workload.name)
   in
-  let profile_needed =
-    let names = Hashtbl.create 8 in
-    List.filter_map
-      (fun j ->
-        let w = job_workload j in
-        if
-          job_needs_profile j
-          && (not (Hashtbl.mem names w.Workload.name))
-          && locked t (fun () ->
-                 not (Hashtbl.mem t.profiles w.Workload.name))
-        then begin
-          Hashtbl.add names w.Workload.name ();
-          Some w
-        end
-        else None)
-      todo
-  in
-  ignore (Pool.run ?jobs (fun w -> ignore (profiled_run t w)) profile_needed);
-  ignore (Pool.run ?jobs (fun j -> run_job t j) todo)
+  ignore (Pool.run ?jobs (fun w -> ignore (profiled_run t w)) profile_first);
+  let todo = distinct (fun j -> key (job_workload j) (job_transform t j)) js in
+  ignore (Pool.run ?jobs (fun j -> ignore (run t j)) todo);
+  List.iter (fun j -> ignore (run t j)) js

@@ -147,8 +147,7 @@ let fig2 lab =
 
 let fig3 lab =
   let w = micro_workload lab ~inner:4 ~complexity:0 in
-  let r, sampler = Pipeline.sampled w in
-  ignore (Lab.check r.Pipeline.tenant);
+  let _, func, sampler = Lab.sampled lab w in
   let samples = Sampler.lbr_samples sampler in
   let sample = median_snapshot samples in
   let t =
@@ -170,7 +169,7 @@ let fig3 lab =
           ])
     sample.Sampler.entries;
   (* Recover the loop statistics from all snapshots, as §3.1 does. *)
-  let loops = Loops.analyze r.Pipeline.instance.Workload.func in
+  let loops = Loops.analyze func in
   let inner_loop =
     Array.to_list loops
     |> List.filter (fun (l : Loops.loop) -> l.Loops.parent <> None)

@@ -1,6 +1,7 @@
 module Table = Aptget_util.Table
 module Pipeline = Aptget_core.Pipeline
 module Quarantine = Aptget_core.Quarantine
+module Meas_cache = Aptget_core.Meas_cache
 module Workload = Aptget_workloads.Workload
 module Micro = Aptget_workloads.Micro
 module Hashjoin = Aptget_workloads.Hashjoin
@@ -76,19 +77,26 @@ let recovered (r : Remap.t) =
     (r.Remap.kept + r.Remap.remapped + r.Remap.rescaled)
     (List.length r.Remap.report)
 
-let scenario_rows t quarantine (w : Workload.t) (doc : Hints_file.doc) =
+(* A row's baseline and blind runs, then the guard, all in the lab's
+   memo: the guard's baseline is the row's, and a remapped candidate
+   equal to the blind hints is the blind run. *)
+let guarded_row lab ?quarantine doc mw =
+  let memo = Lab.memo lab in
+  let base = Pipeline.measured ~memo Meas_cache.Unmodified mw in
+  let blind =
+    Pipeline.measured ~memo
+      (Meas_cache.Hints { hints = Hints_file.hints_of_doc doc; cse = false })
+      mw
+  in
+  (base, blind, Pipeline.run_guarded ~memo ?quarantine ~remap:true ~doc mw)
+
+let scenario_rows lab t quarantine (w : Workload.t) (doc : Hints_file.doc) =
   List.iter
     (fun (tag, mutate) ->
       match mutated w ~tag mutate with
       | None -> ()
       | Some mw ->
-        let base = Pipeline.baseline mw in
-        let blind =
-          Pipeline.with_hints ~hints:(Hints_file.hints_of_doc doc) mw
-        in
-        let g =
-          Pipeline.run_guarded ~quarantine ~remap:true ~baseline:base ~doc mw
-        in
+        let base, blind, g = guarded_row lab ~quarantine doc mw in
         let remap_str =
           match g.Pipeline.g_remap with Some r -> recovered r | None -> "-"
         in
@@ -128,7 +136,7 @@ let mutation_table lab =
   List.iter
     (fun w ->
       let doc = Profiler.to_doc (Lab.profiled lab w) in
-      scenario_rows t quarantine w doc)
+      scenario_rows lab t quarantine w doc)
     [ micro_w lab; hj_w lab ];
   t
 
@@ -156,11 +164,7 @@ let trip_change_table lab =
           ~name:(Printf.sprintf "micro-stale-i%d" inner)
           ()
       in
-      let base = Pipeline.baseline mw in
-      let blind = Pipeline.with_hints ~hints:(Hints_file.hints_of_doc doc) mw in
-      let g =
-        Pipeline.run_guarded ~remap:true ~baseline:base ~doc mw
-      in
+      let base, blind, g = guarded_row lab doc mw in
       Table.add_row t
         [
           mw.Workload.name;
@@ -200,7 +204,9 @@ let quarantine_table lab =
             (* A fresh store per run: persistence must come from the
                file, not from the in-memory table. *)
             let quarantine = Quarantine.create ~path () in
-            let g = Pipeline.run_guarded ~quarantine ~doc mw in
+            let g =
+              Pipeline.run_guarded ~memo:(Lab.memo lab) ~quarantine ~doc mw
+            in
             Table.add_row t
               [
                 run;

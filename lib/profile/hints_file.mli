@@ -40,7 +40,7 @@ type provenance = {
   schema : int;  (** provenance-block schema version (currently 2) *)
   options : string;
       (** space-free summary of the profiler options that produced the
-          hints (see {!Profiler.options_summary}) *)
+          hints (see {!Profiler.to_doc}) *)
 }
 
 val schema_version : int

@@ -76,14 +76,10 @@ type t = {
           binary ({!Remap}) *)
 }
 
-val options_summary : options -> string
-(** Space-free summary of the hint-shaping options (sampling periods,
-    model constants, caps) for the hints-file provenance block. *)
-
 val to_doc : ?options:options -> t -> Hints_file.doc
 (** Package the profile's hints as a v2 hints-file document: provenance
-    (program hash, schema, [options_summary] of the options that
-    produced it) plus each hint's structural fingerprint. *)
+    (program hash, schema, a space-free summary of the hint-shaping
+    options that produced it) plus each hint's structural fingerprint. *)
 
 val sampler : options -> Aptget_pmu.Sampler.t
 (** A fresh sampler with [options]' LBR and PEBS periods and, when

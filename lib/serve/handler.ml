@@ -1,4 +1,3 @@
-module Machine = Aptget_machine.Machine
 module Workload = Aptget_workloads.Workload
 module Suite = Aptget_workloads.Suite
 module Profiler = Aptget_profile.Profiler
@@ -24,43 +23,17 @@ let failed reason = { h_status = Wire.Failed; h_reason = reason; h_body = "" }
 
 let timed_out reason = { h_status = Wire.Timed_out; h_reason = reason; h_body = "" }
 
-(* Program fingerprints of resolved workloads, one entry per name.
-   An entry answers only while [resolve] hands back the very record it
-   was taken from: the fingerprint is then that of a fresh build, as
-   build is deterministic (the measurement cache relies on the same).
-   Handlers run on pool domains, so every access holds the lock; two
-   domains missing together both build, and store the same value. *)
-let fingerprints : (string, Workload.t * Fingerprint.t) Hashtbl.t =
-  Hashtbl.create 16
-
-let fingerprints_lock = Mutex.create ()
-
-let fingerprint_of (w : Workload.t) =
-  let memo =
-    Mutex.protect fingerprints_lock (fun () ->
-        match Hashtbl.find_opt fingerprints w.Workload.name with
-        | Some (w', fp) when w' == w -> Some fp
-        | _ -> None)
-  in
-  match memo with
-  | Some fp -> fp
-  | None ->
-    let fp = Fingerprint.fingerprint (w.Workload.build ()).Workload.func in
-    Mutex.protect fingerprints_lock (fun () ->
-        Hashtbl.replace fingerprints w.Workload.name (w, fp));
-    fp
-
-(* The workload to run and a thunk for its program fingerprint. A
-   client-shipped program re-parses on every build: injection passes
-   mutate the IR in place, so handing out one shared [Ir.func] would
-   leak one run's prefetches into the next. Its memory comes from the
-   suite record's build, which for a store-free kernel is a
-   copy-on-write alias of one image: a shipped program that stores
-   copies the image on its first write and leaves it intact. Its
-   fingerprint comes from its own text, never from the memo, which
-   keys suite records. *)
+(* The workload to run and a thunk for its program. A client-shipped
+   program re-parses on every build: injection passes mutate the IR in
+   place, so handing out one shared [Ir.func] would leak one run's
+   prefetches into the next. Its memory comes from the suite record's
+   build, which for a store-free kernel is a copy-on-write alias of one
+   image: a shipped program that stores copies the image on its first
+   write and leaves it intact. Its program comes from its own text over
+   the record's arguments; a resolved record's, from the per-record
+   table, so a warm request builds nothing. *)
 let prepare w = function
-  | None -> Ok (w, fun () -> fingerprint_of w)
+  | None -> Ok (w, fun () -> Meas_cache.program w)
   | Some ir_text -> (
     match Parser.func ir_text with
     | Error e -> Error e
@@ -73,7 +46,7 @@ let prepare w = function
                 let inst = w.Workload.build () in
                 { inst with Workload.func = Parser.func_exn ir_text });
           },
-          fun () -> Fingerprint.fingerprint func ))
+          fun () -> Meas_cache.shipped w ~text:ir_text func ))
 
 (* The request deadline caps the simulated stages' cycle budgets (a
    tighter base budget still wins). *)
@@ -116,54 +89,32 @@ let execute ?crash config ~(tenant : Tenant.t) (req : Wire.request) =
   | Some w -> (
     match prepare w req.Wire.program with
     | Error e -> rejected ("program: " ^ e)
-    | Ok (w, fingerprint) -> (
+    | Ok (w, program) -> (
       let watchdog = tighten Watchdog.default req.Wire.deadline_cycles in
       let floor =
         Option.value req.Wire.guard_floor ~default:Pipeline.default_floor
       in
       try
-        (* A cold request's profiling run is also its baseline. *)
-        let doc, baseline =
-          match req.Wire.hints with
-          | Some doc -> (doc, None)
-          | None ->
-            let base, prof = Pipeline.profiled ~watchdog ?crash w in
-            (Profiler.to_doc prof, Some base)
-        in
-        let program = fingerprint () in
-        let measure_cache =
+        let program = program () in
+        (* Without a tenant memo, a memo for this request alone still
+           lets the guard take a cold request's profiling run as its
+           baseline. The key holds no budget: a run answers only where
+           this request's caps could not have stopped it. *)
+        let memo =
           match tenant.Tenant.cache with
-          | None -> None
-          | Some scope ->
-            (* The effective watchdog budgets — the daemon's base config
-               with the request deadline folded in — are part of the
-               key: a measurement taken under loose budgets must not
-               answer from a persistent tenant cache for a request (or
-               a restarted daemon) whose tighter ones would have
-               fired. *)
-            let options =
-              let b (x : Watchdog.budget) =
-                Printf.sprintf "%d/%d" x.Watchdog.max_cycles
-                  x.Watchdog.max_steps
-              in
-              Printf.sprintf "wd=%s,%s,%s%s"
-                (b watchdog.Watchdog.profile_budget)
-                (b watchdog.Watchdog.inject_budget)
-                (b watchdog.Watchdog.measure_budget)
-                (match req.Wire.deadline_cycles with
-                | Some d -> Printf.sprintf ";deadline=%d" d
-                | None -> "")
-            in
-            Some
-              (fun ~variant f ->
-                Meas_cache.cached scope ~variant ~workload:w.Workload.name
-                  ~program:program.Fingerprint.program
-                  ~config:Machine.default_config ~options f)
+          | Some m -> m
+          | None -> Meas_cache.create ()
+        in
+        let doc =
+          match req.Wire.hints with
+          | Some doc -> doc
+          | None ->
+            Profiler.to_doc
+              (snd (Pipeline.profiled ~memo ~program ~watchdog ?crash w))
         in
         let g =
-          Pipeline.run_guarded ~floor ~quarantine:tenant.Tenant.quarantine
-            ~remap:req.Wire.remap ~watchdog ?crash ?measure_cache ~program
-            ?baseline ~doc w
+          Pipeline.run_guarded ~memo ~floor ~quarantine:tenant.Tenant.quarantine
+            ~remap:req.Wire.remap ~watchdog ?crash ~program ~doc w
         in
         match g.Pipeline.g_final.Pipeline.verified with
         | Error e ->

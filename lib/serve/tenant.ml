@@ -6,7 +6,7 @@ type t = {
   id : string;
   dir : string;
   quarantine : Quarantine.t;
-  cache : Meas_cache.scope option;
+  cache : Meas_cache.t option;
   breaker : Breaker.t;
 }
 
@@ -37,7 +37,7 @@ let materialize reg id =
     if reg.cache then begin
       let cache_dir = Filename.concat dir "cache" in
       mkdir_p cache_dir;
-      Some { Meas_cache.dir = cache_dir; namespace = id }
+      Some (Meas_cache.create ~dir:cache_dir ~namespace:id ())
     end
     else None
   in

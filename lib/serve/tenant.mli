@@ -5,7 +5,7 @@
     [<spool>/tenants/<id>/cache/] — plus an in-memory circuit breaker.
     One tenant's poisonous workload can therefore trip only its own
     breaker, quarantine only its own hint sets, and never read (or
-    taint) another tenant's cached measurements: the cache scope also
+    taint) another tenant's cached measurements: the memo also
     namespaces keys by tenant id, so even bit-identical requests from
     two tenants hit disjoint records.
 
@@ -18,7 +18,7 @@ type t = {
   id : string;
   dir : string;  (** [<root>/tenants/<id>] *)
   quarantine : Aptget_core.Quarantine.t;
-  cache : Aptget_core.Meas_cache.scope option;
+  cache : Aptget_core.Meas_cache.t option;
   breaker : Aptget_core.Breaker.t;
 }
 
@@ -32,7 +32,7 @@ val registry :
   registry
 (** [root] is the spool directory. [breaker] defaults to
     {!Aptget_core.Breaker.default_config}; [cache] (default [true])
-    controls whether tenants get a measurement-cache scope. *)
+    controls whether tenants get a measurement memo. *)
 
 val find_or_create : registry -> string -> (t, string) result
 (** Look up or materialise a tenant. The id is validated with

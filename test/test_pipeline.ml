@@ -188,16 +188,19 @@ let simulation_spans () =
          s.Trace.name = "stage.measure" || s.Trace.name = "stage.profile")
        (Trace.spans ()))
 
-(* The lab asks for a workload's baseline after its profile: the
-   profiling run answers both, so the unhinted kernel runs once. *)
-let test_lab_baseline_is_profiling_run () =
+let with_trace f =
   Trace.reset ();
   Trace.enable ();
   Fun.protect
     ~finally:(fun () ->
       Trace.disable ();
       Trace.reset ())
-  @@ fun () ->
+    f
+
+(* The lab asks for a workload's baseline after its profile: the
+   profiling run answers both, so the unhinted kernel runs once. *)
+let test_lab_baseline_is_profiling_run () =
+  with_trace @@ fun () ->
   let lab = Lab.create ~quick:true () in
   let w = micro_w () in
   ignore (Lab.aptget lab w);
@@ -208,13 +211,101 @@ let test_lab_baseline_is_profiling_run () =
   Alcotest.(check bool) "the profiling run's outcome" true
     (base.Pipeline.outcome = (Pipeline.baseline w).Pipeline.outcome)
 
+(* The lab keys a run by what runs. A static distance equal to the
+   solved one is the APT-GET run, and the baseline after the profile is
+   the profiling run: each costs one simulation. Distances 16 and 32
+   inject programs with one structural fingerprint (it hashes opcodes,
+   not operands) but are two runs. *)
+let test_lab_keys_by_content () =
+  with_trace @@ fun () ->
+  let lab = Lab.create ~quick:true () in
+  let w = micro_w () in
+  let prof = Lab.profiled lab w in
+  let solved =
+    match
+      List.sort_uniq compare
+        (List.map (fun (h : Aptget_pass.hint) -> h.Aptget_pass.distance)
+           prof.Profiler.hints)
+    with
+    | [ d ] -> d
+    | _ -> Alcotest.fail "expected one solved distance"
+  in
+  Alcotest.(check int) "the profiling run" 1 (simulation_spans ());
+  let apt = Lab.aptget lab w in
+  let static = Lab.static_distance lab ~distance:solved w in
+  Alcotest.(check int) "the solved static distance is the APT-GET run" 2
+    (simulation_spans ());
+  Alcotest.(check bool) "the same record" true (apt == static);
+  ignore (Lab.baseline lab w);
+  Alcotest.(check int) "the baseline is the profiling run" 2
+    (simulation_spans ());
+  let fingerprint d =
+    let r =
+      Pipeline.measure
+        ~transform:
+          (Pipeline.apply_hints
+             ~hints:(Pipeline.force_distance d prof.Profiler.hints))
+        w
+    in
+    (Aptget_ir.Fingerprint.fingerprint r.Pipeline.instance.Workload.func)
+      .Aptget_ir.Fingerprint.program
+  in
+  Alcotest.(check int) "16 and 32 share a structural fingerprint"
+    (fingerprint 16) (fingerprint 32);
+  let cycles d =
+    (Lab.static_distance lab ~distance:d w).Pipeline.outcome.Machine.cycles
+  in
+  let fresh d =
+    (Pipeline.with_hints ~hints:(Pipeline.force_distance d prof.Profiler.hints)
+       w)
+      .Pipeline.outcome.Machine.cycles
+  in
+  Alcotest.(check bool) "16 and 32 are two runs" true (cycles 16 <> cycles 32);
+  Alcotest.(check int) "16 as run fresh" (fresh 16) (cycles 16);
+  Alcotest.(check int) "32 as run fresh" (fresh 32) (cycles 32)
+
+(* Jobs that solve to one run are one simulation at any --jobs: the
+   profiling run, the APT-GET run (the static job at the solved
+   distance is the same key) and one A&J run. *)
+let test_run_batch_dedupes_by_key () =
+  let solved =
+    match (Lab.profiled (Lab.create ~quick:true ()) (micro_w ())).Profiler.hints with
+    | h :: _ -> h.Aptget_pass.distance
+    | [] -> Alcotest.fail "expected hints"
+  in
+  List.iter
+    (fun jobs ->
+      with_trace @@ fun () ->
+      let lab = Lab.create ~quick:true () in
+      let w = micro_w () in
+      Lab.run_batch ~jobs lab
+        [
+          Lab.Static { distance = solved; w };
+          Lab.Aptget w;
+          Lab.Baseline w;
+          Lab.Aj { distance = None; w };
+          Lab.Aj { distance = Some Aptget_passes.Aj.default_distance; w };
+        ];
+      Alcotest.(check int)
+        (Printf.sprintf "three simulations at --jobs %d" jobs)
+        3 (simulation_spans ());
+      Alcotest.(check (list string))
+        "the batch's baseline and APT-GET jobs are reported" [ "micro-test" ]
+        (List.map (fun (name, _, _) -> name) (Lab.summary lab));
+      Alcotest.(check int) "the getters simulate nothing more"
+        3
+        (ignore (Lab.aptget lab w);
+         ignore (Lab.static_distance lab ~distance:solved w);
+         simulation_spans ()))
+    [ 1; 2 ]
+
 (* An analysis-only option sweep refits one sampled run: each value's
    profile equals a fresh profiling run under that value, and the
    overhead filter applied to the unfiltered profile equals a filtered
    refit. *)
 let test_sampled_run_refits () =
   let w = micro_w ~inner:4 () in
-  let r, sampler = Pipeline.sampled w in
+  let r, sampler, _ = Pipeline.profiled_run w in
   let f = r.Pipeline.instance.Workload.func in
   let default = Option.get (Pipeline.refit ~sampler r) in
   let same what (a : Profiler.t) (b : Profiler.t) =
@@ -414,7 +505,6 @@ let test_static_tables_render () =
 (* ---------------- persistent measurement cache ---------------- *)
 
 module Meas_cache = Aptget_core.Meas_cache
-module Fingerprint = Aptget_ir.Fingerprint
 
 let tmpdir prefix =
   let d = Filename.temp_file prefix "" in
@@ -429,45 +519,40 @@ let meas_equal (a : Pipeline.measurement) (b : Pipeline.measurement) =
   && a.Pipeline.skipped = b.Pipeline.skipped
   && a.Pipeline.wall_seconds = b.Pipeline.wall_seconds
 
+(* What a fresh memo over [dir] finds under [key]: the record on disk. *)
+let load ~dir key =
+  match
+    Meas_cache.memoize (Meas_cache.create ~dir ()) key
+      ~caps:Machine.default_config (fun () -> raise Exit)
+  with
+  | m -> Some m
+  | exception Exit -> None
+
+let key_of w transform =
+  Meas_cache.key ~workload:w.Workload.name ~program:(Meas_cache.program w)
+    ~config:Machine.default_config transform
+
 let test_meas_cache_roundtrip () =
   let w = micro_w () in
-  let m = Pipeline.aj w in
+  let m = Pipeline.aj ~distance:8 w in
   Alcotest.(check bool) "has injections" true (m.Pipeline.injected <> []);
-  let program =
-    (Fingerprint.fingerprint (w.Workload.build ()).Workload.func)
-      .Fingerprint.program
-  in
-  let key =
-    Meas_cache.key ~variant:"aj-8" ~workload:w.Workload.name ~program
-      ~config:Machine.default_config ()
-  in
+  let key = key_of w (Meas_cache.Aj 8) in
   let dir = tmpdir "aptget-meas" in
-  Alcotest.(check bool) "cold miss" true (Meas_cache.load ~dir key = None);
-  Meas_cache.store ~dir key m;
-  (match Meas_cache.load ~dir key with
+  Alcotest.(check bool) "cold miss" true (load ~dir key = None);
+  Meas_cache.add (Meas_cache.create ~dir ()) key m;
+  (match load ~dir key with
   | None -> Alcotest.fail "expected a hit after store"
   | Some m' -> Alcotest.(check bool) "roundtrips exactly" true (meas_equal m m'));
   (* A different key must not alias onto the stored record. *)
-  let other =
-    Meas_cache.key ~variant:"baseline" ~workload:w.Workload.name ~program
-      ~config:Machine.default_config ()
-  in
-  Alcotest.(check bool) "other variant misses" true
-    (Meas_cache.load ~dir other = None)
+  let other = key_of w Meas_cache.Unmodified in
+  Alcotest.(check bool) "other variant misses" true (load ~dir other = None)
 
 let test_meas_cache_rejects_corruption () =
   let w = micro_w () in
   let m = Pipeline.baseline w in
-  let program =
-    (Fingerprint.fingerprint (w.Workload.build ()).Workload.func)
-      .Fingerprint.program
-  in
-  let key =
-    Meas_cache.key ~variant:"baseline" ~workload:w.Workload.name ~program
-      ~config:Machine.default_config ()
-  in
+  let key = key_of w Meas_cache.Unmodified in
   let dir = tmpdir "aptget-meas" in
-  Meas_cache.store ~dir key m;
+  Meas_cache.add (Meas_cache.create ~dir ()) key m;
   let file =
     match Sys.readdir dir with
     | [| f |] -> Filename.concat dir f
@@ -480,13 +565,11 @@ let test_meas_cache_rejects_corruption () =
   in
   Out_channel.with_open_bin file (fun oc ->
       Out_channel.output_string oc corrupted);
-  Alcotest.(check bool) "corrupt record is a miss" true
-    (Meas_cache.load ~dir key = None);
+  Alcotest.(check bool) "corrupt record is a miss" true (load ~dir key = None);
   (* Truncation likewise. *)
   Out_channel.with_open_bin file (fun oc ->
       Out_channel.output_string oc (String.sub text 0 (String.length text / 2)));
-  Alcotest.(check bool) "truncated record is a miss" true
-    (Meas_cache.load ~dir key = None)
+  Alcotest.(check bool) "truncated record is a miss" true (load ~dir key = None)
 
 (* The lab with a cache dir must produce the same measurements on a
    cold run (simulate + store) and a warm run (load), including through
@@ -561,6 +644,9 @@ let () =
           Alcotest.test_case "sampled run refits" `Quick test_sampled_run_refits;
           Alcotest.test_case "baseline is the profiling run" `Quick
             test_lab_baseline_is_profiling_run;
+          Alcotest.test_case "keys by content" `Quick test_lab_keys_by_content;
+          Alcotest.test_case "run_batch dedupes by key" `Quick
+            test_run_batch_dedupes_by_key;
           Alcotest.test_case "quick suite" `Quick test_lab_quick_suite;
           Alcotest.test_case "registry complete" `Quick test_registry_complete;
           Alcotest.test_case "static tables" `Quick test_static_tables_render;

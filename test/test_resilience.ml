@@ -5,6 +5,7 @@
 module Machine = Aptget_machine.Machine
 module Pipeline = Aptget_core.Pipeline
 module Quarantine = Aptget_core.Quarantine
+module Meas_cache = Aptget_core.Meas_cache
 module Watchdog = Aptget_core.Watchdog
 module Trace = Aptget_obs.Trace
 module Workload = Aptget_workloads.Workload
@@ -478,8 +479,9 @@ let test_guard_pinned_fallback_is_vetoed_run () =
       ("duplicate hints", [ hint other 4; hint d 8; hint other 16; hint d 2 ]);
     ]
 
-(* A caller-supplied fingerprint of a fresh build stands in for the one
-   [run_guarded] would take itself: same record, wall time aside. *)
+(* A caller-supplied program (here, a fresh build's text shipped back)
+   stands in for the one [run_guarded] would take itself: same record,
+   wall time aside. *)
 let test_guard_program_argument_is_transparent () =
   let w = micro_w () in
   let doc, _ = profile_doc w in
@@ -500,7 +502,8 @@ let test_guard_program_argument_is_transparent () =
              ~quarantine:(Quarantine.create ()) ?program ~doc w)
       in
       let program =
-        Fingerprint.fingerprint (w.Workload.build ()).Workload.func
+        let f = (w.Workload.build ()).Workload.func in
+        Meas_cache.shipped w ~text:(Printer.func_to_string f) f
       in
       Alcotest.(check bool)
         (tag ^ ": same guarded record with ~program")
@@ -508,8 +511,8 @@ let test_guard_program_argument_is_transparent () =
         (run () = run ~program ()))
     [ ("fresh", w); ("collide", mutated w ~tag:"collide" collide) ]
 
-(* A caller's baseline (the profiling run) stands in for the guard's
-   own: same record, wall time aside, one simulation fewer. *)
+(* A caller's profiling run in the memo stands in for the guard's
+   baseline: same record, wall time aside, one simulation fewer. *)
 let test_guard_baseline_argument_is_transparent () =
   let strip (g : Pipeline.guarded) =
     let m (x : Pipeline.measurement) = { x with Pipeline.wall_seconds = 0. } in
@@ -530,8 +533,9 @@ let test_guard_baseline_argument_is_transparent () =
   let doc, _ = profile_doc w in
   List.iter
     (fun (tag, w) ->
-      let baseline, _ = Pipeline.profiled w in
-      let run ?baseline () =
+      let memo = Meas_cache.create () in
+      ignore (Pipeline.profiled ~memo w);
+      let run ?memo () =
         Trace.reset ();
         Trace.enable ();
         Fun.protect
@@ -540,22 +544,23 @@ let test_guard_baseline_argument_is_transparent () =
             Trace.reset ())
         @@ fun () ->
         let g =
-          Pipeline.run_guarded ~remap:true
-            ~quarantine:(Quarantine.create ()) ?baseline ~doc w
+          Pipeline.run_guarded ?memo ~remap:true
+            ~quarantine:(Quarantine.create ()) ~doc w
         in
         (strip g, executed ())
       in
-      let g, n = run () and g', n' = run ~baseline () in
+      let g, n = run () and g', n' = run ~memo () in
       Alcotest.(check bool) (tag ^ ": same guarded record") true (g = g');
       Alcotest.(check int) (tag ^ ": one simulation fewer") (n - 1) n')
     [ ("fresh", w); ("collide", mutated w ~tag:"collide" collide) ]
 
-(* A baseline that would blow the measure budget is simulated anyway,
-   so the guard times out exactly as without it. *)
+(* A baseline in the memo that would blow the measure budget is
+   simulated anyway, so the guard times out exactly as without it. *)
 let test_guard_baseline_over_budget_times_out () =
   let w = micro_w () in
   let doc, _ = profile_doc w in
-  let baseline, _ = Pipeline.profiled w in
+  let memo = Meas_cache.create () in
+  let baseline, _ = Pipeline.profiled ~memo w in
   let watchdog =
     {
       Watchdog.default with
@@ -566,12 +571,12 @@ let test_guard_baseline_over_budget_times_out () =
         };
     }
   in
-  let timeout ?baseline () =
-    match Pipeline.run_guarded ~watchdog ?baseline ~doc w with
+  let timeout ?memo () =
+    match Pipeline.run_guarded ?memo ~watchdog ~doc w with
     | (_ : Pipeline.guarded) -> Alcotest.fail "the baseline must time out"
     | exception Watchdog.Timed_out t -> Watchdog.timeout_to_string t
   in
-  Alcotest.(check string) "same timeout" (timeout ()) (timeout ~baseline ())
+  Alcotest.(check string) "same timeout" (timeout ()) (timeout ~memo ())
 
 let test_guard_with_remap_recovers_mutations () =
   (* Acceptance: across the layout mutations, remapping recovers at

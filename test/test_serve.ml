@@ -7,6 +7,7 @@
 module Pipeline = Aptget_core.Pipeline
 module Watchdog = Aptget_core.Watchdog
 module Quarantine = Aptget_core.Quarantine
+module Meas_cache = Aptget_core.Meas_cache
 module Breaker = Aptget_core.Breaker
 module Workload = Aptget_workloads.Workload
 module Micro = Aptget_workloads.Micro
@@ -507,8 +508,31 @@ let test_tenant_registry () =
   Alcotest.(check bool) "cache scopes namespace by tenant id" true
     (match (a.Tenant.cache, b.Tenant.cache) with
     | Some ca, Some cb ->
-      ca.Aptget_core.Meas_cache.namespace = "acme"
-      && cb.Aptget_core.Meas_cache.namespace = "globex"
+      (* one run in acme's memo: only a memo over acme's directory under
+         acme's namespace finds it *)
+      let w = micro_w () in
+      let k =
+        Meas_cache.key ~workload:w.Workload.name
+          ~program:(Meas_cache.program w)
+          ~config:Aptget_machine.Machine.default_config Meas_cache.Unmodified
+      in
+      Meas_cache.add ca k (Pipeline.baseline w);
+      let finds memo =
+        match
+          Meas_cache.memoize memo k
+            ~caps:Aptget_machine.Machine.default_config (fun () -> raise Exit)
+        with
+        | _ -> true
+        | exception Exit -> false
+      in
+      let over_acme namespace =
+        Meas_cache.create
+          ~dir:(Filename.concat a.Tenant.dir "cache")
+          ~namespace ()
+      in
+      finds ca && (not (finds cb))
+      && finds (over_acme "acme")
+      && not (finds (over_acme "globex"))
     | _ -> false);
   Alcotest.(check (list string)) "known, sorted" [ "acme"; "globex" ]
     (List.map (fun t -> t.Tenant.id) (Tenant.known reg));
@@ -1138,6 +1162,45 @@ let test_memo_does_not_alias_programs () =
   Alcotest.(check string) "a new record gets a fresh fingerprint"
     (hex_of_func shipped_func)
     (program_of (ask "new-record"))
+
+(* One tenant with a cache is shipped micro's program, then the same
+   text with [work %4] made [work 200]. The two share a structural
+   fingerprint (opcodes only), so a key built on it answers the second
+   from the first's record; each answer must be a fresh tenant's. *)
+let test_shipped_operand_edit_not_aliased () =
+  let doc = Lazy.force micro_doc in
+  let text =
+    Printer.func_to_string ((micro_w ()).Workload.build ()).Workload.func
+  in
+  let edited =
+    let i =
+      let n = String.length "work %4" in
+      let rec find i =
+        if i + n > String.length text then Alcotest.fail "no [work %4] in micro"
+        else if String.sub text i n = "work %4" then i
+        else find (i + 1)
+      in
+      find 0
+    in
+    String.sub text 0 i ^ "work 200"
+    ^ String.sub text (i + 7) (String.length text - i - 7)
+  in
+  let ask tenant id program =
+    baseline_of
+      (ok_body
+         (Handler.run handler_config ~tenant
+            (req ~tenant:tenant.Tenant.id ~hints:doc ~program id)))
+  in
+  with_spool @@ fun root ->
+  let shared = tenant_in root "t-shared" in
+  let orig = ask shared "orig" text in
+  let answers = [ orig; ask shared "edited" edited ] in
+  let fresh_orig = ask (tenant_in root "t-fresh-orig") "orig" text in
+  let fresh = [ fresh_orig; ask (tenant_in root "t-fresh-edited") "edited" edited ] in
+  Alcotest.(check (list string)) "each baseline is a fresh tenant's" fresh
+    answers;
+  Alcotest.(check bool) "and the edit moves it" true
+    (List.nth fresh 0 <> List.nth fresh 1)
 
 (* [f] with a store of 1 after every load: the program overwrites the
    very words it reads. *)
@@ -1807,6 +1870,8 @@ let () =
         [
           Alcotest.test_case "a warm request builds nothing" `Slow
             test_warm_request_builds_nothing;
+          Alcotest.test_case "an operand edit is not answered from the cache"
+            `Slow test_shipped_operand_edit_not_aliased;
           Alcotest.test_case "the fingerprint memo does not alias programs"
             `Slow test_memo_does_not_alias_programs;
           Alcotest.test_case "a shipped store does not leak into the image"
