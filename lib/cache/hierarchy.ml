@@ -188,8 +188,8 @@ and shared = {
       (* earliest cycle the DRAM channel can start another fill *)
   mutable n_pending : int;  (* marked LLC lines; 0 skips every mark lookup *)
   mutable streams : t array;
-      (* in attach order; inclusion victims invalidate every stream's
-         private levels *)
+      (* in attach order; an inclusion victim is invalidated in the
+         private levels of every stream whose line base it carries *)
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
@@ -210,6 +210,10 @@ let create_shared cfg =
     streams = [||];
   }
 
+(* Line ids carry their stream's base in the bits from [stream_shift]
+   up: word addresses stay far below [1 lsl 44] lines. *)
+let stream_shift = 44
+
 let attach shared ~stream =
   if stream < 0 || stream > 255 then
     invalid_arg "Hierarchy.attach: stream id out of range";
@@ -223,7 +227,7 @@ let attach shared ~stream =
       mshr = Mshr.create ~capacity:cfg.mshr_capacity;
       hwpf = (if cfg.hw_prefetch then Hwpf.create () else Hwpf.disabled ());
       c = zero_counters ();
-      line_base = stream lsl 44;
+      line_base = stream lsl stream_shift;
       line_shift =
         (if cfg.line_bytes mod 8 = 0 && is_pow2 (cfg.line_bytes / 8) then
            log2 (cfg.line_bytes / 8)
@@ -244,16 +248,21 @@ let set_prefetch_limit t ~words =
   Hwpf.set_line_limit t.hwpf ~lines
 
 (* An LLC insert just evicted [victim]. Inclusion: the victim leaves
-   the inner levels of every attached stream (line ids are per-stream
-   disjoint, so at most one stream's private levels actually hold it).
-   A pending SW-prefetch mark left with it: charge its owner. *)
+   the inner levels of the streams that can hold it, those whose line
+   base it carries. Bases, not attach indices: streams attached under
+   one id share a base and may each hold it. A pending SW-prefetch mark
+   left with it: charge its owner. *)
 let evicted t victim =
   if victim <> Cache.no_line then begin
     let sh = t.shared in
     let streams = sh.streams in
+    let base = (victim lsr stream_shift) lsl stream_shift in
     for i = 0 to Array.length streams - 1 do
-      Cache.invalidate streams.(i).l2 victim;
-      Cache.invalidate streams.(i).l1 victim
+      let s = Array.unsafe_get streams i in
+      if s.line_base = base then begin
+        Cache.invalidate s.l2 victim;
+        Cache.invalidate s.l1 victim
+      end
     done;
     if sh.n_pending > 0 then begin
       let owner = Cache.evicted_mark sh.llc in
@@ -265,13 +274,18 @@ let evicted t victim =
     end
   end
 
-(* Install a line everywhere (inclusive hierarchy). *)
-let install_all t line =
+(* Install a completed fill everywhere (inclusive hierarchy). A line
+   in this stream's MSHR is absent from its L1 and L2: it was absent
+   when the fill was allocated, only a fill's completion installs it
+   there, and other streams can only invalidate. The LLC keeps the
+   presence scan, since a fill that started as an LLC hit is still
+   there. *)
+let install_fill t line =
   evicted t (Cache.insert t.shared.llc line);
-  ignore (Cache.insert t.l2 line);
-  ignore (Cache.insert t.l1 line)
+  ignore (Cache.insert_absent t.l2 line);
+  ignore (Cache.insert_absent t.l1 line)
 
-(* [install_all] for a line that just missed at all three levels. *)
+(* [install_fill] for a line that just missed at all three levels. *)
 let install_absent t line =
   evicted t (Cache.insert_absent t.shared.llc line);
   ignore (Cache.insert_absent t.l2 line);
@@ -299,7 +313,7 @@ let rec drain_fills t ~cycle =
     let line = Mshr.line t.mshr i in
     let sw = Mshr.origin t.mshr i = Mshr.Sw_prefetch in
     Mshr.remove_at t.mshr i;
-    install_all t line;
+    install_fill t line;
     if sw then mark_sw_fill t line;
     drain_fills t ~cycle
   end
@@ -324,7 +338,9 @@ let dram_start t ~cycle =
   end
 
 (* Start a fill for a line absent from L1 and L2 and not in flight,
-   from the LLC or DRAM. Returns true if a fill buffer was allocated. *)
+   from the LLC or DRAM. Returns true if a fill buffer was allocated.
+   A fill the full MSHR refuses has claimed its DRAM slot all the same
+   (ROADMAP item 3c). *)
 let fill_from_below t ~line ~cycle ~origin =
   let from_dram = not (Cache.probe t.shared.llc line) in
   let ready_at =
@@ -338,12 +354,21 @@ let fill_from_below t ~line ~cycle ~origin =
 
 (* The prefetcher trains on raw (un-offset) addresses and emits raw
    line indices, so its extent clamp composes with the stream offset;
-   the base is added when the fill enters the hierarchy. *)
+   the base is added when the fill enters the hierarchy.
+
+   A target already in flight is absent from L1 and L2 (see
+   [install_fill]), so it skips their probes. Its fill is refused, but,
+   as for any target that misses L1 and L2, a DRAM target has claimed a
+   channel slot first (ROADMAP item 3c). *)
 let hw_prefetch_lines t ~pc ~addr ~miss ~cycle =
   let n = Hwpf.on_demand_access t.hwpf ~pc ~addr ~miss in
   for i = 0 to n - 1 do
     let line = t.line_base + Hwpf.target t.hwpf i in
-    if
+    if Mshr.find t.mshr line >= 0 then begin
+      if t.cfg.dram_min_gap > 0 && not (Cache.probe t.shared.llc line) then
+        ignore (dram_start t ~cycle)
+    end
+    else if
       (not (Cache.probe t.l1 line || Cache.probe t.l2 line))
       && fill_from_below t ~line ~cycle ~origin:Mshr.Hw_prefetch
     then t.c.hw_prefetch_issued <- t.c.hw_prefetch_issued + 1
@@ -374,7 +399,7 @@ let demand_load t ~pc ~addr ~cycle =
       let wait = Int.max 0 (Mshr.ready_at t.mshr m - cycle) in
       let late_sw = Mshr.origin t.mshr m = Mshr.Sw_prefetch in
       Mshr.remove_at t.mshr m;
-      install_all t line;
+      install_fill t line;
       (* installed, it leads its LLC set: one comparison finds it *)
       clear_sw_mark t.shared line;
       if late_sw then t.c.load_hit_pre_sw_pf <- t.c.load_hit_pre_sw_pf + 1;

@@ -106,12 +106,12 @@ val create_shared : config -> shared
 
 val attach : shared -> stream:int -> t
 (** Attach a stream (private L1/L2/MSHR/prefetcher/counters) to a
-    shared LLC/DRAM. [stream] must be unique per attachment and in
-    [0, 255]; it offsets the stream's line ids so tenants whose
-    memories all start at word 0 do not alias in the shared LLC, while
-    preserving set indexing (streams contend for the same sets). An
-    LLC eviction invalidates the victim in every attached stream's
-    private levels (inclusion).
+    shared LLC/DRAM. [stream], in [0, 255], offsets the stream's line
+    ids so tenants whose memories all start at word 0 do not alias in
+    the shared LLC, while preserving set indexing (streams contend for
+    the same sets). Streams attached under one id share their line ids.
+    An LLC eviction invalidates the victim in the private levels of
+    every stream attached under the victim's id (inclusion).
 
     Raises [Invalid_argument] on an out-of-range stream id. *)
 

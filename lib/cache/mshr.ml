@@ -44,9 +44,9 @@ let line t i = check t i; Array.unsafe_get t.lines i
 let ready_at t i = check t i; Array.unsafe_get t.ready i
 let origin t i = check t i; Array.unsafe_get t.origins i
 
+(* Callers have looked the line up already: no second scan. *)
 let allocate t ~line ~ready_at ~origin =
   if t.n >= Array.length t.lines then false
-  else if find t line >= 0 then false
   else begin
     let i = t.n in
     t.lines.(i) <- line;

@@ -37,9 +37,11 @@ val origin : t -> int -> origin
     [Invalid_argument] if [i] is not a live index. *)
 
 val allocate : t -> line:int -> ready_at:int -> origin:origin -> bool
-(** [allocate t ~line ~ready_at ~origin] starts a fill. Returns [false]
-    (and does nothing) when the buffers are full or the line is already
-    in flight (the request coalesces in that case). *)
+(** [allocate t ~line ~ready_at ~origin] starts a fill for a line that
+    is not in flight: callers check {!find} first, and a request for an
+    in-flight line coalesces with its fill instead. Returns [false] (and
+    does nothing) when the buffers are full. Allocating a line already
+    in flight would track it twice. *)
 
 val remove_at : t -> int -> unit
 (** Free entry [i] (a completed fill, or one a demand load absorbed). *)

@@ -611,28 +611,30 @@ let feed_stepper fd ~fuse ~entry ~blocks ~replay ~replay_fault =
     release fd;
     cur := next
   in
-  let guard f =
-    match f () with
-    | () -> if !cur < 0 then close fd
-    | exception e ->
-      cur := -1;
-      close fd;
-      raise e
+  let fail e =
+    cur := -1;
+    close fd;
+    raise e
   in
   (* [step] replays one block; [run] replays the rest of the run
-     without returning between blocks. *)
+     without returning between blocks. Neither allocates. *)
   let step () =
     !cur >= 0
     && begin
-         guard (fun () -> advance !cur);
+         (match advance !cur with
+         | () -> if !cur < 0 then close fd
+         | exception e -> fail e);
          !cur >= 0
        end
   in
   let run () =
-    guard (fun () ->
-        while !cur >= 0 do
-          advance !cur
-        done)
+    match
+      while !cur >= 0 do
+        advance !cur
+      done
+    with
+    | () -> close fd
+    | exception e -> fail e
   in
   (step, run, fun () -> close fd)
 

@@ -68,7 +68,17 @@ let run ?(config = Machine.default_config) ?engine ?(policy = Round_robin)
          streams)
   in
   let n = Array.length sps in
+  (* The schedule reads only these arrays: a step and a liveness test
+     per block, with no allocation. *)
+  let steps = Array.map (fun (_, sp) -> sp.Machine.sp_step) sps in
+  let live = Array.make n true in
   let remaining = ref n in
+  let step i =
+    if not ((Array.unsafe_get steps i) ()) then begin
+      live.(i) <- false;
+      decr remaining
+    end
+  in
   let schedule () =
     match policy with
     | Round_robin ->
@@ -76,10 +86,9 @@ let run ?(config = Machine.default_config) ?engine ?(policy = Round_robin)
          order; finished streams drop out of the rotation. *)
       let idx = ref 0 in
       while !remaining > 0 do
-        let _, sp = sps.(!idx) in
-        if not (sp.Machine.sp_finished ()) && not (sp.Machine.sp_step ()) then
-          decr remaining;
-        idx := (!idx + 1) mod n
+        let i = !idx in
+        if Array.unsafe_get live i then step i;
+        idx := if i + 1 = n then 0 else i + 1
       done
     | Cycle_ratio weights ->
       List.iter
@@ -91,25 +100,23 @@ let run ?(config = Machine.default_config) ?engine ?(policy = Round_robin)
         Array.init n (fun i ->
             match List.nth_opt weights i with Some x -> x | None -> 1)
       in
+      let cycle = Array.map (fun (_, sp) -> sp.Machine.sp_cycle) sps in
       (* Advance the live stream with the smallest weighted cycle count
          (cycle / weight, compared cross-multiplied so everything stays
          in integers); ties go to the lowest stream index. Streams make
          progress proportional to their weights in simulated cycles. *)
       while !remaining > 0 do
-        let best = ref (-1) in
+        let best = ref (-1) and best_cycle = ref 0 in
         for i = n - 1 downto 0 do
-          let _, sp = sps.(i) in
-          if not (sp.Machine.sp_finished ()) then
-            if !best < 0 then best := i
-            else
-              let _, bsp = sps.(!best) in
-              if
-                sp.Machine.sp_cycle () * w.(!best)
-                <= bsp.Machine.sp_cycle () * w.(i)
-              then best := i
+          if Array.unsafe_get live i then begin
+            let c = (Array.unsafe_get cycle i) () in
+            if !best < 0 || c * w.(!best) <= !best_cycle * w.(i) then begin
+              best := i;
+              best_cycle := c
+            end
+          end
         done;
-        let _, sp = sps.(!best) in
-        if not (sp.Machine.sp_step ()) then decr remaining
+        step !best
       done
   in
   (* A stream that raises leaves the others mid-run: stop their

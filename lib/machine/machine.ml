@@ -466,7 +466,6 @@ let stepper_stall_on_use ~config ~hier ~sampler ~wtick ~mem ~regs ~window
 type stepper = {
   sp_step : unit -> bool;
   sp_cycle : unit -> int;
-  sp_finished : unit -> bool;
   sp_finish : unit -> outcome;
   sp_close : unit -> unit;
 }
@@ -519,13 +518,7 @@ let stepper_and_run ?(config = default_config) ?engine ?hierarchy ?sampler
       Compiled.stepper_stall_on_use ~config ~hier ~sampler ~windowing ~mem
         ~regs ~window ~plan f
   in
-  let finished = ref false in
   let outcome = ref None in
-  let sp_step () =
-    let more = step () in
-    if not more then finished := true;
-    more
-  in
   let sp_finish () =
     match !outcome with
     | Some o -> o
@@ -545,15 +538,12 @@ let stepper_and_run ?(config = default_config) ?engine ?hierarchy ?sampler
       o
   in
   ( {
-      sp_step;
+      sp_step = step;
       sp_cycle = (fun () -> st.Exec.cycle);
-      sp_finished = (fun () -> !finished);
       sp_finish;
       sp_close = close;
     },
-    fun () ->
-      run ();
-      finished := true )
+    run )
 
 let make_stepper ?config ?engine ?hierarchy ?sampler ?window_cycles ?on_window
     ?args ~mem f =

@@ -204,10 +204,10 @@ val execute :
 type stepper = {
   sp_step : unit -> bool;
       (** Perform one block dispatch (phi moves + instructions +
-          terminator); false once [Ret] has executed. Raises the same
-          exceptions at the same points as {!execute}. *)
+          terminator); false once [Ret] has executed, and on every
+          later call. Raises the same exceptions at the same points as
+          {!execute}. *)
   sp_cycle : unit -> int;  (** current simulated cycle of this stream *)
-  sp_finished : unit -> bool;
   sp_finish : unit -> outcome;
       (** Flush the trailing execution window (if windowed) and
           snapshot the outcome; call once the stream has finished.

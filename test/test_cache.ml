@@ -313,8 +313,9 @@ let test_mshr_allocate_find () =
   let i = Mshr.find m 1 in
   Alcotest.(check bool) "found" true (i >= 0);
   Alcotest.(check int) "ready_at" 10 (Mshr.ready_at m i);
-  Alcotest.(check bool) "coalesce rejected" false
-    (Mshr.allocate m ~line:1 ~ready_at:20 ~origin:Mshr.Demand)
+  (* [allocate] does not look the line up: a caller coalesces a
+     request for a line [find] reports in flight. *)
+  Alcotest.(check int) "not in flight" (-1) (Mshr.find m 2)
 
 let test_mshr_capacity () =
   let m = Mshr.create ~capacity:2 in
@@ -649,6 +650,54 @@ let test_hier_mark_follows_line () =
     [ 0; 0; 1; 1 ] (mark_follows_line ~owner:a ~other:b);
   Alcotest.(check int) "not to the evicting stream" 0 (early_evicts b)
 
+(* ROADMAP item 3c's reproduction, pinned as the model stands: a
+   prefetch the MSHR refuses has claimed a DRAM channel slot first, so
+   each one delays the next DRAM fill by [dram_min_gap]. The model fix
+   (claim the slot only once the MSHR accepts the fill) changes every
+   number below to the k = 0 latency, 297. *)
+let slot_cfg ~hw_prefetch =
+  {
+    Hierarchy.default_config with
+    Hierarchy.dram_min_gap = 24;
+    mshr_capacity = 2;
+    hw_prefetch;
+  }
+
+(* A demand load of an uncached line at cycle 1 waits for the channel
+   slot after every DRAM claim made at cycle 0. *)
+let uncached_latency h =
+  Hierarchy.latency (Hierarchy.demand_load h ~pc:9 ~addr:(1000 * 8) ~cycle:1)
+
+let test_hier_dropped_prefetch_claims_slot () =
+  List.iter
+    (fun (k, expected) ->
+      let h = Hierarchy.create (slot_cfg ~hw_prefetch:false) in
+      (* two fills in flight fill the MSHR; k more are dropped *)
+      for i = 0 to 1 + k do
+        Hierarchy.sw_prefetch h ~addr:(i * 64) ~cycle:0
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "k=%d dropped" k)
+        k (Hierarchy.counters h).Hierarchy.sw_prefetch_dropped;
+      Alcotest.(check int)
+        (Printf.sprintf "demand latency after %d dropped" k)
+        expected (uncached_latency h))
+    [ (0, 297); (1, 321); (3, 369) ]
+
+(* The same claim for a HW-prefetch target already in flight: a SW
+   prefetch of line 1 (slot 0), then a demand miss on line 0 (slot 24)
+   whose next-line target is line 1. The refused target takes slot 48,
+   as one dropped SW prefetch does above. *)
+let test_hier_in_flight_hw_target_claims_slot () =
+  let h = Hierarchy.create (slot_cfg ~hw_prefetch:true) in
+  Hierarchy.sw_prefetch h ~addr:8 ~cycle:0;
+  let a = Hierarchy.demand_load h ~pc:1 ~addr:0 ~cycle:0 in
+  Alcotest.(check int) "demand miss queues behind the prefetch" (24 + 250)
+    (Hierarchy.latency a);
+  Alcotest.(check int) "target refused" 0
+    (Hierarchy.counters h).Hierarchy.hw_prefetch_issued;
+  Alcotest.(check int) "yet it claimed a slot" 321 (uncached_latency h)
+
 (* ROADMAP's zero-allocation target as an exact check: after warm-up,
    demand loads served at each level and software prefetches allocate
    no minor-heap words at all. *)
@@ -730,6 +779,352 @@ let prop_inclusive =
         = Hierarchy.L1
       | [] -> true)
 
+(* The hierarchy as it was before its co-run trims, rebuilt from the
+   public [Cache], [Mshr] and [Hwpf] APIs: an LLC victim is invalidated
+   in every stream's private levels, every fill installs with
+   [Cache.insert] at all three levels, and a HW-prefetch target probes
+   L1 and L2 before anything else. [prop_matches_reference] checks the
+   trimmed hierarchy against it. *)
+module Ref_hier = struct
+  type stream = {
+    base : int;
+    tag : int;
+    l1 : Cache.t;
+    l2 : Cache.t;
+    mshr : Mshr.t;
+    hwpf : Hwpf.t;
+    mutable c : Hierarchy.counters;
+  }
+
+  type t = {
+    cfg : Hierarchy.config;
+    llc : Cache.t;
+    mutable next_slot : int;
+    mutable streams : stream array;
+  }
+
+  let zero () =
+    {
+      Hierarchy.demand_loads = 0;
+      hits_l1 = 0;
+      hits_l2 = 0;
+      hits_llc = 0;
+      dram_fills_demand = 0;
+      load_hit_pre_sw_pf = 0;
+      offcore_all_data_rd = 0;
+      offcore_demand_data_rd = 0;
+      sw_prefetch_issued = 0;
+      sw_prefetch_useless = 0;
+      sw_prefetch_dropped = 0;
+      hw_prefetch_issued = 0;
+      stall_cycles_l2 = 0;
+      stall_cycles_llc = 0;
+      stall_cycles_dram = 0;
+      sw_prefetch_early_evict = 0;
+    }
+
+  let cache cfg size assoc =
+    Cache.create ~size_bytes:size ~assoc ~line_bytes:cfg.Hierarchy.line_bytes
+
+  let create cfg =
+    {
+      cfg;
+      llc = cache cfg cfg.Hierarchy.llc_size cfg.Hierarchy.llc_assoc;
+      next_slot = 0;
+      streams = [||];
+    }
+
+  let attach t ~stream =
+    let cfg = t.cfg in
+    let s =
+      {
+        base = stream lsl 44;
+        tag = Array.length t.streams + 1;
+        l1 = cache cfg cfg.Hierarchy.l1_size cfg.Hierarchy.l1_assoc;
+        l2 = cache cfg cfg.Hierarchy.l2_size cfg.Hierarchy.l2_assoc;
+        mshr = Mshr.create ~capacity:cfg.Hierarchy.mshr_capacity;
+        hwpf = (if cfg.Hierarchy.hw_prefetch then Hwpf.create () else Hwpf.disabled ());
+        c = zero ();
+      }
+    in
+    t.streams <- Array.append t.streams [| s |];
+    s
+
+  let evicted t victim =
+    if victim <> Cache.no_line then begin
+      Array.iter
+        (fun s ->
+          Cache.invalidate s.l2 victim;
+          Cache.invalidate s.l1 victim)
+        t.streams;
+      let owner = Cache.evicted_mark t.llc in
+      if owner > 0 then begin
+        let c = t.streams.(owner - 1).c in
+        c.sw_prefetch_early_evict <- c.sw_prefetch_early_evict + 1
+      end
+    end
+
+  let install t s line =
+    evicted t (Cache.insert t.llc line);
+    ignore (Cache.insert s.l2 line);
+    ignore (Cache.insert s.l1 line)
+
+  let clear_mark t line = if Cache.mark t.llc line <> 0 then Cache.set_mark t.llc line 0
+
+  let rec drain t s ~cycle =
+    let i = Mshr.next_ready s.mshr ~now:cycle in
+    if i >= 0 then begin
+      let line = Mshr.line s.mshr i in
+      let sw = Mshr.origin s.mshr i = Mshr.Sw_prefetch in
+      Mshr.remove_at s.mshr i;
+      install t s line;
+      if sw then Cache.set_mark t.llc line s.tag;
+      drain t s ~cycle
+    end
+
+  let dram_start t ~cycle =
+    if t.cfg.Hierarchy.dram_min_gap <= 0 then cycle
+    else begin
+      let start = max cycle t.next_slot in
+      t.next_slot <- start + t.cfg.Hierarchy.dram_min_gap;
+      start
+    end
+
+  let fill t s ~line ~cycle ~origin =
+    let from_dram = not (Cache.probe t.llc line) in
+    let ready_at =
+      if from_dram then dram_start t ~cycle + t.cfg.Hierarchy.dram_latency
+      else cycle + t.cfg.Hierarchy.llc_latency
+    in
+    let ok = Mshr.find s.mshr line < 0 && Mshr.allocate s.mshr ~line ~ready_at ~origin in
+    if ok && from_dram then s.c.offcore_all_data_rd <- s.c.offcore_all_data_rd + 1;
+    ok
+
+  let hw t s ~pc ~addr ~miss ~cycle =
+    for i = 0 to Hwpf.on_demand_access s.hwpf ~pc ~addr ~miss - 1 do
+      let line = s.base + Hwpf.target s.hwpf i in
+      if
+        (not (Cache.probe s.l1 line || Cache.probe s.l2 line))
+        && fill t s ~line ~cycle ~origin:Mshr.Hw_prefetch
+      then s.c.hw_prefetch_issued <- s.c.hw_prefetch_issued + 1
+    done
+
+  let line_of t s addr = s.base + (addr * 8 / t.cfg.Hierarchy.line_bytes)
+
+  (* Packed as [Hierarchy.access]: latency, late-SW bit 8, fill-buffer
+     bit 4, level 0-3. *)
+  let demand_load t s ~pc ~addr ~cycle =
+    let cfg = t.cfg and c = s.c in
+    drain t s ~cycle;
+    c.demand_loads <- c.demand_loads + 1;
+    let offcore () =
+      c.offcore_all_data_rd <- c.offcore_all_data_rd + 1;
+      c.offcore_demand_data_rd <- c.offcore_demand_data_rd + 1
+    in
+    if addr < 0 then begin
+      c.dram_fills_demand <- c.dram_fills_demand + 1;
+      offcore ();
+      c.stall_cycles_dram <-
+        c.stall_cycles_dram + cfg.Hierarchy.dram_latency - cfg.Hierarchy.l1_latency;
+      (cfg.Hierarchy.dram_latency lsl 4) lor 3
+    end
+    else begin
+      let line = line_of t s addr in
+      let m = Mshr.find s.mshr line in
+      if m >= 0 then begin
+        let wait = max 0 (Mshr.ready_at s.mshr m - cycle) in
+        let late = Mshr.origin s.mshr m = Mshr.Sw_prefetch in
+        Mshr.remove_at s.mshr m;
+        install t s line;
+        clear_mark t line;
+        if late then c.load_hit_pre_sw_pf <- c.load_hit_pre_sw_pf + 1;
+        offcore ();
+        c.stall_cycles_dram <- c.stall_cycles_dram + wait;
+        hw t s ~pc ~addr ~miss:true ~cycle;
+        ((wait + cfg.Hierarchy.l1_latency) lsl 4) lor 3 lor 4 lor if late then 8 else 0
+      end
+      else if Cache.touch s.l1 line then begin
+        clear_mark t line;
+        c.hits_l1 <- c.hits_l1 + 1;
+        hw t s ~pc ~addr ~miss:false ~cycle;
+        cfg.Hierarchy.l1_latency lsl 4
+      end
+      else if Cache.touch s.l2 line then begin
+        clear_mark t line;
+        ignore (Cache.insert s.l1 line);
+        c.hits_l2 <- c.hits_l2 + 1;
+        c.stall_cycles_l2 <-
+          c.stall_cycles_l2 + cfg.Hierarchy.l2_latency - cfg.Hierarchy.l1_latency;
+        hw t s ~pc ~addr ~miss:true ~cycle;
+        (cfg.Hierarchy.l2_latency lsl 4) lor 1
+      end
+      else if Cache.touch t.llc line then begin
+        clear_mark t line;
+        ignore (Cache.insert s.l2 line);
+        ignore (Cache.insert s.l1 line);
+        c.hits_llc <- c.hits_llc + 1;
+        c.stall_cycles_llc <-
+          c.stall_cycles_llc + cfg.Hierarchy.llc_latency - cfg.Hierarchy.l1_latency;
+        hw t s ~pc ~addr ~miss:true ~cycle;
+        (cfg.Hierarchy.llc_latency lsl 4) lor 2
+      end
+      else begin
+        install t s line;
+        let latency = dram_start t ~cycle - cycle + cfg.Hierarchy.dram_latency in
+        c.dram_fills_demand <- c.dram_fills_demand + 1;
+        offcore ();
+        c.stall_cycles_dram <- c.stall_cycles_dram + latency - cfg.Hierarchy.l1_latency;
+        hw t s ~pc ~addr ~miss:true ~cycle;
+        (latency lsl 4) lor 3
+      end
+    end
+
+  let sw_prefetch t s ~addr ~cycle =
+    if addr >= 0 then begin
+      drain t s ~cycle;
+      let line = line_of t s addr in
+      let c = s.c in
+      if Cache.probe s.l1 line || Cache.probe s.l2 line || Mshr.find s.mshr line >= 0
+      then c.sw_prefetch_useless <- c.sw_prefetch_useless + 1
+      else if fill t s ~line ~cycle ~origin:Mshr.Sw_prefetch then
+        c.sw_prefetch_issued <- c.sw_prefetch_issued + 1
+      else c.sw_prefetch_dropped <- c.sw_prefetch_dropped + 1
+    end
+end
+
+type hier_op =
+  | Load of int * int * int  (* stream, pc, word address *)
+  | Sweep of int * int * int * int * int  (* stream, pc, start, stride, count *)
+  | Prefetch of int * int
+  | Tick of int
+  | Reset of int
+
+let hier_op_print = function
+  | Load (s, pc, a) -> Printf.sprintf "load s%d pc%d %d" s pc a
+  | Sweep (s, pc, a, d, n) -> Printf.sprintf "sweep s%d pc%d %d+%d*%d" s pc a d n
+  | Prefetch (s, a) -> Printf.sprintf "prefetch s%d %d" s a
+  | Tick n -> Printf.sprintf "tick %d" n
+  | Reset s -> Printf.sprintf "reset s%d" s
+
+(* Tiny levels (4, 8 and 32 lines) under 48 lines per stream, so every
+   level evicts and the streams contend for the LLC. *)
+let ref_cfg ~mshr ~gap =
+  {
+    Hierarchy.default_config with
+    Hierarchy.l1_size = 256;
+    l1_assoc = 2;
+    l2_size = 512;
+    l2_assoc = 2;
+    llc_size = 2048;
+    llc_assoc = 4;
+    dram_min_gap = gap;
+    mshr_capacity = mshr;
+    hw_prefetch = true;
+  }
+
+let ref_case =
+  let open QCheck.Gen in
+  let gen =
+    list_size (int_range 1 3) (int_bound 2) >>= fun ids ->
+    int_range 2 4 >>= fun mshr ->
+    oneofl [ 0; 24 ] >>= fun gap ->
+    let n = List.length ids in
+    let stream = int_bound (n - 1) and pc = int_range 1 3 in
+    let addr = frequency [ (20, int_bound ((48 * 8) - 1)); (1, return (-8)) ] in
+    let op =
+      frequency
+        [
+          (8, map3 (fun s p a -> Load (s, p, a)) stream pc addr);
+          ( 2,
+            map3
+              (fun (s, p) (a, d) k -> Sweep (s, p, a, d, k))
+              (pair stream pc)
+              (pair (int_bound 200) (oneofl [ 1; 8; 16; -8 ]))
+              (int_range 3 8) );
+          (4, map2 (fun s a -> Prefetch (s, a)) stream addr);
+          (4, map (fun k -> Tick k) (int_bound 300));
+          (1, map (fun s -> Reset s) stream);
+        ]
+    in
+    map (fun ops -> (ids, mshr, gap, ops)) (list_size (int_range 1 300) op)
+  in
+  QCheck.make
+    ~print:(fun (ids, mshr, gap, ops) ->
+      Printf.sprintf "streams=[%s] mshr=%d gap=%d [%s]"
+        (String.concat "," (List.map string_of_int ids))
+        mshr gap
+        (String.concat "; " (List.map hier_op_print ops)))
+    gen
+
+let counter_fields (c : Hierarchy.counters) =
+  Hierarchy.
+    [
+      ("demand_loads", c.demand_loads);
+      ("hits_l1", c.hits_l1);
+      ("hits_l2", c.hits_l2);
+      ("hits_llc", c.hits_llc);
+      ("dram_fills_demand", c.dram_fills_demand);
+      ("load_hit_pre_sw_pf", c.load_hit_pre_sw_pf);
+      ("offcore_all_data_rd", c.offcore_all_data_rd);
+      ("offcore_demand_data_rd", c.offcore_demand_data_rd);
+      ("sw_prefetch_issued", c.sw_prefetch_issued);
+      ("sw_prefetch_useless", c.sw_prefetch_useless);
+      ("sw_prefetch_dropped", c.sw_prefetch_dropped);
+      ("hw_prefetch_issued", c.hw_prefetch_issued);
+      ("stall_cycles_l2", c.stall_cycles_l2);
+      ("stall_cycles_llc", c.stall_cycles_llc);
+      ("stall_cycles_dram", c.stall_cycles_dram);
+      ("sw_prefetch_early_evict", c.sw_prefetch_early_evict);
+    ]
+
+(* Random interleavings over 1-3 streams (stream ids may repeat):
+   every access result, and after every operation every stream's
+   counters, including its early-evict charges, match the reference. *)
+let prop_matches_reference =
+  QCheck.Test.make ~name:"hierarchy matches its untrimmed reference" ~count:200
+    ~long_factor:20 ref_case (fun (ids, mshr, gap, ops) ->
+      let cfg = ref_cfg ~mshr ~gap in
+      let shared = Hierarchy.create_shared cfg and r = Ref_hier.create cfg in
+      let hs = Array.of_list (List.map (fun stream -> Hierarchy.attach shared ~stream) ids) in
+      let rs = Array.of_list (List.map (fun stream -> Ref_hier.attach r ~stream) ids) in
+      let cycle = ref 0 and step = ref 0 in
+      let load s ~pc ~addr =
+        let a = Hierarchy.demand_load hs.(s) ~pc ~addr ~cycle:!cycle in
+        let b = Ref_hier.demand_load r rs.(s) ~pc ~addr ~cycle:!cycle in
+        if (a :> int) <> b then
+          QCheck.Test.fail_reportf "op %d: s%d load %d at %d: access %#x, reference %#x"
+            !step s addr !cycle (a :> int) b
+      in
+      List.iter
+        (fun op ->
+          incr step;
+          (match op with
+          | Load (s, pc, addr) -> load s ~pc ~addr
+          | Sweep (s, pc, a, d, k) ->
+            for i = 0 to k - 1 do
+              load s ~pc ~addr:(a + (i * d));
+              incr cycle
+            done
+          | Prefetch (s, addr) ->
+            Hierarchy.sw_prefetch hs.(s) ~addr ~cycle:!cycle;
+            Ref_hier.sw_prefetch r rs.(s) ~addr ~cycle:!cycle
+          | Tick k -> cycle := !cycle + k
+          | Reset s ->
+            Hierarchy.reset_counters hs.(s);
+            rs.(s).Ref_hier.c <- Ref_hier.zero ());
+          Array.iteri
+            (fun s h ->
+              List.iter2
+                (fun (name, a) (_, b) ->
+                  if a <> b then
+                    QCheck.Test.fail_reportf "op %d: s%d %s %d, reference %d" !step s
+                      name a b)
+                (counter_fields (Hierarchy.counters h))
+                (counter_fields rs.(s).Ref_hier.c))
+            hs)
+        ops;
+      true)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -737,6 +1132,7 @@ let qsuite =
       prop_inserted_line_present_or_evicted;
       prop_matches_stamp_lru;
       prop_inclusive;
+      prop_matches_reference;
     ]
 
 let () =
@@ -794,6 +1190,10 @@ let () =
             test_hier_early_evict_corun_owner;
           Alcotest.test_case "mark follows its line" `Quick
             test_hier_mark_follows_line;
+          Alcotest.test_case "dropped prefetch claims a DRAM slot" `Quick
+            test_hier_dropped_prefetch_claims_slot;
+          Alcotest.test_case "in-flight HW target claims a DRAM slot" `Quick
+            test_hier_in_flight_hw_target_claims_slot;
           Alcotest.test_case "allocation free" `Quick test_hier_allocation_free;
         ] );
       ("properties", qsuite);

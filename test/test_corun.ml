@@ -163,6 +163,49 @@ let test_policy_of_string () =
       ("bogus", None);
     ]
 
+(* ---------------- allocation-free schedule ---------------- *)
+
+(* The co-run schedule allocates per run, not per block: under the
+   compiled engine, a pair of tenants at 20x the trip count allocates
+   less than one minor word per hundred extra instructions. Setup (plan
+   lowering, rings, a helper domain) is the same at both sizes. *)
+let test_corun_schedule_allocation_free () =
+  let run policy n =
+    let fa =
+      Branchy.kernel ~name:"a" ~n ~stride:17 ~with_prefetch:true
+        ~with_store:true ()
+    in
+    let fb =
+      Branchy.kernel ~name:"b" ~n ~stride:29 ~with_prefetch:false
+        ~with_store:false ()
+    in
+    let mema, basea = Branchy.fresh_mem ~seed:97 () in
+    let memb, baseb = Branchy.fresh_mem ~seed:41 () in
+    let streams =
+      [
+        Corun.stream ~args:[ basea; 7 ] ~name:"a" ~mem:mema fa;
+        Corun.stream ~args:[ baseb; 3 ] ~name:"b" ~mem:memb fb;
+      ]
+    in
+    let w0 = Gc.minor_words () in
+    let outs = Corun.run ~engine:Machine.Compiled ~policy streams in
+    let words = Gc.minor_words () -. w0 in
+    ( words,
+      List.fold_left
+        (fun acc so -> acc + so.Corun.so_outcome.Machine.instructions)
+        0 outs )
+  in
+  List.iter
+    (fun policy ->
+      let w1, i1 = run policy 2_000 and w2, i2 = run policy 40_000 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f more minor words over %d more instructions"
+           (Corun.policy_to_string policy)
+           (w2 -. w1) (i2 - i1))
+        true
+        (w2 -. w1 < float_of_int (i2 - i1) /. 100.))
+    [ Corun.Round_robin; Corun.Cycle_ratio [ 2; 1 ] ]
+
 (* ---------------- property: mutated tenant pairs ---------------- *)
 
 (* Random pairs of mutate-derived kernels interleaved under a random
@@ -459,6 +502,8 @@ let () =
           Alcotest.test_case "tenant isolation" `Quick test_corun_isolation;
           Alcotest.test_case "invalid args" `Quick test_corun_invalid_args;
           Alcotest.test_case "policy_of_string" `Quick test_policy_of_string;
+          Alcotest.test_case "schedule allocation free" `Quick
+            test_corun_schedule_allocation_free;
           QCheck_alcotest.to_alcotest prop_corun_mutated;
         ] );
       ( "pins",
