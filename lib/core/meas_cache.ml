@@ -88,14 +88,23 @@ let shipped w ~text func =
    key on load. *)
 type key = string
 
-let key ~workload ~program ~config transform =
+let key_of ~workload ~digest ~config transform =
   String.concat "|"
     [
       workload;
-      program.digest;
+      digest;
       Digest.to_hex
         (Digest.string (Marshal.to_string (config, transform) [ Marshal.No_sharing ]));
     ]
+
+let key ~workload ~program ~config transform =
+  key_of ~workload ~digest:program.digest ~config transform
+
+(* The run of an instance as it stands is the unmodified run of its
+   (already rewritten) program: the key of a transform that leaves the
+   printed IR unchanged is the baseline's own. *)
+let rewritten ~workload ~config inst =
+  key_of ~workload ~digest:(digest_of inst) ~config Unmodified
 
 let path_of ~dir k = Filename.concat dir ("m-" ^ Crc32.hex (Crc32.string k) ^ ".meas")
 

@@ -56,6 +56,16 @@ val key :
   transform ->
   key
 
+val rewritten :
+  workload:string ->
+  config:Aptget_machine.Machine.config ->
+  Aptget_workloads.Workload.instance ->
+  key
+(** The key of a run of the instance as it stands, after any transform:
+    the printed IR and the arguments, with no transform. Distinct
+    transforms that inject the same program share it, and one that
+    changes nothing shares the {!Unmodified} run's key. *)
+
 type t
 
 val create : ?dir:string -> ?namespace:string -> unit -> t
@@ -72,6 +82,11 @@ val memoize :
     Exceptions from [run] propagate unrecorded: a timed-out or crashed
     run must not poison the memo. Two domains missing together both
     run; the first result recorded is returned to both. *)
+
+val find : t -> key -> caps:Aptget_machine.Machine.config -> measurement option
+(** The run under the key, from the memo or its directory, when it fits
+    [caps] as in {!memoize}. Nothing runs, and nothing is recorded as
+    answered. *)
 
 val add : t -> key -> measurement -> unit
 (** Record a run made elsewhere (a profiling run is the {!Unmodified}

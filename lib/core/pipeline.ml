@@ -71,7 +71,8 @@ let build (w : Workload.t) =
    names the run's spans. A profiling run ([Profile]) runs inside the
    caller's [pipeline.profile] span. *)
 let measure_as stage ?config ?(executor = Solo) ?watchdog ?crash ?sampler
-    ?window_cycles ?on_window ?(transform = fun _ -> ([], [])) (w : Workload.t) =
+    ?window_cycles ?on_window ?(transform = fun _ -> ([], []))
+    ?(known = fun _ -> None) (w : Workload.t) =
   let execute_span, in_run_span =
     match stage with
     | Watchdog.Profile -> ("stage.profile", fun f -> f ())
@@ -81,7 +82,7 @@ let measure_as stage ?config ?(executor = Solo) ?watchdog ?crash ?sampler
           ~attrs:[ ("workload", w.Workload.name) ] )
   in
   in_run_span @@ fun () ->
-  let (inst, injected, skipped, co, (outcome, co_outcome)), wall_seconds =
+  let (inst, injected, skipped, ran), wall_seconds =
     Clock.wall (fun () ->
         let inst = build w in
         let injected, skipped =
@@ -91,6 +92,9 @@ let measure_as stage ?config ?(executor = Solo) ?watchdog ?crash ?sampler
             Result.iter_error
               (fun e -> raise (Invalid_ir e))
               (Verify.check inst.Workload.func));
+        match known inst with
+        | Some m -> (inst, injected, skipped, `Known m)
+        | None ->
         (* The co-runner is built fresh for every co-run, after the
            tenant, and runs as stream 1 with no instrumentation. *)
         let co =
@@ -122,16 +126,20 @@ let measure_as stage ?config ?(executor = Solo) ?watchdog ?crash ?sampler
         ( inst,
           injected,
           skipped,
-          co,
-          Trace.with_span ~name:execute_span @@ fun () ->
-          let ((o, _) as r) =
-            Watchdog.run ?config:watchdog ?crash
-              ~machine:(Option.value config ~default:Machine.default_config)
-              stage execute
-          in
-          Trace.set_cycles o.Machine.cycles;
-          r ))
+          `Ran
+            ( co,
+              Trace.with_span ~name:execute_span @@ fun () ->
+              let ((o, _) as r) =
+                Watchdog.run ?config:watchdog ?crash
+                  ~machine:(Option.value config ~default:Machine.default_config)
+                  stage execute
+              in
+              Trace.set_cycles o.Machine.cycles;
+              r ) ))
   in
+  match ran with
+  | `Known m -> { tenant = { m with injected; skipped }; corunner = None; instance = inst }
+  | `Ran (co, (outcome, co_outcome)) ->
   Trace.with_span ~name:"stage.semantic-verify" @@ fun () ->
   let measurement (w : Workload.t) (i : Workload.instance) ~injected ~skipped o =
     {
@@ -160,7 +168,7 @@ let measure_as stage ?config ?(executor = Solo) ?watchdog ?crash ?sampler
   in
   { tenant; corunner; instance = inst }
 
-let measure = measure_as Watchdog.Measure
+let measure = measure_as Watchdog.Measure ?known:None
 
 let refit ?(options = Profiler.default_options) ~sampler r =
   (* An analysis failure means no re-fit this time, not a failed run;
@@ -194,16 +202,35 @@ let key ?program ~config transform (w : Workload.t) =
 
 let measured ?memo ?program ?(config = Machine.default_config) ?watchdog ?crash
     transform w =
-  let run () =
-    (measure ~config ?watchdog ?crash ?transform:(pass_of transform) w).tenant
+  let run ?known () =
+    (measure_as Watchdog.Measure ~config ?watchdog ?crash
+       ?transform:(pass_of transform) ?known w)
+      .tenant
   in
   match memo with
   | None -> run ()
   | Some memo ->
-    Meas_cache.memoize memo
-      (key ?program ~config transform w)
-      ~caps:(Watchdog.cap ?config:watchdog ?crash Watchdog.Measure config)
-      run
+    let caps = Watchdog.cap ?config:watchdog ?crash Watchdog.Measure config in
+    Meas_cache.memoize memo (key ?program ~config transform w) ~caps (fun () ->
+        match transform with
+        | Meas_cache.Unmodified -> run ()
+        | Aj _ | Hints _ ->
+          (* Distinct transforms can inject the same program: once the
+             pass has run, the rewritten kernel's own key answers any
+             of them simulated before. It is recorded as the program's
+             own run, with nothing injected or skipped, since a
+             transform that changes nothing shares the baseline's key. *)
+          let rewritten = ref None in
+          let known inst =
+            let k = Meas_cache.rewritten ~workload:w.Workload.name ~config inst in
+            rewritten := Some k;
+            Meas_cache.find memo k ~caps
+          in
+          let m = run ~known () in
+          Option.iter
+            (fun k -> Meas_cache.add memo k { m with injected = []; skipped = [] })
+            !rewritten;
+          m)
 
 let baseline w = measured Meas_cache.Unmodified w
 

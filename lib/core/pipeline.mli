@@ -138,7 +138,10 @@ val measured :
   measurement
 (** {!measure}'s tenant under [transform]. With [memo], a run already
     there answers when it fits the caps {!Watchdog.cap} puts on this
-    one, an armed crash cycle included. [program] defaults to
+    one, an armed crash cycle included. A transform that misses is
+    applied, then looked up again under {!Meas_cache.rewritten}, so
+    transforms that inject the same program are simulated once; the
+    answer carries this transform's own [injected] and [skipped]. [program] defaults to
     {!Meas_cache.program}[ w]; a shipped program passes its own. *)
 
 val baseline : Aptget_workloads.Workload.t -> measurement

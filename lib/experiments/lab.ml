@@ -109,8 +109,10 @@ let key ?(config = Machine.default_config) (w : Workload.t) transform =
 let memoized t ?(config = Machine.default_config) transform w run =
   check (Meas_cache.memoize t.memo (key ~config w transform) ~caps:config run)
 
+(* Without a watchdog, [Pipeline.measured] caps a run at its config, as
+   [memoized] does. *)
 let measured t ?config transform w =
-  memoized t ?config transform w (fun () -> Pipeline.measured ?config transform w)
+  check (Pipeline.measured ~memo:t.memo ?config transform w)
 
 let profiled_run t (w : Workload.t) =
   match locked t (fun () -> Hashtbl.find_opt t.profiles w.Workload.name) with

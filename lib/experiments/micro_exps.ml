@@ -10,7 +10,6 @@ module Workload = Aptget_workloads.Workload
 module Profiler = Aptget_profile.Profiler
 module Model = Aptget_profile.Model
 module Sampler = Aptget_pmu.Sampler
-module Lbr = Aptget_pmu.Lbr
 module Loops = Aptget_passes.Loops
 module Loop_stats = Aptget_profile.Loop_stats
 
@@ -23,21 +22,18 @@ let micro_workload lab ~inner ~complexity =
 
 let counters (m : Pipeline.measurement) = m.Pipeline.outcome.Machine.counters
 
-(* The median-time snapshot. [Sampler.lbr_samples] happens to return
-   snapshots chronologically, but indexing an unsorted list at [len/2]
-   is only the median by accident — sort by capture cycle first so the
-   choice is the median by construction, whatever the input order. *)
-let median_snapshot (samples : Sampler.lbr_sample list) =
-  match samples with
-  | [] -> invalid_arg "Micro_exps.median_snapshot: no snapshots"
-  | _ ->
-    let sorted =
-      List.sort
-        (fun (a : Sampler.lbr_sample) b ->
-          compare a.Sampler.at_cycle b.Sampler.at_cycle)
-        samples
-    in
-    List.nth sorted (List.length sorted / 2)
+(* The median-time snapshot. The log holds snapshots in the order they
+   were taken, at strictly increasing cycles, so the one at position
+   count/2 is the median by capture cycle (the upper median for an
+   even count). *)
+let median_snapshot sampler =
+  let n = Sampler.snapshot_count sampler in
+  if n = 0 then invalid_arg "Micro_exps.median_snapshot: no snapshots";
+  let _, median =
+    Sampler.fold_snapshots sampler ~init:(0, None) (fun (i, m) s ->
+        (i + 1, if i = n / 2 then Some s else m))
+  in
+  Option.get median
 
 let accuracy m =
   let c = counters m in
@@ -148,8 +144,7 @@ let fig2 lab =
 let fig3 lab =
   let w = micro_workload lab ~inner:4 ~complexity:0 in
   let _, func, sampler = Lab.sampled lab w in
-  let samples = Sampler.lbr_samples sampler in
-  let sample = median_snapshot samples in
+  let sample = median_snapshot sampler in
   let t =
     Table.create
       ~title:
@@ -157,17 +152,16 @@ let fig3 lab =
          PC, target PC, cycle)"
       ~header:[ "#"; "branch PC"; "target PC"; "cycle" ]
   in
-  Array.iteri
-    (fun i (e : Lbr.entry) ->
-      if i >= Array.length sample.Sampler.entries - 12 then
-        Table.add_row t
-          [
-            string_of_int i;
-            string_of_int e.Lbr.branch_pc;
-            string_of_int e.Lbr.target_pc;
-            string_of_int e.Lbr.cycle;
-          ])
-    sample.Sampler.entries;
+  let n = Sampler.entry_count sampler sample in
+  for i = max 0 (n - 12) to n - 1 do
+    Table.add_row t
+      [
+        string_of_int i;
+        string_of_int (Sampler.branch_pc sampler sample i);
+        string_of_int (Sampler.target_pc sampler sample i);
+        string_of_int (Sampler.cycle sampler sample i);
+      ]
+  done;
   (* Recover the loop statistics from all snapshots, as §3.1 does. *)
   let loops = Loops.analyze func in
   let inner_loop =
@@ -179,19 +173,19 @@ let fig3 lab =
     loops.(Option.get inner_loop.Loops.parent)
   in
   let times =
-    Loop_stats.iteration_times samples ~latch_pc:inner_loop.Loops.latch_pc
+    Loop_stats.iteration_times sampler ~latch_pc:inner_loop.Loops.latch_pc
       ~in_loop:(fun pc ->
         List.mem (Layout.block_of_pc pc) inner_loop.Loops.blocks)
   in
   let trips =
-    Loop_stats.trip_counts samples ~inner_latch_pc:inner_loop.Loops.latch_pc
+    Loop_stats.trip_counts sampler ~inner_latch_pc:inner_loop.Loops.latch_pc
       ~outer_latch_pc:outer_loop.Loops.latch_pc
   in
   let s =
     Table.create ~title:"Loop statistics recovered from the LBR (paper §3.1)"
       ~header:[ "metric"; "value" ]
   in
-  Table.add_row s [ "LBR snapshots"; string_of_int (List.length samples) ];
+  Table.add_row s [ "LBR snapshots"; string_of_int (Sampler.snapshot_count sampler) ];
   Table.add_row s
     [ "inner-loop iteration time (avg cycles)"; Table.fmt_float (Stats.mean times) ];
   Table.add_row s

@@ -1,10 +1,9 @@
 (** §2 motivation experiments on the Listing-1 microbenchmark. *)
 
-val median_snapshot :
-  Aptget_pmu.Sampler.lbr_sample list -> Aptget_pmu.Sampler.lbr_sample
-(** The snapshot with the median capture cycle: sorts by [at_cycle]
-    before indexing, so the result does not depend on the input order.
-    Raises [Invalid_argument] on the empty list. *)
+val median_snapshot : Aptget_pmu.Sampler.t -> Aptget_pmu.Sampler.snapshot
+(** The snapshot with the median capture cycle (the upper median for an
+    even count). Raises [Invalid_argument] when the sampler holds no
+    snapshot. *)
 
 val table1 : Lab.t -> Aptget_util.Table.t list
 (** Prefetch accuracy and timeliness vs distance {none, 1, 64, 1024}. *)

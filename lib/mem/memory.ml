@@ -5,8 +5,9 @@ type region = { name : string; base : int; words : int }
    untagged machine words, which keeps the simulator's load/store hot
    path cheap.
 
-   [Bigarray.Array1.create] does not zero its storage, so both the
-   initial buffer and every grown tail are zero-filled explicitly.
+   [Bigarray.Array1.create] does not zero its storage, so [create]
+   zero-fills the initial buffer and [reallocate] the part of a fresh
+   buffer it does not copy over.
    Every word at or past [next] is therefore still zero (writes are
    bounds-checked against [next], and [reallocate] copies only [0, next)),
    which is why [alloc] hands out fresh regions, and the alignment gaps
@@ -48,20 +49,22 @@ let pace bytes =
 
 let make_data cap =
   pace (cap * bytes_per_word);
-  let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout cap in
-  Bigarray.Array1.fill b 0;
-  b
+  Bigarray.Array1.create Bigarray.int Bigarray.c_layout cap
 
 let create ?(capacity_words = 1 lsl 20) () =
-  { data = make_data capacity_words; next = 0; regions = []; shared = false }
+  let data = make_data capacity_words in
+  Bigarray.Array1.fill data 0;
+  { data; next = 0; regions = []; shared = false }
 
-(* Move [t] onto a fresh zeroed buffer of [cap] words holding its
-   allocated words [0, next): the words past [next] stay zero. *)
+(* Move [t] onto a fresh buffer of [cap] words: its allocated words
+   [0, next) are copied over and only the rest is zero-filled, so the
+   words past [next] stay zero. *)
 let reallocate t cap =
   let fresh = make_data cap in
   Bigarray.Array1.blit
     (Bigarray.Array1.sub t.data 0 t.next)
     (Bigarray.Array1.sub fresh 0 t.next);
+  Bigarray.Array1.fill (Bigarray.Array1.sub fresh t.next (cap - t.next)) 0;
   t.data <- fresh
 
 let ensure t needed =

@@ -125,13 +125,11 @@ let drop_lbr t =
   if d then t.lbr_dropped <- t.lbr_dropped + 1;
   d
 
-let truncate_ring t arr =
-  let n = Array.length arr in
-  if n <= 1 || not (hit t t.cfg.lbr_truncate_rate) then arr
+let truncate_ring t n =
+  if n <= 1 || not (hit t t.cfg.lbr_truncate_rate) then n
   else begin
-    let keep = 1 + Rng.int t.rng (n - 1) in
     t.lbr_truncated <- t.lbr_truncated + 1;
-    Array.sub arr (n - keep) keep
+    1 + Rng.int t.rng (n - 1)
   end
 
 let skid_pc t pc =

@@ -84,9 +84,11 @@ val jitter_cycle : t -> int -> int
 val drop_lbr : t -> bool
 (** Whether the due LBR snapshot is lost. *)
 
-val truncate_ring : t -> 'a array -> 'a array
-(** Possibly keep only the most recent suffix of a snapshot (arrays of
-    length <= 1 are returned unchanged). *)
+val truncate_ring : t -> int -> int
+(** [truncate_ring t n] is how many of a snapshot's [n] entries survive:
+    [n] itself, or on a truncation a count in [\[1, n - 1\]]. The
+    survivors are always the newest entries. A snapshot of [n <= 1]
+    entries is never truncated and draws nothing. *)
 
 val skid_pc : t -> int -> int
 (** Possibly displace a PEBS load PC by a non-zero offset in

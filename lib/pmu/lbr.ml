@@ -1,9 +1,7 @@
-type entry = { branch_pc : int; target_pc : int; cycle : int }
-
 (* Struct-of-arrays ring: [record] fires on every taken branch of every
    simulated run, so it must not allocate. Three int arrays take three
-   unboxed stores per branch; the [entry] record is only materialised
-   by [snapshot], which runs once per sampling period. *)
+   unboxed stores per branch, and the readers below index them in place
+   once per sampling period. *)
 type t = {
   branch_pcs : int array;
   target_pcs : int array;
@@ -34,14 +32,18 @@ let record t ~branch_pc ~target_pc ~cycle =
   t.head <- (if h + 1 = t.ring_size then 0 else h + 1);
   if t.filled < t.ring_size then t.filled <- t.filled + 1
 
-let snapshot t =
-  Array.init t.filled (fun i ->
-      let idx = (t.head - t.filled + i + (2 * t.ring_size)) mod t.ring_size in
-      {
-        branch_pc = t.branch_pcs.(idx);
-        target_pc = t.target_pcs.(idx);
-        cycle = t.cycles.(idx);
-      })
+let length t = t.filled
+
+(* The ring slot of the [i]-th oldest entry: the oldest sits [filled]
+   slots behind [head]. *)
+let slot t i =
+  if i < 0 || i >= t.filled then invalid_arg "Lbr: entry index out of range";
+  let j = t.head - t.filled + i in
+  if j < 0 then j + t.ring_size else j
+
+let branch_pc t i = Array.unsafe_get t.branch_pcs (slot t i)
+let target_pc t i = Array.unsafe_get t.target_pcs (slot t i)
+let cycle t i = Array.unsafe_get t.cycles (slot t i)
 
 let clear t =
   t.head <- 0;

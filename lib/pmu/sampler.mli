@@ -10,12 +10,18 @@
     real PMU hardware and the perf subsystem do: snapshot loss, cycle
     stamp jitter, ring truncation, PEBS skid and adaptive throttling.
     Without a fault model (or with {!Faults.none}) behaviour is
-    bit-identical to the clean sampler. *)
+    bit-identical to the clean sampler.
 
-type lbr_sample = {
-  at_cycle : int;
-  entries : Lbr.entry array; (** chronological, oldest first *)
-}
+    Kept LBR snapshots go to one growable log per sampler, a buffer of
+    ints the GC never scans: each snapshot is a header ([at_cycle],
+    entry count) followed by one (branch PC, target PC, cycle) triple
+    per entry, oldest first. Taking a snapshot copies the ring into the
+    log and allocates nothing unless the log grows (it doubles), and
+    readers walk the log in place through {!fold_snapshots} and the
+    accessors below it. A profile that is kept (the experiment lab
+    holds a sampler per workload) is thus one unscanned block, not a
+    record, an array and 32 entry records per snapshot that every
+    major collection would mark again. *)
 
 type t
 
@@ -52,8 +58,11 @@ val on_branch : t -> branch_pc:int -> target_pc:int -> cycle:int -> unit
 val on_cycle : t -> cycle:int -> unit
 (** Called by the core as time advances; takes an LBR snapshot whenever
     a period boundary is crossed (one snapshot at [cycle], however many
-    boundaries the last charge crossed). Under faults a due snapshot may
-    be throttled, dropped or truncated. It does nothing while
+    boundaries the last charge crossed). Under faults a due snapshot
+    asks, in this order, {!Faults.throttle_admit}, then
+    {!Faults.drop_lbr}, then {!Faults.truncate_ring}, each only if the
+    one before kept it, and the log keeps the newest entries that
+    survive. It does nothing while
     [cycle < next_due t], so a core need only call it once the clock
     reaches {!next_due}. *)
 
@@ -68,8 +77,34 @@ val on_llc_miss : t -> load_pc:int -> cycle:int -> unit
     delinquent-load table. Under faults the sample may be throttled or
     its PC skidded to a neighbouring slot. *)
 
-val lbr_samples : t -> lbr_sample list
-(** All snapshots, in chronological order. *)
+(** {2 The snapshot log} *)
+
+type snapshot = private int
+(** A cursor on one snapshot in a sampler's log. It reads that
+    sampler only, and only until its next {!reset}. *)
+
+val snapshot_count : t -> int
+(** Snapshots in the log. *)
+
+val fold_snapshots : t -> init:'a -> ('a -> snapshot -> 'a) -> 'a
+(** Fold over the snapshots in the order they were taken, which is
+    strictly increasing [at_cycle] within one epoch. *)
+
+val at_cycle : t -> snapshot -> int
+(** The cycle the snapshot was taken at. *)
+
+val entry_count : t -> snapshot -> int
+(** Entries in the snapshot: the ring's fill, or fewer after a
+    truncation fault. *)
+
+val branch_pc : t -> snapshot -> int -> int
+val target_pc : t -> snapshot -> int -> int
+
+val cycle : t -> snapshot -> int -> int
+(** [branch_pc t s i], [target_pc t s i] and [cycle t s i] read entry
+    [i] of snapshot [s], oldest first; [cycle] is the (possibly
+    jittered) stamp recorded with the branch.
+    @raise Invalid_argument unless [0 <= i < entry_count t s]. *)
 
 val delinquent_loads : t -> (int * int) list
 (** [(load_pc, samples)] sorted by descending sample count: the loads

@@ -1,53 +1,55 @@
 module Sampler = Aptget_pmu.Sampler
-module Lbr = Aptget_pmu.Lbr
 
-let iteration_times samples ~latch_pc ~in_loop =
-  let acc = ref [] in
-  List.iter
-    (fun (s : Sampler.lbr_sample) ->
-      let entries = s.Sampler.entries in
-      let n = Array.length entries in
-      let last = ref (-1) in
-      let clean = ref true in
-      for i = 0 to n - 1 do
-        let e = entries.(i) in
-        if e.Lbr.branch_pc = latch_pc then begin
-          if !last >= 0 && !clean then begin
-            let delta = e.Lbr.cycle - entries.(!last).Lbr.cycle in
-            if delta > 0 then acc := float_of_int delta :: !acc
-          end;
-          last := i;
-          clean := true
-        end
-        else if not (in_loop e.Lbr.branch_pc) then clean := false
-      done)
-    samples;
-  Array.of_list (List.rev !acc)
+(* Each statistic walks the sampler's snapshot log in place: one pass
+   per snapshot over its entries, read through the log's accessors. *)
 
-let trip_counts samples ~inner_latch_pc ~outer_latch_pc =
-  let acc = ref [] in
-  List.iter
-    (fun (s : Sampler.lbr_sample) ->
-      let entries = s.Sampler.entries in
-      let n = Array.length entries in
-      let in_window = ref false in
-      let count = ref 0 in
-      for i = 0 to n - 1 do
-        let e = entries.(i) in
-        if e.Lbr.branch_pc = outer_latch_pc then begin
-          if !in_window then acc := float_of_int !count :: !acc;
-          in_window := true;
-          count := 0
-        end
-        else if !in_window && e.Lbr.branch_pc = inner_latch_pc then incr count
-      done)
-    samples;
-  Array.of_list (List.rev !acc)
+let iteration_times sampler ~latch_pc ~in_loop =
+  let deltas =
+    Sampler.fold_snapshots sampler ~init:[] (fun acc s ->
+        let acc = ref acc in
+        let last = ref (-1) in
+        let clean = ref true in
+        for i = 0 to Sampler.entry_count sampler s - 1 do
+          let pc = Sampler.branch_pc sampler s i in
+          if pc = latch_pc then begin
+            if !last >= 0 && !clean then begin
+              let delta =
+                Sampler.cycle sampler s i - Sampler.cycle sampler s !last
+              in
+              if delta > 0 then acc := float_of_int delta :: !acc
+            end;
+            last := i;
+            clean := true
+          end
+          else if not (in_loop pc) then clean := false
+        done;
+        !acc)
+  in
+  Array.of_list (List.rev deltas)
 
-let occurrences samples ~pc =
-  List.fold_left
-    (fun total (s : Sampler.lbr_sample) ->
-      Array.fold_left
-        (fun t (e : Lbr.entry) -> if e.Lbr.branch_pc = pc then t + 1 else t)
-        total s.Sampler.entries)
-    0 samples
+let trip_counts sampler ~inner_latch_pc ~outer_latch_pc =
+  let trips =
+    Sampler.fold_snapshots sampler ~init:[] (fun acc s ->
+        let acc = ref acc in
+        let in_window = ref false in
+        let count = ref 0 in
+        for i = 0 to Sampler.entry_count sampler s - 1 do
+          let pc = Sampler.branch_pc sampler s i in
+          if pc = outer_latch_pc then begin
+            if !in_window then acc := float_of_int !count :: !acc;
+            in_window := true;
+            count := 0
+          end
+          else if !in_window && pc = inner_latch_pc then incr count
+        done;
+        !acc)
+  in
+  Array.of_list (List.rev trips)
+
+let occurrences sampler ~pc =
+  Sampler.fold_snapshots sampler ~init:0 (fun total s ->
+      let n = ref total in
+      for i = 0 to Sampler.entry_count sampler s - 1 do
+        if Sampler.branch_pc sampler s i = pc then incr n
+      done;
+      !n)

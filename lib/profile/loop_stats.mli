@@ -4,10 +4,11 @@
     bracket exactly one loop iteration; subtracting their cycle stamps
     yields the iteration's execution time. Counting inner back-edge
     PCs between two outer back-edge PCs yields the inner loop's trip
-    count (Fig. 3). *)
+    count (Fig. 3). Each statistic reads a sampler's snapshot log in
+    place, in the order the snapshots were taken. *)
 
 val iteration_times :
-  Aptget_pmu.Sampler.lbr_sample list ->
+  Aptget_pmu.Sampler.t ->
   latch_pc:int ->
   in_loop:(int -> bool) ->
   float array
@@ -17,7 +18,7 @@ val iteration_times :
     loop was exited and re-entered and the delta spans foreign code. *)
 
 val trip_counts :
-  Aptget_pmu.Sampler.lbr_sample list ->
+  Aptget_pmu.Sampler.t ->
   inner_latch_pc:int ->
   outer_latch_pc:int ->
   float array
@@ -25,5 +26,5 @@ val trip_counts :
     one observation per outer-iteration window fully contained in a
     snapshot. *)
 
-val occurrences : Aptget_pmu.Sampler.lbr_sample list -> pc:int -> int
+val occurrences : Aptget_pmu.Sampler.t -> pc:int -> int
 (** Total occurrences of a branch PC across all snapshots. *)

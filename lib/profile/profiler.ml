@@ -105,7 +105,7 @@ let is_indirect_load (f : Ir.func) ~load_pc =
     | Some s -> Slice.is_indirect s
     | None -> false)
 
-let analyze_load (f : Ir.func) (loops : Loops.loop array) opts samples ~load_pc
+let analyze_load (f : Ir.func) (loops : Loops.loop array) opts sampler ~load_pc
     ~pebs_count =
   let bi = Layout.block_of_pc load_pc in
   if not (is_indirect_load f ~load_pc) then
@@ -116,7 +116,7 @@ let analyze_load (f : Ir.func) (loops : Loops.loop array) opts samples ~load_pc
   | Some li ->
     let inner = loops.(li) in
     let times =
-      Loop_stats.iteration_times samples ~latch_pc:inner.Loops.latch_pc
+      Loop_stats.iteration_times sampler ~latch_pc:inner.Loops.latch_pc
         ~in_loop:(in_loop_pred inner)
     in
     let trip_count, outer =
@@ -125,7 +125,7 @@ let analyze_load (f : Ir.func) (loops : Loops.loop array) opts samples ~load_pc
       | Some pi ->
         let outer = loops.(pi) in
         let trips =
-          Loop_stats.trip_counts samples ~inner_latch_pc:inner.Loops.latch_pc
+          Loop_stats.trip_counts sampler ~inner_latch_pc:inner.Loops.latch_pc
             ~outer_latch_pc:outer.Loops.latch_pc
         in
         if Array.length trips = 0 then (None, Some outer)
@@ -198,7 +198,7 @@ let analyze_load (f : Ir.func) (loops : Loops.loop array) opts samples ~load_pc
           | None -> ([||], None)
           | Some o ->
             let ot =
-              Loop_stats.iteration_times samples ~latch_pc:o.Loops.latch_pc
+              Loop_stats.iteration_times sampler ~latch_pc:o.Loops.latch_pc
                 ~in_loop:(in_loop_pred o)
             in
             ( ot,
@@ -307,7 +307,6 @@ let filter_overhead opts f prof =
    run (the PCs in the resulting hints then address the *observed*
    program, and travel to a fresh build through the remap path). *)
 let refit ?(options = default_options) ~baseline sampler (f : Ir.func) =
-  let samples = Sampler.lbr_samples sampler in
   let pebs_total = Sampler.miss_samples sampler in
   let loops = Loops.analyze f in
   let delinquents =
@@ -323,7 +322,7 @@ let refit ?(options = default_options) ~baseline sampler (f : Ir.func) =
       (fun (load_pc, pebs_count) ->
         Trace.with_span ~name:"stage.peak-fit"
           ~attrs:[ ("load_pc", string_of_int load_pc) ]
-          (fun () -> analyze_load f loops options samples ~load_pc ~pebs_count))
+          (fun () -> analyze_load f loops options sampler ~load_pc ~pebs_count))
       delinquents
     |> overhead_filter options f
   in
@@ -331,7 +330,7 @@ let refit ?(options = default_options) ~baseline sampler (f : Ir.func) =
   {
     hints;
     profiles;
-    lbr_snapshots = List.length samples;
+    lbr_snapshots = Sampler.snapshot_count sampler;
     pebs_samples = pebs_total;
     baseline;
     fault_stats = Sampler.fault_stats sampler;

@@ -73,13 +73,18 @@ let make_sampler ?faults ?(lbr_period = 500) () =
   Sampler.create ~lbr_period ~pebs_period:2 ?faults ()
 
 let lbr_of s =
-  List.map
-    (fun (smp : Sampler.lbr_sample) ->
-      ( smp.Sampler.at_cycle,
-        Array.to_list smp.Sampler.entries
-        |> List.map (fun (e : Lbr.entry) ->
-               (e.Lbr.branch_pc, e.Lbr.target_pc, e.Lbr.cycle)) ))
-    (Sampler.lbr_samples s)
+  Sampler.fold_snapshots s ~init:[] (fun acc smp ->
+      ( Sampler.at_cycle s smp,
+        List.init (Sampler.entry_count s smp) (fun i ->
+            ( Sampler.branch_pc s smp i,
+              Sampler.target_pc s smp i,
+              Sampler.cycle s smp i )) )
+      :: acc)
+  |> List.rev
+
+let ring_of l =
+  List.init (Lbr.length l) (fun i ->
+      (Lbr.branch_pc l i, Lbr.target_pc l i, Lbr.cycle l i))
 
 (* [sampler] is used as given, so a caller can carry one across runs. *)
 let run_with ~engine ?(config = Machine.default_config) ?sampler
@@ -399,7 +404,7 @@ let test_missing_phi_edge () =
           in
           let i, si = stepper Machine.Interp in
           let c, sc = stepper Machine.Compiled in
-          let ring = Option.map (fun s -> Lbr.snapshot (Sampler.lbr s)) in
+          let ring = Option.map (fun s -> ring_of (Sampler.lbr s)) in
           let step sp =
             match sp.Machine.sp_step () with
             | more -> Ok more

@@ -160,25 +160,25 @@ let test_overhead_filter_drops_expensive_hints () =
        prof.Aptget_profile.Profiler.hints)
 
 let test_median_snapshot_sorts_first () =
-  (* Regression: the fig3 median snapshot used to be [List.nth samples
-     (len/2)] on the unsorted list, i.e. "whatever arrived in the
-     middle", not the median. Pin that the choice is by capture cycle
-     and independent of input order. *)
+  (* Regression: the fig3 median snapshot used to be whatever arrived in
+     the middle of an unsorted list, not the median. The log holds
+     snapshots in capture order, so the median is by capture cycle. *)
   let module Sampler = Aptget_pmu.Sampler in
-  let snap at_cycle = { Sampler.at_cycle; entries = [||] } in
-  let shuffled = List.map snap [ 500; 10; 900; 300; 700 ] in
-  let m = Micro_exps.median_snapshot shuffled in
-  Alcotest.(check int) "median by cycle, not position" 500
-    m.Sampler.at_cycle;
-  let rev = Micro_exps.median_snapshot (List.rev shuffled) in
-  Alcotest.(check int) "order-independent" 500 rev.Sampler.at_cycle;
-  (* Even length: upper median, matching len/2 on the sorted list. *)
-  let m4 = Micro_exps.median_snapshot (List.map snap [ 40; 10; 30; 20 ]) in
+  let sampled cycles =
+    let s = Sampler.create ~lbr_period:10 () in
+    List.iter (fun cycle -> Sampler.on_cycle s ~cycle) cycles;
+    s
+  in
+  let s = sampled [ 10; 300; 500; 700; 900 ] in
+  Alcotest.(check int) "median by cycle" 500
+    (Sampler.at_cycle s (Micro_exps.median_snapshot s));
+  (* Even length: upper median, matching count/2. *)
+  let s4 = sampled [ 10; 20; 30; 40 ] in
   Alcotest.(check int) "even length takes upper median" 30
-    m4.Sampler.at_cycle;
+    (Sampler.at_cycle s4 (Micro_exps.median_snapshot s4));
   Alcotest.check_raises "empty rejected"
     (Invalid_argument "Micro_exps.median_snapshot: no snapshots")
-    (fun () -> ignore (Micro_exps.median_snapshot []))
+    (fun () -> ignore (Micro_exps.median_snapshot (sampled [])))
 
 let test_run_and_print_does_not_raise () =
   (* Smoke over the print path (output discarded via a pipe-less call;

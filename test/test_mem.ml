@@ -142,6 +142,49 @@ let test_alloc_after_growth_zero () =
   done;
   Alcotest.(check int) "old data kept" (-13) (Memory.get m (a.Memory.base + 12))
 
+(* [reallocate] zero-fills only the words it does not copy: every word
+   at or past [next] must still read zero after a growth and after the
+   copy a shared handle makes on its first write. Dead buffers of the
+   fresh buffer's size, full of junk, are freed first, so a missing
+   fill shows up as recycled junk rather than as zeroes fresh from the
+   OS. *)
+let test_tail_zero_after_reallocate () =
+  let dirty words =
+    for _ = 1 to 4 do
+      let junk = Memory.create ~capacity_words:words () in
+      Memory.init_region junk (Memory.alloc junk ~name:"junk" ~words) (fun i -> i + 1)
+    done;
+    Gc.full_major ()
+  in
+  let zero_from m ~from ~upto =
+    for addr = from to upto - 1 do
+      if Memory.get m addr <> 0 then
+        Alcotest.failf "word %d reads %d" addr (Memory.get m addr)
+    done
+  in
+  (* Growth: 32 words, 20 of them written, then grown to 64. *)
+  let m = Memory.create ~capacity_words:32 () in
+  Memory.init_region m (Memory.alloc m ~name:"a" ~words:20) (fun _ -> -1);
+  dirty 64;
+  let b = Memory.alloc m ~name:"b" ~words:10 in
+  let c = Memory.alloc m ~name:"c" ~words:24 in
+  Alcotest.(check (pair int int)) "b and c fill the grown buffer" (24, 64)
+    (b.Memory.base, c.Memory.base + c.Memory.words);
+  zero_from m ~from:20 ~upto:64;
+  Alcotest.(check int) "old data kept" (-1) (Memory.get m 19);
+  (* Unshare: the alias's first write copies 20 words into 64. *)
+  let m = Memory.create ~capacity_words:64 () in
+  Memory.init_region m (Memory.alloc m ~name:"a" ~words:20) (fun _ -> -1);
+  let alias = Memory.share m in
+  dirty 64;
+  Memory.set alias 0 5;
+  Alcotest.(check bool) "alias unshared" false (Memory.is_shared alias);
+  let rest = Memory.alloc alias ~name:"rest" ~words:40 in
+  Alcotest.(check int) "rest fills the copy" 64 (rest.Memory.base + rest.Memory.words);
+  zero_from alias ~from:20 ~upto:64;
+  Alcotest.(check int) "alias write kept" 5 (Memory.get alias 0);
+  Alcotest.(check int) "original untouched" (-1) (Memory.get m 0)
+
 (* Regions are public records, so a caller can forge one that lies
    outside the allocations: every region-wide operation must reject it
    before touching storage. Nothing allocated changes, and the words
@@ -403,6 +446,8 @@ let () =
           Alcotest.test_case "region edges" `Quick test_region_edges;
           Alcotest.test_case "alloc after growth reads zero" `Quick
             test_alloc_after_growth_zero;
+          Alcotest.test_case "tail zero after reallocate" `Quick
+            test_tail_zero_after_reallocate;
           Alcotest.test_case "init region" `Quick test_init_region;
         ] );
       ( "pacing",

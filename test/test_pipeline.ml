@@ -571,6 +571,53 @@ let test_meas_cache_rejects_corruption () =
       Out_channel.output_string oc (String.sub text 0 (String.length text / 2)));
   Alcotest.(check bool) "truncated record is a miss" true (load ~dir key = None)
 
+(* Distinct transforms that inject the same program are simulated once.
+   The APT-GET pass over no hints falls back to A&J at the default
+   distance, so after that A&J run it is answered by the rewritten
+   kernel's key, with its own records. A pass that changes nothing is
+   answered by the baseline, and records nothing of its own there. *)
+let test_rewritten_key_answers_same_program () =
+  with_trace @@ fun () ->
+  let w = micro_w () in
+  let memo = Meas_cache.create () in
+  let aj = Pipeline.measured ~memo (Meas_cache.Aj Aptget_passes.Aj.default_distance) w in
+  Alcotest.(check int) "A&J simulated" 1 (simulation_spans ());
+  let fallback =
+    Pipeline.measured ~memo (Meas_cache.Hints { hints = []; cse = false }) w
+  in
+  Alcotest.(check int) "the same program is not simulated again" 1
+    (simulation_spans ());
+  Alcotest.(check bool) "same outcome" true
+    (fallback.Pipeline.outcome = aj.Pipeline.outcome
+    && fallback.Pipeline.verified = Ok ());
+  Alcotest.(check bool) "its own injections" true
+    (fallback.Pipeline.injected = aj.Pipeline.injected
+    && fallback.Pipeline.injected <> []);
+  ignore (Pipeline.measured ~memo (Meas_cache.Aj 8) w);
+  Alcotest.(check int) "another distance is another program" 2
+    (simulation_spans ());
+  (* A kernel without loads: A&J injects nothing. *)
+  let loop =
+    Workload.make ~name:"no-loads" ~app:"no-loads" ~input:"" ~description:""
+      ~nested:false (fun () ->
+        let b = Builder.create ~name:"loop" ~nparams:0 in
+        Builder.for_loop b ~from:(Ir.Imm 0) ~bound:(Ir.Imm 1_000) (fun b _ ->
+            Builder.work b (Ir.Imm 1));
+        Builder.ret b None;
+        let mem = Aptget_mem.Memory.create ~capacity_words:64 () in
+        ignore (Aptget_mem.Memory.alloc mem ~name:"pad" ~words:8);
+        { Workload.mem; func = Builder.finish b; args = [];
+          verify = (fun _ _ -> Ok ()) })
+  in
+  let noop = Pipeline.measured ~memo (Meas_cache.Aj 8) loop in
+  Alcotest.(check int) "no-op transform simulated" 3 (simulation_spans ());
+  let base = Pipeline.measured ~memo Meas_cache.Unmodified loop in
+  Alcotest.(check int) "the baseline is the no-op run" 3 (simulation_spans ());
+  Alcotest.(check bool) "same outcome" true
+    (base.Pipeline.outcome = noop.Pipeline.outcome);
+  Alcotest.(check bool) "the baseline records nothing" true
+    (base.Pipeline.injected = [] && base.Pipeline.skipped = [])
+
 (* The lab with a cache dir must produce the same measurements on a
    cold run (simulate + store) and a warm run (load), including through
    run_batch at several parallelism levels. *)
@@ -659,5 +706,7 @@ let () =
             test_meas_cache_rejects_corruption;
           Alcotest.test_case "lab cache hit identical" `Quick
             test_lab_cache_hit_identical;
+          Alcotest.test_case "one program, one simulation" `Quick
+            test_rewritten_key_answers_same_program;
         ] );
     ]

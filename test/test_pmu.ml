@@ -4,45 +4,55 @@ module Faults = Aptget_pmu.Faults
 
 (* ---------------- Lbr ---------------- *)
 
+(* The ring's entries, oldest first, read in place. *)
+let ring l =
+  List.init (Lbr.length l) (fun i ->
+      (Lbr.branch_pc l i, Lbr.target_pc l i, Lbr.cycle l i))
+
+let ring_pcs l = List.map (fun (pc, _, _) -> pc) (ring l)
+
 let test_lbr_empty () =
   let l = Lbr.create () in
   Alcotest.(check int) "default size" 32 (Lbr.size l);
-  Alcotest.(check int) "empty" 0 (Array.length (Lbr.snapshot l))
+  Alcotest.(check int) "empty" 0 (Lbr.length l)
 
 let test_lbr_partial_fill () =
   let l = Lbr.create ~size:4 () in
   Lbr.record l ~branch_pc:1 ~target_pc:10 ~cycle:100;
   Lbr.record l ~branch_pc:2 ~target_pc:20 ~cycle:200;
-  let s = Lbr.snapshot l in
-  Alcotest.(check int) "two entries" 2 (Array.length s);
-  Alcotest.(check int) "oldest first" 1 s.(0).Lbr.branch_pc;
-  Alcotest.(check int) "newest last" 2 s.(1).Lbr.branch_pc
+  Alcotest.(check int) "two entries" 2 (Lbr.length l);
+  Alcotest.(check (list (triple int int int)))
+    "oldest first, newest last"
+    [ (1, 10, 100); (2, 20, 200) ]
+    (ring l);
+  Alcotest.check_raises "past the fill"
+    (Invalid_argument "Lbr: entry index out of range") (fun () ->
+      ignore (Lbr.branch_pc l 2))
 
 let test_lbr_wraparound () =
   let l = Lbr.create ~size:3 () in
   for i = 1 to 5 do
     Lbr.record l ~branch_pc:i ~target_pc:0 ~cycle:(i * 10)
   done;
-  let s = Lbr.snapshot l in
-  Alcotest.(check int) "capped at size" 3 (Array.length s);
+  Alcotest.(check int) "capped at size" 3 (Lbr.length l);
   Alcotest.(check (list int)) "last three, chronological" [ 3; 4; 5 ]
-    (Array.to_list (Array.map (fun e -> e.Lbr.branch_pc) s))
+    (ring_pcs l)
 
 let test_lbr_cycles_monotone () =
   let l = Lbr.create ~size:8 () in
   for i = 1 to 20 do
     Lbr.record l ~branch_pc:i ~target_pc:0 ~cycle:(i * 7)
   done;
-  let s = Lbr.snapshot l in
-  for i = 0 to Array.length s - 2 do
-    Alcotest.(check bool) "monotone cycles" true (s.(i).Lbr.cycle < s.(i + 1).Lbr.cycle)
+  for i = 0 to Lbr.length l - 2 do
+    Alcotest.(check bool) "monotone cycles" true
+      (Lbr.cycle l i < Lbr.cycle l (i + 1))
   done
 
 let test_lbr_clear () =
   let l = Lbr.create ~size:4 () in
   Lbr.record l ~branch_pc:1 ~target_pc:0 ~cycle:0;
   Lbr.clear l;
-  Alcotest.(check int) "cleared" 0 (Array.length (Lbr.snapshot l))
+  Alcotest.(check int) "cleared" 0 (Lbr.length l)
 
 let prop_lbr_keeps_most_recent =
   QCheck.Test.make ~name:"snapshot is the most recent suffix" ~count:100
@@ -50,27 +60,39 @@ let prop_lbr_keeps_most_recent =
     (fun (size, pcs) ->
       let l = Lbr.create ~size () in
       List.iteri (fun i pc -> Lbr.record l ~branch_pc:pc ~target_pc:0 ~cycle:i) pcs;
-      let s = Array.to_list (Array.map (fun e -> e.Lbr.branch_pc) (Lbr.snapshot l)) in
       let expected =
         let n = List.length pcs in
         let keep = min size n in
         List.filteri (fun i _ -> i >= n - keep) pcs
       in
-      s = expected)
+      ring_pcs l = expected)
 
 (* ---------------- Sampler ---------------- *)
+
+(* The log's snapshots as data: (at_cycle, entries oldest first). *)
+let snapshots s =
+  Sampler.fold_snapshots s ~init:[] (fun acc snap ->
+      ( Sampler.at_cycle s snap,
+        List.init (Sampler.entry_count s snap) (fun i ->
+            ( Sampler.branch_pc s snap i,
+              Sampler.target_pc s snap i,
+              Sampler.cycle s snap i )) )
+      :: acc)
+  |> List.rev
+
+let count = Sampler.snapshot_count
 
 let test_sampler_lbr_period () =
   let s = Sampler.create ~lbr_period:100 () in
   Sampler.on_cycle s ~cycle:50;
-  Alcotest.(check int) "before period: none" 0 (List.length (Sampler.lbr_samples s));
+  Alcotest.(check int) "before period: none" 0 (count s);
   Sampler.on_cycle s ~cycle:100;
-  Alcotest.(check int) "at period: one" 1 (List.length (Sampler.lbr_samples s));
+  Alcotest.(check int) "at period: one" 1 (count s);
   Sampler.on_cycle s ~cycle:150;
   Alcotest.(check int) "no resample within period" 1
-    (List.length (Sampler.lbr_samples s));
+    (count s);
   Sampler.on_cycle s ~cycle:205;
-  Alcotest.(check int) "next period" 2 (List.length (Sampler.lbr_samples s))
+  Alcotest.(check int) "next period" 2 (count s)
 
 (* The compiled engine's event horizon reads [next_due]: it must be
    the first cycle at which [on_cycle] samples, move past each sample,
@@ -79,9 +101,9 @@ let test_sampler_next_due () =
   let s = Sampler.create ~lbr_period:100 () in
   Alcotest.(check int) "first due" 100 (Sampler.next_due s);
   Sampler.on_cycle s ~cycle:99;
-  Alcotest.(check int) "nothing before due" 0 (List.length (Sampler.lbr_samples s));
+  Alcotest.(check int) "nothing before due" 0 (count s);
   Sampler.on_cycle s ~cycle:100;
-  Alcotest.(check int) "sampled at due" 1 (List.length (Sampler.lbr_samples s));
+  Alcotest.(check int) "sampled at due" 1 (count s);
   Alcotest.(check int) "moves one period on" 200 (Sampler.next_due s);
   Sampler.on_cycle s ~cycle:437;
   Alcotest.(check int) "moves past a long stall" 500 (Sampler.next_due s);
@@ -92,10 +114,10 @@ let test_sampler_long_stall_one_sample () =
   let s = Sampler.create ~lbr_period:100 () in
   Sampler.on_cycle s ~cycle:1_000;
   Alcotest.(check int) "single sample for a long gap" 1
-    (List.length (Sampler.lbr_samples s));
+    (count s);
   Sampler.on_cycle s ~cycle:1_050;
   Alcotest.(check int) "boundary advanced past the gap" 1
-    (List.length (Sampler.lbr_samples s))
+    (count s)
 
 let test_sampler_pebs_subsampling () =
   let s = Sampler.create ~pebs_period:4 () in
@@ -121,11 +143,12 @@ let test_sampler_snapshot_captures_ring () =
   let s = Sampler.create ~lbr_period:10 ~lbr_size:4 () in
   Lbr.record (Sampler.lbr s) ~branch_pc:9 ~target_pc:0 ~cycle:5;
   Sampler.on_cycle s ~cycle:10;
-  match Sampler.lbr_samples s with
-  | [ sample ] ->
-    Alcotest.(check int) "one entry" 1 (Array.length sample.Sampler.entries);
-    Alcotest.(check int) "pc preserved" 9 sample.Sampler.entries.(0).Lbr.branch_pc
-  | _ -> Alcotest.fail "expected exactly one sample"
+  Alcotest.(check (list (pair int (list (triple int int int)))))
+    "one snapshot of one entry" [ (10, [ (9, 0, 5) ]) ] (snapshots s);
+  (* The log copied the ring: later branches do not reach it. *)
+  Lbr.record (Sampler.lbr s) ~branch_pc:7 ~target_pc:0 ~cycle:12;
+  Alcotest.(check (list (pair int (list (triple int int int)))))
+    "unchanged by later branches" [ (10, [ (9, 0, 5) ]) ] (snapshots s)
 
 (* ---------------- Faults ---------------- *)
 
@@ -138,10 +161,7 @@ let drive sampler =
     Sampler.on_cycle sampler ~cycle:(i * 13);
     if i mod 3 = 0 then Sampler.on_llc_miss sampler ~load_pc:42 ~cycle:(i * 13)
   done;
-  ( List.map
-      (fun (s : Sampler.lbr_sample) ->
-        (s.Sampler.at_cycle, Array.to_list s.Sampler.entries))
-      (Sampler.lbr_samples sampler),
+  ( snapshots sampler,
     Sampler.delinquent_loads sampler,
     Sampler.miss_samples sampler )
 
@@ -177,7 +197,7 @@ let test_faults_drop_all_lbr () =
   for i = 1 to 20 do
     Sampler.on_cycle s ~cycle:(i * 10)
   done;
-  Alcotest.(check int) "all snapshots lost" 0 (List.length (Sampler.lbr_samples s));
+  Alcotest.(check int) "all snapshots lost" 0 (count s);
   Alcotest.(check bool) "drops counted" true
     ((Faults.stats f).Faults.lbr_dropped > 0)
 
@@ -192,17 +212,29 @@ let test_faults_jitter_bounded () =
 
 let test_faults_truncate_keeps_suffix () =
   let f = Faults.create { Faults.none with Faults.lbr_truncate_rate = 1.0 } in
-  let arr = [| 1; 2; 3; 4; 5; 6; 7; 8 |] in
-  let seen_shorter = ref false in
   for _ = 1 to 20 do
-    let t = Faults.truncate_ring f arr in
-    let n = Array.length t in
-    Alcotest.(check bool) "non-empty strict suffix" true (n >= 1 && n < 8);
-    Alcotest.(check bool) "newest entries kept" true
-      (t = Array.sub arr (8 - n) n);
-    if n < 8 then seen_shorter := true
+    let n = Faults.truncate_ring f 8 in
+    Alcotest.(check bool) "non-empty strict suffix" true (n >= 1 && n < 8)
   done;
-  Alcotest.(check bool) "truncation happened" true !seen_shorter
+  Alcotest.(check int) "one entry is never cut" 1 (Faults.truncate_ring f 1);
+  Alcotest.(check int) "every draw counted" 20
+    (Faults.stats f).Faults.lbr_truncated;
+  (* The sampler keeps the newest entries a truncation leaves. *)
+  let s = Sampler.create ~lbr_period:100 ~lbr_size:8 ~faults:f () in
+  for i = 1 to 8 do
+    Sampler.on_branch s ~branch_pc:i ~target_pc:(i + 1) ~cycle:(i * 10)
+  done;
+  Sampler.on_cycle s ~cycle:100;
+  match snapshots s with
+  | [ (100, entries) ] ->
+    let n = List.length entries in
+    Alcotest.(check bool) "truncated" true (n >= 1 && n < 8);
+    Alcotest.(check (list (triple int int int)))
+      "newest entries kept"
+      (List.filteri (fun i _ -> i >= 8 - n)
+         (List.init 8 (fun i -> (i + 1, i + 2, (i + 1) * 10))))
+      entries
+  | _ -> Alcotest.fail "expected one snapshot"
 
 let test_faults_skid_displaces_pc () =
   let f =
@@ -232,12 +264,12 @@ let test_faults_throttle_budget () =
     Sampler.on_cycle s ~cycle:(i * 10)
   done;
   Alcotest.(check bool) "under budget in window 1" true
-    (List.length (Sampler.lbr_samples s) <= 3);
+    (count s <= 3);
   (* Second window admits a fresh budget. *)
   for i = 100 to 199 do
     Sampler.on_cycle s ~cycle:(i * 10)
   done;
-  let n = List.length (Sampler.lbr_samples s) in
+  let n = count s in
   Alcotest.(check bool) "fresh budget per window" true (n > 3 && n <= 6);
   Alcotest.(check bool) "throttle events recorded" true
     ((Faults.stats f).Faults.throttled > 0)
@@ -290,6 +322,214 @@ let test_faults_backoff_capped_at_extreme_rate () =
   let p = Sampler.current_lbr_period s in
   Alcotest.(check int) "period = base * cap" (10 * 4096) p
 
+(* ---------------- Snapshot log against a reference ---------------- *)
+
+(* The sampler as it was before its snapshot log: a list of snapshot
+   records, each an array of entry records copied from the ring, with
+   truncation cutting the array to its newest entries. It draws from
+   the fault model at the same points, in the same order. *)
+module Ref_sampler = struct
+  type entry = { branch_pc : int; target_pc : int; cycle : int }
+  type sample = { at_cycle : int; entries : entry array }
+
+  type t = {
+    size : int;
+    mutable ring : entry list; (* newest first, at most [size] *)
+    period : int;
+    mutable next : int;
+    mutable samples : sample list; (* reversed *)
+    faults : Faults.t option;
+  }
+
+  let create ~period ~size faults =
+    { size; ring = []; period; next = period; samples = []; faults }
+
+  let current_period t =
+    match t.faults with
+    | None -> t.period
+    | Some f ->
+      max t.period
+        (int_of_float (float_of_int t.period *. Faults.backoff_factor f))
+
+  let on_branch t ~branch_pc ~target_pc ~cycle =
+    let cycle =
+      match t.faults with Some f -> Faults.jitter_cycle f cycle | None -> cycle
+    in
+    t.ring <-
+      List.filteri (fun i _ -> i < t.size) ({ branch_pc; target_pc; cycle } :: t.ring)
+
+  let on_cycle t ~cycle =
+    if cycle >= t.next then begin
+      let snapshot () = Array.of_list (List.rev t.ring) in
+      (match t.faults with
+      | None -> t.samples <- { at_cycle = cycle; entries = snapshot () } :: t.samples
+      | Some f ->
+        if Faults.throttle_admit f ~cycle && not (Faults.drop_lbr f) then begin
+          let arr = snapshot () in
+          let n = Array.length arr in
+          let keep = Faults.truncate_ring f n in
+          t.samples <-
+            { at_cycle = cycle; entries = Array.sub arr (n - keep) keep } :: t.samples
+        end);
+      let period = current_period t in
+      while t.next <= cycle do
+        t.next <- t.next + period
+      done
+    end
+
+  let snapshots t =
+    List.rev_map
+      (fun s ->
+        ( s.at_cycle,
+          Array.to_list
+            (Array.map (fun e -> (e.branch_pc, e.target_pc, e.cycle)) s.entries) ))
+      t.samples
+
+  (* [Loop_stats] over the record list, as it read before the log. *)
+  let iteration_times t ~latch_pc ~in_loop =
+    let acc = ref [] in
+    List.iter
+      (fun s ->
+        let last = ref (-1) and clean = ref true in
+        Array.iteri
+          (fun i e ->
+            if e.branch_pc = latch_pc then begin
+              if !last >= 0 && !clean then begin
+                let delta = e.cycle - s.entries.(!last).cycle in
+                if delta > 0 then acc := float_of_int delta :: !acc
+              end;
+              last := i;
+              clean := true
+            end
+            else if not (in_loop e.branch_pc) then clean := false)
+          s.entries)
+      (List.rev t.samples);
+    Array.of_list (List.rev !acc)
+
+  let trip_counts t ~inner_latch_pc ~outer_latch_pc =
+    let acc = ref [] in
+    List.iter
+      (fun s ->
+        let in_window = ref false and count = ref 0 in
+        Array.iter
+          (fun e ->
+            if e.branch_pc = outer_latch_pc then begin
+              if !in_window then acc := float_of_int !count :: !acc;
+              in_window := true;
+              count := 0
+            end
+            else if !in_window && e.branch_pc = inner_latch_pc then incr count)
+          s.entries)
+      (List.rev t.samples);
+    Array.of_list (List.rev !acc)
+
+  let occurrences t ~pc =
+    List.fold_left
+      (fun n s ->
+        Array.fold_left (fun n e -> if e.branch_pc = pc then n + 1 else n) n s.entries)
+      0 t.samples
+end
+
+module Loop_stats = Aptget_profile.Loop_stats
+
+type fault_mix = No_faults | Zero_faults | Default_faulty | Hostile
+
+let fault_config seed = function
+  | No_faults -> None
+  | Zero_faults -> Some Faults.none
+  | Default_faulty -> Some { Faults.default_faulty with Faults.seed }
+  | Hostile ->
+    (* Throttles often, so the period backs off mid-stream. *)
+    Some
+      {
+        Faults.default_faulty with
+        Faults.seed;
+        lbr_truncate_rate = 0.5;
+        throttle_budget = 2;
+        throttle_window = 2_000;
+      }
+
+let fault_mix_name = function
+  | No_faults -> "no model"
+  | Zero_faults -> "Faults.none"
+  | Default_faulty -> "default_faulty"
+  | Hostile -> "hostile"
+
+(* A random stream: each event advances the clock, retires one taken
+   branch from a small PC set (so loops recur) and ticks the sampler. *)
+let log_case =
+  let open QCheck in
+  let gen =
+    Gen.(
+      quad
+        (oneofl [ No_faults; Zero_faults; Default_faulty; Hostile ])
+        (pair small_nat bool) (int_range 1 32)
+        (list_size (0 -- 600) (pair (int_range 0 9) (int_range 0 60))))
+  in
+  make gen ~print:(fun (mix, (seed, dense), size, events) ->
+      Printf.sprintf "%s seed=%d dense=%b size=%d events=%s" (fault_mix_name mix)
+        seed dense size
+        (String.concat " "
+           (List.map (fun (pc, d) -> Printf.sprintf "%d+%d" pc d) events)))
+
+let prop_log_matches_reference =
+  QCheck.Test.make ~name:"snapshot log matches the record-list sampler"
+    ~count:300 ~long_factor:20 log_case (fun (mix, (seed, dense), size, events) ->
+      (* The dense case is the robust pipeline's 4x denser retry. *)
+      let period = if dense then 100 else 400 in
+      let cfg = fault_config seed mix in
+      let s =
+        Sampler.create ~lbr_period:period ~lbr_size:size
+          ?faults:(Option.map Faults.create cfg) ()
+      in
+      let r = Ref_sampler.create ~period ~size (Option.map Faults.create cfg) in
+      let cycle = ref 0 in
+      List.iter
+        (fun (pc, d) ->
+          cycle := !cycle + d;
+          Sampler.on_branch s ~branch_pc:pc ~target_pc:(pc + 1) ~cycle:!cycle;
+          Ref_sampler.on_branch r ~branch_pc:pc ~target_pc:(pc + 1) ~cycle:!cycle;
+          Sampler.on_cycle s ~cycle:!cycle;
+          Ref_sampler.on_cycle r ~cycle:!cycle)
+        events;
+      let in_loop pc = pc <= 4 in
+      snapshots s = Ref_sampler.snapshots r
+      && count s = List.length r.Ref_sampler.samples
+      && Loop_stats.iteration_times s ~latch_pc:3 ~in_loop
+         = Ref_sampler.iteration_times r ~latch_pc:3 ~in_loop
+      && Loop_stats.trip_counts s ~inner_latch_pc:3 ~outer_latch_pc:5
+         = Ref_sampler.trip_counts r ~inner_latch_pc:3 ~outer_latch_pc:5
+      && Loop_stats.occurrences s ~pc:3 = Ref_sampler.occurrences r ~pc:3)
+
+(* Taking a snapshot allocates nothing on the minor heap: a sampled run
+   allocates less than one minor word per snapshot more than the same
+   run unsampled. The kernel never misses the LLC, so PEBS takes no
+   sample, and the interpreter keeps the run on this domain. *)
+let test_snapshots_allocate_nothing () =
+  let module Machine = Aptget_machine.Machine in
+  let module Memory = Aptget_mem.Memory in
+  let b = Builder.create ~name:"loop" ~nparams:0 in
+  Builder.for_loop b ~from:(Ir.Imm 0) ~bound:(Ir.Imm 20_000) (fun b _ ->
+      Builder.work b (Ir.Imm 3));
+  Builder.ret b None;
+  let f = Builder.finish b in
+  let run sampler =
+    let mem = Memory.create ~capacity_words:64 () in
+    ignore (Memory.alloc mem ~name:"pad" ~words:8);
+    let before = Gc.minor_words () in
+    ignore (Machine.execute ~engine:Machine.Interp ?sampler ~mem f);
+    Gc.minor_words () -. before
+  in
+  ignore (run None);
+  let unsampled = run None in
+  let sampler = Sampler.create ~lbr_period:200 () in
+  let sampled = run (Some sampler) in
+  let n = count sampler in
+  Alcotest.(check bool) "many snapshots" true (n >= 200);
+  let excess = sampled -. unsampled in
+  if excess >= float_of_int n then
+    Alcotest.failf "%.0f minor words more over %d snapshots" excess n
+
 let () =
   Alcotest.run "pmu"
     [
@@ -310,6 +550,9 @@ let () =
           Alcotest.test_case "pebs subsampling" `Quick test_sampler_pebs_subsampling;
           Alcotest.test_case "delinquent ranking" `Quick test_sampler_delinquent_ranking;
           Alcotest.test_case "snapshot contents" `Quick test_sampler_snapshot_captures_ring;
+          Alcotest.test_case "snapshots allocate nothing" `Quick
+            test_snapshots_allocate_nothing;
+          QCheck_alcotest.to_alcotest prop_log_matches_reference;
         ] );
       ( "faults",
         [

@@ -10,31 +10,42 @@ module Rng = Aptget_util.Rng
 module Aptget_pass = Aptget_passes.Aptget_pass
 module Inject = Aptget_passes.Inject
 
-let sample entries =
-  {
-    Sampler.at_cycle = 0;
-    entries =
-      Array.of_list
-        (List.map
-           (fun (pc, cycle) -> { Lbr.branch_pc = pc; target_pc = 0; cycle })
-           entries);
-  }
+(* A sampler whose log holds one snapshot per list of (branch PC,
+   cycle) entries, oldest first: the ring is cleared, refilled through
+   the core's hook and snapshotted at the next period boundary. *)
+let log snapshots =
+  let s = Sampler.create ~lbr_period:1_000 ~lbr_size:64 () in
+  List.iter
+    (fun entries ->
+      Lbr.clear (Sampler.lbr s);
+      List.iter
+        (fun (pc, cycle) -> Sampler.on_branch s ~branch_pc:pc ~target_pc:0 ~cycle)
+        entries;
+      Sampler.on_cycle s ~cycle:(Sampler.next_due s))
+    snapshots;
+  s
+
+let sample entries = log [ entries ]
 
 (* ---------------- Loop_stats ---------------- *)
 
 let test_iteration_times_basic () =
   let s = sample [ (10, 100); (10, 150); (10, 230) ] in
   let times =
-    Loop_stats.iteration_times [ s ] ~latch_pc:10 ~in_loop:(fun _ -> true)
+    Loop_stats.iteration_times s ~latch_pc:10 ~in_loop:(fun _ -> true)
   in
-  Alcotest.(check (array (float 1e-9))) "deltas" [| 50.; 80. |] times
+  Alcotest.(check (array (float 1e-9))) "deltas" [| 50.; 80. |] times;
+  (* A window never spans two snapshots. *)
+  let split = log [ [ (10, 100); (10, 150) ]; [ (10, 230); (10, 250) ] ] in
+  Alcotest.(check (array (float 1e-9))) "per snapshot" [| 50.; 20. |]
+    (Loop_stats.iteration_times split ~latch_pc:10 ~in_loop:(fun _ -> true))
 
 let test_iteration_times_filters_foreign () =
   (* A foreign branch (99) between the two latch instances means the
      loop was exited: the delta must be discarded. *)
   let s = sample [ (10, 100); (99, 120); (10, 150); (10, 160) ] in
   let times =
-    Loop_stats.iteration_times [ s ] ~latch_pc:10 ~in_loop:(fun pc -> pc = 10)
+    Loop_stats.iteration_times s ~latch_pc:10 ~in_loop:(fun pc -> pc = 10)
   in
   Alcotest.(check (array (float 1e-9))) "only clean window" [| 10. |] times
 
@@ -42,7 +53,7 @@ let test_iteration_times_in_loop_branches_ok () =
   (* branches inside the loop (e.g. an if diamond) don't break windows *)
   let s = sample [ (10, 100); (11, 120); (10, 150) ] in
   let times =
-    Loop_stats.iteration_times [ s ] ~latch_pc:10 ~in_loop:(fun pc ->
+    Loop_stats.iteration_times s ~latch_pc:10 ~in_loop:(fun pc ->
         pc = 10 || pc = 11)
   in
   Alcotest.(check (array (float 1e-9))) "kept" [| 50. |] times
@@ -54,21 +65,21 @@ let test_trip_counts () =
       [ (20, 0); (10, 1); (10, 2); (10, 3); (20, 4); (10, 5); (10, 6); (20, 7) ]
   in
   let trips =
-    Loop_stats.trip_counts [ s ] ~inner_latch_pc:10 ~outer_latch_pc:20
+    Loop_stats.trip_counts s ~inner_latch_pc:10 ~outer_latch_pc:20
   in
   Alcotest.(check (array (float 1e-9))) "trips" [| 3.; 2. |] trips
 
 let test_trip_counts_incomplete_window () =
   let s = sample [ (10, 1); (10, 2); (20, 3); (10, 4) ] in
   let trips =
-    Loop_stats.trip_counts [ s ] ~inner_latch_pc:10 ~outer_latch_pc:20
+    Loop_stats.trip_counts s ~inner_latch_pc:10 ~outer_latch_pc:20
   in
   Alcotest.(check int) "no complete window" 0 (Array.length trips)
 
 let test_occurrences () =
   let s = sample [ (10, 1); (11, 2); (10, 3) ] in
-  Alcotest.(check int) "two" 2 (Loop_stats.occurrences [ s ] ~pc:10);
-  Alcotest.(check int) "zero" 0 (Loop_stats.occurrences [ s ] ~pc:42)
+  Alcotest.(check int) "two" 2 (Loop_stats.occurrences s ~pc:10);
+  Alcotest.(check int) "zero" 0 (Loop_stats.occurrences s ~pc:42)
 
 (* ---------------- Model ---------------- *)
 
